@@ -15,12 +15,11 @@ experiments.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .circuit import Circuit, ConsistentSet, NoiseModel, enumerate_consistent_sets
+from .circuit import Circuit, ConsistentSet, LightCones, NoiseModel, enumerate_consistent_sets
 from .paulis import CoeffVector, coeffs_from_op, sum_of_squares
-from .simulate import InputPair, evolve_pauli, min_cut, output_distinguishability, reduced_delta, restrict_coeffs
+from .simulate import Cut, InputPair, evolve_pauli, output_distinguishability, reduced_delta, restrict_coeffs
 
 MARGIN_TOL = 1e-9
 
@@ -154,32 +153,22 @@ def audit_invariant(
     theta: float,
     max_size: int,
     max_sets: int | None = None,
-    jobs: int = 1,
 ) -> InvariantReport:
-    """Audit every consistent set of size <= max_size.
+    """Audit every consistent set of size <= max_size, in enumeration order.
 
     Evolutions are cached per minimal cut, so sets sharing a cut reuse one
-    evolution; records keep the enumeration order regardless of ``jobs``.
+    evolution.
     """
     v0 = coeffs_from_op(pair.delta())
+    cones = LightCones.of(circ)
     cache: dict[frozenset, CoeffVector] = {}
-
-    def evolved_for(vset: ConsistentSet) -> CoeffVector:
-        cut = min_cut(circ, vset.qubits)
-        if cut.gates not in cache:
-            cache[cut.gates] = evolve_pauli(circ, v0, cut)
-        return cache[cut.gates]
-
-    def one(vset: ConsistentSet) -> InvariantRecord:
-        reduced = restrict_coeffs(evolved_for(vset), [q.wire for q in vset.qubits])
-        return _record(vset, reduced, theta)
-
-    sets = list(enumerate_consistent_sets(circ, max_size, max_sets))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            records = list(ex.map(one, sets))
-    else:
-        records = [one(vset) for vset in sets]
+    records = []
+    for vset in enumerate_consistent_sets(circ, max_size, max_sets):
+        gates = cones.cut_gates(cones.mask(vset.qubits))
+        if gates not in cache:
+            cache[gates] = evolve_pauli(circ, v0, Cut(gates))
+        reduced = restrict_coeffs(cache[gates], [q.wire for q in vset.qubits])
+        records.append(_record(vset, reduced, theta))
     return InvariantReport(theta, records)
 
 

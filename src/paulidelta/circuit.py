@@ -18,7 +18,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,6 +41,16 @@ class CircuitParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+class LevelError(ValueError):
+    """A level of a circuit breaks the IR's rules.  ``level`` is 1-based;
+    ``placement`` indexes the offending placement, or is None."""
+
+    def __init__(self, level: int, message: str, placement: int | None = None):
+        super().__init__(f"level {level}: {message}")
+        self.level = level
+        self.placement = placement
 
 
 @dataclass(frozen=True)
@@ -85,26 +94,24 @@ class Circuit:
             raise ValueError(f"output wire {self.output_wire} out of range")
         for li, level in enumerate(self.levels, start=1):
             seen: set[int] = set()
-            for pl in level:
+            for pi, pl in enumerate(level):
                 if len(set(pl.wires)) != len(pl.wires):
-                    raise ValueError(f"level {li}: duplicate wire within a placement")
+                    raise LevelError(li, "duplicate wire within a placement", pi)
                 arity = gate_arity(pl.gate)
                 if arity != len(pl.wires):
-                    raise ValueError(
-                        f"level {li}: gate arity {arity} != {len(pl.wires)} wires"
-                    )
+                    raise LevelError(li, f"gate needs {arity} wires, got {len(pl.wires)}", pi)
                 for w in pl.wires:
                     if not 0 <= w < self.n:
-                        raise ValueError(f"level {li}: wire {w} out of range")
+                        raise LevelError(li, f"wire {w} out of range for n={self.n}", pi)
                     if w in seen:
-                        raise ValueError(f"level {li}: wire {w} used twice")
+                        raise LevelError(li, f"not a partition: wire {w} used twice", pi)
                     seen.add(w)
                 problems = validate_gate(pl.gate)
                 if problems:
-                    raise ValueError(f"level {li}: invalid gate: {'; '.join(problems)}")
+                    raise LevelError(li, f"invalid gate: {'; '.join(problems)}", pi)
             if seen != set(range(self.n)):
                 missing = sorted(set(range(self.n)) - seen)
-                raise ValueError(f"level {li} is not a partition: missing wires {missing}")
+                raise LevelError(li, f"not a partition: missing wires {missing}")
 
     @property
     def max_arity(self) -> int:
@@ -112,13 +119,6 @@ class Circuit:
             (gate_arity(pl.gate) for level in self.levels for pl in level),
             default=1,
         )
-
-    def placement_on(self, level: int, wire: int) -> tuple[int, GatePlacement]:
-        """The (index, placement) of the gate acting on ``wire`` at ``level`` (1-based)."""
-        for i, pl in enumerate(self.levels[level - 1]):
-            if wire in pl.wires:
-                return i, pl
-        raise ValueError(f"no gate on wire {wire} at level {level}")
 
     def prefix(self, t: int) -> "Circuit":
         """The first ``t`` levels as a circuit with the same noise and output."""
@@ -158,40 +158,77 @@ def _check_refs(refs: Iterable[QubitRef], circ: Circuit) -> None:
             raise ValueError(f"qubit ref {q} out of range for n={circ.n}, T={circ.T}")
 
 
-def required_gates(refs: Iterable[QubitRef], circ: Circuit) -> set[tuple[int, int]]:
-    """The minimal set of gates (level, placement index) that must be applied
-    to produce every qubit in ``refs``; closed under input dependencies."""
-    _check_refs(refs, circ)
-    needed: set[tuple[int, int]] = set()
-    stack = [q for q in refs if q.time > 0]
-    while stack:
-        q = stack.pop()
-        i, pl = circ.placement_on(q.time, q.wire)
-        key = (q.time, i)
-        if key in needed:
-            continue
-        needed.add(key)
-        if q.time > 1:
-            stack.extend(QubitRef(w, q.time - 1) for w in pl.wires)
-    return needed
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True)
+class LightCones:
+    """Bitmasks over the (wire, time) grid of ``circ``; bit ``time*n + wire``
+    stands for ``QubitRef(wire, time)``.
+
+    ``consumed[b]`` marks the refs consumed by the gates in the light cone
+    of ref ``b``, i.e. by the gates that must run to produce it.  ``gates``
+    maps each gate (level, placement index) to its (input, output) masks.
+    """
+
+    circ: Circuit
+    consumed: tuple[int, ...]
+    gates: dict[tuple[int, int], tuple[int, int]]
+
+    @classmethod
+    def of(cls, circ: Circuit) -> "LightCones":
+        n = circ.n
+        consumed = [0] * (n * (circ.T + 1))
+        gates = {}
+        for level, placements in enumerate(circ.levels, start=1):
+            base = (level - 1) * n
+            for i, pl in enumerate(placements):
+                in_mask = cone = 0
+                for w in pl.wires:
+                    in_mask |= 1 << (base + w)
+                    cone |= consumed[base + w]
+                cone |= in_mask
+                for w in pl.wires:
+                    consumed[base + n + w] = cone
+                gates[(level, i)] = (in_mask, in_mask << n)
+        return cls(circ, tuple(consumed), gates)
+
+    def mask(self, refs: Iterable[QubitRef]) -> int:
+        refs = frozenset(refs)
+        _check_refs(refs, self.circ)
+        return sum(1 << (q.time * self.circ.n + q.wire) for q in refs)
+
+    def consumed_by(self, mask: int) -> int:
+        """The refs consumed by the gates in the light cones of ``mask``."""
+        out = 0
+        for b in _bits(mask):
+            out |= self.consumed[b]
+        return out
+
+    def cut_gates(self, mask: int) -> frozenset[tuple[int, int]]:
+        """The gates that must run to produce every ref in ``mask``: those
+        with an output in the mask or in its light cones."""
+        reach = mask | self.consumed_by(mask)
+        return frozenset(key for key, (_, out) in self.gates.items() if out & reach)
 
 
 def is_consistent(refs: Iterable[QubitRef], circ: Circuit) -> bool:
     """Whether the qubits can coexist under some partial execution.
 
-    Computes the gates causally required to produce every member and checks
-    that none of those gates consumes a member.  Equivalent to the inductive
-    definition: time-0 sets are consistent, and consistency is preserved by
-    replacing all inputs of a gate with its outputs (subsets included).
+    True when no gate in a member's light cone consumes a member.
+    Equivalent to the inductive definition: time-0 sets are consistent, and
+    consistency is preserved by replacing all inputs of a gate with its
+    outputs (subsets included).  It follows that a set is consistent iff
+    each of its pairs is.
     """
-    refs = frozenset(refs)
-    needed = required_gates(refs, circ)
-    for level, i in needed:
-        pl = circ.levels[level - 1][i]
-        for w in pl.wires:
-            if QubitRef(w, level - 1) in refs:
-                return False
-    return True
+    cones = LightCones.of(circ)
+    m = cones.mask(refs)
+    return not cones.consumed_by(m) & m
 
 
 def dist_latest(refs: Iterable[QubitRef], circ: Circuit) -> tuple[float, int]:
@@ -210,21 +247,35 @@ def enumerate_consistent_sets(
 ) -> Iterator[ConsistentSet]:
     """Yield every consistent set of size <= max_size exactly once.
 
+    The sets are the cliques of the graph joining two refs when neither
+    one's light cone consumes the other, grown in bit order.
     Order: increasing (latest, number of members at latest, sorted refs).
     Raises RuntimeError when more than ``max_sets`` sets would be yielded.
     """
-    grid = [QubitRef(w, t) for t in range(circ.T + 1) for w in range(circ.n)]
+    cones = LightCones.of(circ)
+    n, size = circ.n, len(cones.consumed)
+    grid = [QubitRef(b % n, b // n) for b in range(size)]
+    # later[b]: the refs after b in bit order that can coexist with b.  A
+    # ref's cone consumes only earlier times, so b's cone never consumes them.
+    later = [0] * size
+    for c in range(size):
+        for b in range(c):
+            if not cones.consumed[c] >> b & 1:
+                later[b] |= 1 << c
     found: list[ConsistentSet] = []
-    for size in range(min(max_size, len(grid)) + 1):
-        for combo in combinations(grid, size):
-            refs = frozenset(combo)
-            if is_consistent(refs, circ):
-                d, l = dist_latest(refs, circ)
-                found.append(ConsistentSet(refs, d, l))
-                if max_sets is not None and len(found) > max_sets:
-                    raise RuntimeError(
-                        f"enumeration budget exceeded ({max_sets} sets)"
-                    )
+
+    def grow(members: int, candidates: int, room: int) -> None:
+        refs = frozenset(grid[b] for b in _bits(members))
+        found.append(ConsistentSet(refs, *dist_latest(refs, circ)))
+        if max_sets is not None and len(found) > max_sets:
+            raise RuntimeError(f"enumeration budget exceeded ({max_sets} sets)")
+        if room:
+            for b in _bits(candidates):
+                grow(members | 1 << b, candidates & later[b], room - 1)
+
+    if max_size >= 0:
+        grow(0, (1 << size) - 1, max_size)
+
     def order_key(cs: ConsistentSet):
         at_latest = sum(1 for q in cs.qubits if q.time == cs.latest)
         return (cs.latest, at_latest, tuple(sorted((q.wire, q.time) for q in cs.qubits)))
@@ -257,16 +308,12 @@ def _parse_matrix(entries: str, arity: int, line: int, col: int) -> np.ndarray:
     return np.array(vals, dtype=complex).reshape(dim, dim)
 
 
-def _split_sections(body: str) -> list[str]:
-    return [s.strip() for s in body.split(";")]
-
-
 def _parse_placement(text: str, line: int, col: int) -> GatePlacement:
     m = re.match(r"\s*([A-Za-z][A-Za-z0-9]*)\s*\((.*)\)\s*$", text, re.DOTALL)
     if not m:
         raise CircuitParseError(f"malformed placement {text.strip()!r}", line, col)
     name, body = m.group(1), m.group(2)
-    sections = _split_sections(body)
+    sections = [s.strip() for s in body.split(";")]
     wire_toks = [t.strip() for t in sections[0].split(",") if t.strip()]
     try:
         wires = tuple(int(t) for t in wire_toks)
@@ -299,14 +346,8 @@ def _parse_placement(text: str, line: int, col: int) -> GatePlacement:
     if name in _BUILTIN_SIMPLE:
         if kv:
             raise CircuitParseError(f"{name} takes no parameters", line, col)
-        if len(wires) != BUILTIN_ARITY[name]:
-            raise CircuitParseError(
-                f"{name} needs {BUILTIN_ARITY[name]} wires, got {len(wires)}", line, col
-            )
         return GatePlacement(wires, BuiltinGate(name))
     if name == "DEPOL":
-        if len(wires) != 1:
-            raise CircuitParseError("DEPOL acts on one wire", line, col)
         try:
             p = float(need("p"))
         except ValueError:
@@ -324,8 +365,6 @@ def _parse_placement(text: str, line: int, col: int) -> GatePlacement:
             wires, UnitaryMixture(len(wires), list(zip(probs, mats)))
         )
     if name == "RSW":
-        if len(wires) != 1:
-            raise CircuitParseError("RSW acts on one wire", line, col)
         try:
             lam1, lam2 = float(need("l1")), float(need("l2"))
             sign = int(float(need("sign")))
@@ -348,14 +387,14 @@ def parse_circuit(text: str) -> Circuit:
     """
     lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
+        code = raw.split("#", 1)[0].rstrip()
+        if code:
+            lines.append((lineno, code))  # indentation kept, so columns are exact
     if not lines:
         raise CircuitParseError("empty circuit text", 1)
 
     lineno, head = lines[0]
-    m = re.match(r"qubits\s+(\d+)\s+levels\s+(\d+)\s+output\s+(\d+)\s*$", head)
+    m = re.match(r"\s*qubits\s+(\d+)\s+levels\s+(\d+)\s+output\s+(\d+)\s*$", head)
     if not m:
         raise CircuitParseError(
             "expected 'qubits <n> levels <T> output <wire>'", lineno
@@ -365,20 +404,19 @@ def parse_circuit(text: str) -> Circuit:
     if len(lines) < 2:
         raise CircuitParseError("missing noise line", lineno + 1)
     lineno, noise_line = lines[1]
-    m = re.match(r"noise\s+eps1=([-\d.eE+]+)\s+epsk=([-\d.eE+]+)\s*$", noise_line)
+    m = re.match(r"\s*noise\s+eps1=([-\d.eE+]+)\s+epsk=([-\d.eE+]+)\s*$", noise_line)
     if not m:
         raise CircuitParseError("expected 'noise eps1=<float> epsk=<float>'", lineno)
-    eps1, epsk = float(m.group(1)), float(m.group(2))
-    if eps1 <= 0:
-        raise CircuitParseError("eps1 must be positive", lineno, noise_line.index("eps1") + 1)
     try:
-        noise = NoiseModel(eps1, epsk)
+        noise = NoiseModel(float(m.group(1)), float(m.group(2)))
     except ValueError as e:
         raise CircuitParseError(str(e), lineno) from None
 
     levels: list[list[GatePlacement]] = []
+    # (line, column of each placement) per level, to locate Circuit's errors
+    where: list[tuple[int, list[int]]] = []
     for expected, (lineno, line) in enumerate(lines[2:], start=1):
-        m = re.match(r"level\s+(\d+)\s*:\s*(.*)$", line)
+        m = re.match(r"\s*level\s+(\d+)\s*:\s*(.*)$", line)
         if not m:
             raise CircuitParseError(f"expected 'level {expected}: ...'", lineno)
         if int(m.group(1)) != expected:
@@ -386,50 +424,39 @@ def parse_circuit(text: str) -> Circuit:
                 f"levels must ascend from 1; expected level {expected}, got {m.group(1)}",
                 lineno,
             )
-        placements = []
-        cursor = line.index(":") + 1
-        depth = 0
-        start = cursor
+        start = line.index(":") + 1
+        depth = opened = 0
         chunks: list[tuple[int, str]] = []
-        for pos in range(cursor, len(line) + 1):
+        for pos in range(start, len(line) + 1):
             ch = line[pos] if pos < len(line) else ";"
             if ch == "(":
+                if depth == 0:
+                    opened = pos + 1
                 depth += 1
             elif ch == ")":
+                if depth == 0:
+                    raise CircuitParseError(
+                        "unbalanced parenthesis: ')' closes nothing", lineno, pos + 1
+                    )
                 depth -= 1
             elif ch == ";" and depth == 0:
                 chunk = line[start:pos]
                 if chunk.strip():
                     chunks.append((start + 1, chunk))
                 start = pos + 1
-        for col, chunk in chunks:
-            placements.append(_parse_placement(chunk, lineno, col))
-        seen: set[int] = set()
-        for pl in placements:
-            for w in pl.wires:
-                if not 0 <= w < n:
-                    raise CircuitParseError(f"wire {w} out of range for n={n}", lineno)
-                if w in seen:
-                    raise CircuitParseError(
-                        f"level {expected} is not a partition: wire {w} used twice", lineno
-                    )
-                seen.add(w)
-        if seen != set(range(n)):
-            missing = sorted(set(range(n)) - seen)
-            raise CircuitParseError(
-                f"level {expected} is not a partition: missing wires {missing}", lineno
-            )
-        levels.append(placements)
+        if depth:
+            raise CircuitParseError("unbalanced parenthesis: '(' is never closed", lineno, opened)
+        levels.append([_parse_placement(chunk, lineno, col) for col, chunk in chunks])
+        where.append((lineno, [col for col, _ in chunks]))
 
-    if len(levels) != T:
-        raise CircuitParseError(
-            f"circuit declares {T} levels but defines {len(levels)}",
-            lines[-1][0] if lines else 1,
-        )
     try:
         return Circuit(n, T, levels, noise, output)
+    except LevelError as e:
+        lineno, columns = where[e.level - 1]
+        column = 1 if e.placement is None else columns[e.placement]
+        raise CircuitParseError(str(e), lineno, column) from None
     except ValueError as e:
-        raise CircuitParseError(str(e), lines[-1][0]) from None
+        raise CircuitParseError(str(e), lines[0][0]) from None
 
 
 # --- JSON mirror --------------------------------------------------------
@@ -514,24 +541,25 @@ def circuit_to_json(circ: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
+    """Read the JSON mirror.  A malformed document raises ValueError naming
+    the part at fault, down to the level and placement index."""
     doc = json.loads(text)
-    for key in ("qubits", "levels", "noise", "output"):
-        if key not in doc:
-            raise ValueError(f"missing {key!r} key")
-    noise = NoiseModel(float(doc["noise"]["eps1"]), float(doc["noise"]["epsk"]))
-    levels = []
-    for level in doc["levels"]:
-        placements = []
-        for pd in level:
-            wires = tuple(int(w) for w in pd["wires"])
-            placements.append(GatePlacement(wires, _gate_from_json(pd, len(wires))))
-        levels.append(placements)
-    return Circuit(int(doc["qubits"]), len(levels), levels, noise, int(doc["output"]))
-
-
-def circuit_equal(a: Circuit, b: Circuit) -> bool:
-    """Structural equality, comparing gate payloads numerically."""
-    return circuit_to_json(a) == circuit_to_json(b)
+    where = "circuit"
+    try:
+        noise = NoiseModel(float(doc["noise"]["eps1"]), float(doc["noise"]["epsk"]))
+        n, output, all_levels = int(doc["qubits"]), int(doc["output"]), doc["levels"]
+        where, levels = "levels", []
+        for li, level in enumerate(all_levels, start=1):
+            where, placements = f"level {li}", []
+            for pi, pd in enumerate(level):
+                where = f"level {li}, placement {pi}"
+                wires = tuple(int(w) for w in pd["wires"])
+                placements.append(GatePlacement(wires, _gate_from_json(pd, len(wires))))
+            levels.append(placements)
+    except (KeyError, TypeError, ValueError) as e:
+        problem = f"missing {e.args[0]!r} key" if isinstance(e, KeyError) else str(e)
+        raise ValueError(f"{where}: {problem}") from None
+    return Circuit(n, len(levels), levels, noise, output)
 
 
 # --- random circuits ----------------------------------------------------

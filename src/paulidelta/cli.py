@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import (
     CONSTRAINT_FORMULAS,
     MARGIN_TOL,
+    InvariantRecord,
     audit_invariant,
     cnot_threshold,
     decay_table,
@@ -29,23 +29,16 @@ from .paulis import PauliString
 from .simulate import InputPair, basis_density, output_distinguishability, sample_output_difference
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved circuit + input pair + depth range for an experiment."""
-
-    circuit: Circuit
-    pair: InputPair
-    t_values: list[int]
-    out: str | None
-    fmt: str
-    seed: int | None
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (required for --random)")
     p.add_argument("--out", default=None, help="write machine output to this file")
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for audits")
+
+
+def _count(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _add_circuit_source(p: argparse.ArgumentParser) -> None:
@@ -136,10 +129,16 @@ def _theta_or_refuse(noise: NoiseModel, k: int, cnot_only: bool):
     return result
 
 
+def _gate_k(args, circ: Circuit) -> int:
+    if args.k is not None and args.k < circ.max_arity:
+        raise UsageError(f"--k {args.k} is below the circuit's gate arity {circ.max_arity}")
+    return args.k if args.k is not None else max(2, circ.max_arity)
+
+
 def cmd_decay(args) -> int:
     circ = _load_circuit(args)
     pair, _, _ = _input_pair(args, circ)
-    k = args.k if args.k is not None else max(2, circ.max_arity)
+    k = _gate_k(args, circ)
     result = _theta_or_refuse(circ.noise, k, args.cnot_only)
     t_max = args.t_max if args.t_max is not None else circ.T
     if not 1 <= args.t_min <= t_max <= circ.T:
@@ -167,10 +166,20 @@ def cmd_decay(args) -> int:
     return 0
 
 
+def _record_doc(r: InvariantRecord) -> dict:
+    return {
+        "qubits": [list(q) for q in r.qubits],
+        "dist": r.dist if r.dist != float("inf") else "inf",
+        "lhs": r.lhs,
+        "rhs": r.rhs,
+        "margin": r.margin,
+    }
+
+
 def cmd_check_invariant(args) -> int:
     circ = _load_circuit(args)
     pair, _, _ = _input_pair(args, circ)
-    k = args.k if args.k is not None else max(2, circ.max_arity)
+    k = _gate_k(args, circ)
     forced = args.force_theta is not None
     if forced:
         theta = args.force_theta
@@ -179,9 +188,7 @@ def cmd_check_invariant(args) -> int:
         result = _theta_or_refuse(circ.noise, k, args.cnot_only)
         theta, binding = result.theta, result.binding_constraint
     try:
-        report = audit_invariant(
-            circ, pair, theta, args.max_set_size, max_sets=args.max_sets, jobs=args.jobs
-        )
+        report = audit_invariant(circ, pair, theta, args.max_set_size, max_sets=args.max_sets)
     except RuntimeError as e:
         raise UsageError(str(e)) from None
     worst = min(report.records, key=lambda r: r.margin, default=None)
@@ -193,25 +200,8 @@ def cmd_check_invariant(args) -> int:
         "sets_checked": len(report.records),
         "failures": len(report.failures),
         "min_margin": report.min_margin if report.records else None,
-        "worst": None
-        if worst is None
-        else {
-            "qubits": [list(q) for q in worst.qubits],
-            "dist": worst.dist if worst.dist != float("inf") else "inf",
-            "lhs": worst.lhs,
-            "rhs": worst.rhs,
-            "margin": worst.margin,
-        },
-        "failing": [
-            {
-                "qubits": [list(q) for q in r.qubits],
-                "dist": r.dist if r.dist != float("inf") else "inf",
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "margin": r.margin,
-            }
-            for r in report.failures
-        ],
+        "worst": None if worst is None else _record_doc(worst),
+        "failing": [_record_doc(r) for r in report.failures],
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     if forced:
@@ -306,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-invariant", help="audit the shrink invariant over consistent sets")
     _add_circuit_source(p)
-    p.add_argument("--max-set-size", type=int, default=3)
-    p.add_argument("--max-sets", type=int, default=None, help="enumeration budget")
+    p.add_argument("--max-set-size", type=_count, default=3)
+    p.add_argument("--max-sets", type=_count, default=None, help="enumeration budget")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--cnot-only", action="store_true")
     p.add_argument(
@@ -320,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_invariant)
 
     p = sub.add_parser("verify", help="run the seeded self-check suites")
-    p.add_argument("--cases", type=int, default=25)
+    p.add_argument("--cases", type=_count, default=25)
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -330,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="single-run output distinguishability")
     _add_circuit_source(p)
-    p.add_argument("--shots", type=int, default=0, help="add a trajectory-sampling estimate")
+    p.add_argument("--shots", type=_count, default=0, help="add a trajectory-sampling estimate")
     _add_common(p)
     p.set_defaults(fn=cmd_simulate)
 

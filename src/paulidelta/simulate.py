@@ -30,7 +30,7 @@ from .channels import (
     kraus_of_rsw,
     lower_builtin,
 )
-from .circuit import Circuit, ConsistentSet, QubitRef, is_consistent, required_gates
+from .circuit import Circuit, ConsistentSet, LightCones, QubitRef, is_consistent
 from .paulis import (
     MAX_COEFF_QUBITS,
     MAX_DENSE_QUBITS,
@@ -49,42 +49,32 @@ class Cut:
 
     gates: frozenset[tuple[int, int]]
 
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self.gates
-
     def __len__(self) -> int:
         return len(self.gates)
 
 
 def full_cut(circ: Circuit) -> Cut:
-    return Cut(
-        frozenset(
-            (level, i)
-            for level in range(1, circ.T + 1)
-            for i in range(len(circ.levels[level - 1]))
-        )
-    )
+    return Cut(frozenset(LightCones.of(circ).gates))
 
 
 def min_cut(circ: Circuit, refs: Iterable[QubitRef]) -> Cut:
     """The smallest cut producing every qubit in ``refs``."""
-    return Cut(frozenset(required_gates(refs, circ)))
+    cones = LightCones.of(circ)
+    return Cut(cones.cut_gates(cones.mask(refs)))
 
 
 def check_cut(circ: Circuit, cut: Cut) -> None:
     """Raise unless every gate exists and the cut is downward-closed."""
-    for level, i in cut.gates:
-        if not (1 <= level <= circ.T) or not (0 <= i < len(circ.levels[level - 1])):
+    cones = LightCones.of(circ)
+    produced = 0
+    for level, i in sorted(cut.gates):
+        if (level, i) not in cones.gates:
             raise ValueError(f"cut names a nonexistent gate (level {level}, index {i})")
-        if level == 1:
-            continue
-        for w in circ.levels[level - 1][i].wires:
-            j, _ = circ.placement_on(level - 1, w)
-            if (level - 1, j) not in cut.gates:
-                raise ValueError(
-                    f"cut is not downward-closed: gate (level {level}, index {i}) "
-                    f"needs (level {level - 1}, index {j})"
-                )
+        produced |= cones.gates[(level, i)][1]
+    missing = cones.cut_gates(produced) - cut.gates
+    if missing:
+        level, i = min(missing)
+        raise ValueError(f"cut is not downward-closed: it lacks gate (level {level}, index {i})")
 
 
 # --- input pairs and state constructors ----------------------------------
@@ -196,24 +186,22 @@ def _apply_gate_dense(op: np.ndarray, spec: GateSpec, wires: tuple[int, ...], n:
 
 
 def evolve_density(circ: Circuit, op: np.ndarray, cut: Cut) -> np.ndarray:
-    """Dense-matrix evolution through the gates of a cut, in level order."""
+    """Dense-matrix evolution through the gates of a cut, in (level, index) order."""
     op = np.asarray(op, dtype=complex)
     if circ.n > MAX_DENSE_QUBITS:
         raise ValueError(f"n={circ.n} exceeds the dense-engine cap {MAX_DENSE_QUBITS}")
     if op.shape != (2**circ.n, 2**circ.n):
         raise ValueError(f"operator shape {op.shape} does not match n={circ.n}")
     check_cut(circ, cut)
-    for level in range(1, circ.T + 1):
-        for i, pl in enumerate(circ.levels[level - 1]):
-            if (level, i) not in cut.gates:
-                continue
-            if gate_arity(pl.gate) >= 2:
-                for w in pl.wires:
-                    op = depolarize_dense(op, w, circ.noise.epsk, circ.n)
-                op = _apply_gate_dense(op, pl.gate, pl.wires, circ.n)
-            else:
-                op = _apply_gate_dense(op, pl.gate, pl.wires, circ.n)
-                op = depolarize_dense(op, pl.wires[0], circ.noise.eps1, circ.n)
+    for level, i in sorted(cut.gates):
+        pl = circ.levels[level - 1][i]
+        if gate_arity(pl.gate) >= 2:
+            for w in pl.wires:
+                op = depolarize_dense(op, w, circ.noise.epsk, circ.n)
+            op = _apply_gate_dense(op, pl.gate, pl.wires, circ.n)
+        else:
+            op = _apply_gate_dense(op, pl.gate, pl.wires, circ.n)
+            op = depolarize_dense(op, pl.wires[0], circ.noise.eps1, circ.n)
     return op
 
 
@@ -260,18 +248,16 @@ def evolve_pauli(circ: Circuit, v: CoeffVector, cut: Cut) -> CoeffVector:
     ptms = _circuit_ptms(circ)
     values = v.values.copy()
     n = circ.n
-    for level in range(1, circ.T + 1):
-        for i, pl in enumerate(circ.levels[level - 1]):
-            if (level, i) not in cut.gates:
-                continue
-            if gate_arity(pl.gate) >= 2:
-                for w in pl.wires:
-                    values = shrink_coeffs(values, n, w, circ.noise.epsk)
-                t = _apply_ptm(values.reshape((4,) * n), ptms[(level, i)], pl.wires, n)
-                values = t.reshape(-1)
-            else:
-                t = _apply_ptm(values.reshape((4,) * n), ptms[(level, i)], pl.wires, n)
-                values = shrink_coeffs(t.reshape(-1), n, pl.wires[0], circ.noise.eps1)
+    for level, i in sorted(cut.gates):
+        pl = circ.levels[level - 1][i]
+        if gate_arity(pl.gate) >= 2:
+            for w in pl.wires:
+                values = shrink_coeffs(values, n, w, circ.noise.epsk)
+            t = _apply_ptm(values.reshape((4,) * n), ptms[(level, i)], pl.wires, n)
+            values = t.reshape(-1)
+        else:
+            t = _apply_ptm(values.reshape((4,) * n), ptms[(level, i)], pl.wires, n)
+            values = shrink_coeffs(t.reshape(-1), n, pl.wires[0], circ.noise.eps1)
     return CoeffVector(n, values)
 
 

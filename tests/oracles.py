@@ -21,6 +21,11 @@ def pauli_coeffs_by_trace(op: np.ndarray) -> np.ndarray:
     return out
 
 
+def producing_gate(circ: Circuit, level: int, wire: int) -> int:
+    """Index of the placement acting on ``wire`` at ``level`` (1-based), by scan."""
+    return next(i for i, pl in enumerate(circ.levels[level - 1]) if wire in pl.wires)
+
+
 def inductive_consistent_sets(circ: Circuit) -> set[frozenset[QubitRef]]:
     """All consistent sets, generated by the inductive rules over bitmasks."""
     n = circ.n

@@ -170,17 +170,6 @@ def test_invariant_audit_random_circuits():
             assert report.all_pass, min(report.records, key=lambda r: r.margin)
 
 
-def test_invariant_audit_parallel_matches_serial():
-    c = random_circuit(3, 2, seed=9, gate_pool=POOL, k=2, noise=NoiseModel(0.1, 0.45))
-    pair = InputPair(basis_density("000"), basis_density("111"))
-    theta = theta_for(c.noise, 2).theta
-    serial = audit_invariant(c, pair, theta, max_size=3, jobs=1)
-    parallel = audit_invariant(c, pair, theta, max_size=3, jobs=4)
-    assert [(r.qubits, r.lhs, r.rhs) for r in serial.records] == [
-        (r.qubits, r.lhs, r.rhs) for r in parallel.records
-    ]
-
-
 def test_decay_table_all_identity():
     lines = ["qubits 1 levels 10 output 0", "noise eps1=0.01 epsk=0.4"]
     lines += [f"level {i}: ID(0)" for i in range(1, 11)]

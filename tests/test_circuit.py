@@ -18,9 +18,10 @@ from paulidelta import (
     random_circuit,
 )
 from paulidelta.channels import BuiltinGate, UnitaryMixture
-from paulidelta.circuit import ConsistentSet, required_gates
+from paulidelta.circuit import ConsistentSet
+from paulidelta.simulate import min_cut
 
-from oracles import inductive_consistent_sets
+from oracles import inductive_consistent_sets, producing_gate
 
 CNOT_2 = """qubits 2 levels 1 output 0
 noise eps1=0.05 epsk=0.4
@@ -60,6 +61,27 @@ def test_parse_duplicate_wire():
     text = "qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: ID(0); ID(0)\n"
     with pytest.raises(CircuitParseError, match="used twice"):
         parse_circuit(text)
+
+
+@pytest.mark.parametrize(
+    "level, column",
+    [("level 1: H(0", 11), ("level 1: H(0); H(1))", 20), ("    level 1: H(0", 15)],
+)
+def test_parse_unbalanced_parenthesis(level, column):
+    text = "qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\n" + level + "\n"
+    with pytest.raises(CircuitParseError, match="parenthesis") as info:
+        parse_circuit(text)
+    assert (info.value.line, info.value.column) == (3, column)
+
+
+def test_parse_partition_error_names_its_level_line():
+    text = (
+        "qubits 2 levels 2 output 0\nnoise eps1=0.05 epsk=0.4\n"
+        "level 1: CNOT(0,1)\nlevel 2: ID(0)\n# trailing comment\n"
+    )
+    with pytest.raises(CircuitParseError, match="level 2: not a partition") as info:
+        parse_circuit(text)
+    assert info.value.line == 4
 
 
 def test_parse_zero_eps1_rejected():
@@ -144,6 +166,15 @@ def test_json_missing_key():
         circuit_from_json('{"qubits": 1, "noise": {"eps1": 0.1, "epsk": 0.4}, "output": 0}')
 
 
+def test_json_placement_errors_name_level_and_index():
+    doc = (
+        '{"qubits": 2, "levels": [[{"gate": "CNOT", "wires": [0, 1]}], [{"gate": "CNOT"}]],'
+        ' "noise": {"eps1": 0.1, "epsk": 0.4}, "output": 0}'
+    )
+    with pytest.raises(ValueError, match="level 2, placement 0: missing 'wires'"):
+        circuit_from_json(doc)
+
+
 def test_json_duplicate_wire():
     doc = (
         '{"qubits": 2, "levels": [[{"gate": "ID", "wires": [0]}, {"gate": "ID", "wires": [0]}]],'
@@ -206,17 +237,17 @@ def test_out_of_range_refs_rejected():
         is_consistent(refs((2, 0)), c)
 
 
-def test_required_gates_closure():
+def test_min_cut_closure():
     c = random_circuit(3, 3, seed=2, gate_pool=POOL, k=2)
-    need = required_gates(refs((0, 3)), c)
+    need = min_cut(c, refs((0, 3))).gates
+    assert (3, producing_gate(c, 3, 0)) in need
     assert all(1 <= level <= 3 for level, _ in need)
     # every named gate's inputs are produced inside the set
     for level, i in need:
         if level == 1:
             continue
         for w in c.levels[level - 1][i].wires:
-            j, _ = c.placement_on(level - 1, w)
-            assert (level - 1, j) in need
+            assert (level - 1, producing_gate(c, level - 1, w)) in need
 
 
 def test_dist_latest_basics():

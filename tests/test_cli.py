@@ -140,12 +140,36 @@ def test_check_invariant_budget(cnot_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_check_invariant_jobs_stable(cnot_file, tmp_path):
-    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    base = ["check-invariant", "--circuit", cnot_file, "--max-set-size", "2"]
-    assert main(base + ["--jobs", "1", "--out", str(f1)]) == 0
-    assert main(base + ["--jobs", "4", "--out", str(f2)]) == 0
-    assert f1.read_bytes() == f2.read_bytes()
+@pytest.mark.parametrize("command", ["decay", "check-invariant"])
+def test_k_below_gate_arity_rejected(cnot_file, command, capsys):
+    assert main([command, "--circuit", cnot_file, "--k", "1"]) == 2
+    assert "gate arity 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--shots", "-3"],
+        ["check-invariant", "--max-set-size", "-1"],
+        ["check-invariant", "--max-sets", "-1"],
+        ["verify", "--cases", "-1"],
+    ],
+)
+def test_negative_counts_rejected(argv, capsys):
+    assert main(argv) == 2
+    assert ">= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "levels, where",
+    [([[{"gate": "CNOT"}]], "level 1, placement 0"), (3, "levels: ")],
+)
+def test_malformed_json_circuit_is_usage_error(tmp_path, levels, where, capsys):
+    p = tmp_path / "bad.json"
+    doc = {"qubits": 2, "levels": levels, "noise": {"eps1": 0.1, "epsk": 0.4}, "output": 0}
+    p.write_text(json.dumps(doc))
+    assert main(["simulate", "--circuit", str(p)]) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_verify_default_passes(capsys):

@@ -1,0 +1,50 @@
+"""Property tests for the lemma behind the light-cone machinery: a set of
+qubits is consistent iff each of its pairs is, so consistent sets are the
+cliques of a pairwise-compatibility graph."""
+
+from itertools import combinations
+
+from hypothesis import given, strategies as st
+
+from paulidelta import Circuit, GatePlacement, NoiseModel, QubitRef
+from paulidelta.channels import BuiltinGate
+from paulidelta.circuit import enumerate_consistent_sets, is_consistent
+
+from oracles import inductive_consistent_sets
+
+ONE_QUBIT = ("ID", "H", "S", "RESET")
+TWO_QUBIT = ("CNOT", "CZ", "SWAP")
+
+
+@st.composite
+def circuits(draw):
+    """Leveled circuits with n <= 4 and T <= 4 over one- and two-qubit builtins."""
+    n = draw(st.integers(1, 4))
+    T = draw(st.integers(0, 4))
+    levels = []
+    for _ in range(T):
+        order = draw(st.permutations(range(n)))
+        level = []
+        while order:
+            k = draw(st.integers(1, min(2, len(order))))
+            name = draw(st.sampled_from(ONE_QUBIT if k == 1 else TWO_QUBIT))
+            level.append(GatePlacement(tuple(order[:k]), BuiltinGate(name)))
+            order = order[k:]
+        levels.append(level)
+    return Circuit(n, T, levels, NoiseModel(0.1, 0.4), 0)
+
+
+@given(circuits(), st.integers(0, 5))
+def test_enumeration_matches_inductive_oracle(circ, max_size):
+    got = [cs.qubits for cs in enumerate_consistent_sets(circ, max_size)]
+    want = {v for v in inductive_consistent_sets(circ) if len(v) <= max_size}
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+@given(circuits(), st.data())
+def test_consistency_is_pairwise(circ, data):
+    grid = [QubitRef(w, t) for t in range(circ.T + 1) for w in range(circ.n)]
+    refs = data.draw(st.sets(st.sampled_from(grid), max_size=6))
+    pairwise = all(is_consistent({a, b}, circ) for a, b in combinations(refs, 2))
+    assert is_consistent(refs, circ) == pairwise

@@ -32,6 +32,8 @@ from paulidelta import enumerate_consistent_sets
 from paulidelta.circuit import ConsistentSet
 from paulidelta.simulate import check_cut
 
+from oracles import producing_gate
+
 POOL = ("CNOT", "H", "S", "T", "RESET", "ID", "RANDMIX2")
 
 
@@ -257,8 +259,7 @@ def _greedy_extension(circ, vset):
             if level > 1:
                 ok = True
                 for w in pl.wires:
-                    j, _ = circ.placement_on(level - 1, w)
-                    if (level - 1, j) not in gates:
+                    if (level - 1, producing_gate(circ, level - 1, w)) not in gates:
                         ok = False
                         break
                 if not ok:
