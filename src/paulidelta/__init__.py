@@ -43,10 +43,13 @@ from .circuit import (
     random_circuit,
 )
 from .simulate import (
+    CompiledCircuit,
     Cut,
     InputPair,
     basis_density,
     born_probability_one,
+    compile_circuit,
+    distinguishability_by_depth,
     evolve_density,
     evolve_pauli,
     full_cut,

@@ -17,9 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, ConsistentSet, LightCones, NoiseModel, enumerate_consistent_sets
+from .circuit import Circuit, ConsistentSet, NoiseModel, enumerate_consistent_sets
 from .paulis import CoeffVector, coeffs_from_op, sum_of_squares
-from .simulate import Cut, InputPair, evolve_pauli, output_distinguishability, reduced_delta, restrict_coeffs
+from .simulate import (
+    Cut,
+    InputPair,
+    compile_circuit,
+    distinguishability_by_depth,
+    evolve_pauli,
+    reduced_delta,
+    restrict_coeffs,
+)
 
 MARGIN_TOL = 1e-9
 
@@ -160,13 +168,14 @@ def audit_invariant(
     evolution.
     """
     v0 = coeffs_from_op(pair.delta())
-    cones = LightCones.of(circ)
+    comp = compile_circuit(circ)
+    cones = comp.cones
     cache: dict[frozenset, CoeffVector] = {}
     records = []
     for vset in enumerate_consistent_sets(circ, max_size, max_sets):
         gates = cones.cut_gates(cones.mask(vset.qubits))
         if gates not in cache:
-            cache[gates] = evolve_pauli(circ, v0, Cut(gates))
+            cache[gates] = evolve_pauli(comp, v0, Cut(gates))
         reduced = restrict_coeffs(cache[gates], [q.wire for q in vset.qubits])
         records.append(_record(vset, reduced, theta))
     return InvariantReport(theta, records)
@@ -175,9 +184,10 @@ def audit_invariant(
 def decay_table(
     circ: Circuit, pair: InputPair, ts: list[int], theta: float
 ) -> list[tuple[int, float, float]]:
-    """(T, measured, bound) rows over circuit prefixes of increasing depth."""
-    rows = []
+    """(T, measured, bound) rows for the depths ``ts``, in their given order;
+    every depth is read from one forward pass through the circuit."""
     for t in ts:
-        measured = output_distinguishability(circ.prefix(t), pair)
-        rows.append((t, measured, decay_bound(theta, t)))
-    return rows
+        if not 0 <= t <= circ.T:
+            raise ValueError(f"depth {t} outside [0, {circ.T}]")
+    measured = distinguishability_by_depth(circ, pair, max(ts, default=0))
+    return [(t, measured[t], decay_bound(theta, t)) for t in ts]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -139,22 +140,30 @@ class Ptm:
 _IXYZ_TO_CODE = [PauliString.from_label(c).index() for c in "IXYZ"]
 
 
-def _ptm_from_conjugations(columns: dict[int, np.ndarray], k: int) -> Ptm:
-    m = np.empty((4**k, 4**k))
-    for idx, col in columns.items():
-        m[:, idx] = col
-    return Ptm(k, m)
+@lru_cache(maxsize=None)
+def _pauli_stack(k: int) -> np.ndarray:
+    """The 4^k k-qubit Pauli matrices in flat index order, shape (4^k, 2^k, 2^k)."""
+    stack = np.stack([s.matrix() for s in all_pauli_strings(k)])
+    stack.setflags(write=False)
+    return stack
 
 
 def ptm_of_unitary(u: np.ndarray) -> Ptm:
-    """Transfer matrix of conjugation by a unitary; always orthogonal."""
+    """Transfer matrix of conjugation by a unitary; always orthogonal.
+
+    Column S holds the coefficients Tr(S' U S U^dagger) / 2^k, computed for
+    all 4^k strings S in one batched product.
+    """
     u = np.asarray(u, dtype=complex)
     k = check_unitary(u)
-    cols = {}
-    for s in all_pauli_strings(k):
-        conj = u @ s.matrix() @ u.conj().T
-        cols[s.index()] = coeffs_from_op(conj, imag_tol=PTM_IMAG_TOL).values / 2**k
-    return _ptm_from_conjugations(cols, k)
+    paulis = _pauli_stack(k)
+    conj = u @ paulis @ u.conj().T
+    # traces[S', S] = sum_ij S'[i, j] * conj_S[j, i]
+    traces = paulis.reshape(4**k, -1) @ conj.transpose(0, 2, 1).reshape(4**k, -1).T
+    residue = float(np.max(np.abs(traces.imag)))
+    if residue > PTM_IMAG_TOL:
+        raise ValueError(f"coefficients have imaginary residue {residue:.3g}")
+    return Ptm(k, traces.real / 2**k)
 
 
 def _j_ptm(lam1: float, lam2: float, t: float) -> np.ndarray:
@@ -343,12 +352,23 @@ def validate_gate(g: GateSpec) -> list[str]:
     return [f"not a gate spec: {g!r}"]
 
 
+@lru_cache(maxsize=None)
+def _builtin_ptm(name: str) -> np.ndarray:
+    m = gate_ptm(lower_builtin(BuiltinGate(name))).m
+    m.setflags(write=False)
+    return m
+
+
 def gate_ptm(g: GateSpec) -> Ptm:
-    """Transfer matrix of any gate spec (builtins lowered first)."""
+    """Transfer matrix of any gate spec (builtins lowered first).
+
+    The transfer matrix of each named builtin other than DEPOL is built once
+    per process and returned read-only.
+    """
     if isinstance(g, BuiltinGate):
         if g.name == "DEPOL":
             return depolarizing_ptm(g.p)
-        return gate_ptm(lower_builtin(g))
+        return Ptm(BUILTIN_ARITY[g.name], _builtin_ptm(g.name))
     if isinstance(g, UnitaryMixture):
         m = sum(p * ptm_of_unitary(u).m for p, u in g.terms)
         return Ptm(g.k, m)

@@ -203,6 +203,12 @@ class LightCones:
         _check_refs(refs, self.circ)
         return sum(1 << (q.time * self.circ.n + q.wire) for q in refs)
 
+    def consistent(self, refs: Iterable[QubitRef]) -> bool:
+        """Whether no member's light cone consumes a member; see
+        :func:`is_consistent`."""
+        m = self.mask(refs)
+        return not self.consumed_by(m) & m
+
     def consumed_by(self, mask: int) -> int:
         """The refs consumed by the gates in the light cones of ``mask``."""
         out = 0
@@ -226,9 +232,7 @@ def is_consistent(refs: Iterable[QubitRef], circ: Circuit) -> bool:
     outputs (subsets included).  It follows that a set is consistent iff
     each of its pairs is.
     """
-    cones = LightCones.of(circ)
-    m = cones.mask(refs)
-    return not cones.consumed_by(m) & m
+    return LightCones.of(circ).consistent(refs)
 
 
 def dist_latest(refs: Iterable[QubitRef], circ: Circuit) -> tuple[float, int]:

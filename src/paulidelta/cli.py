@@ -25,7 +25,7 @@ from .bounds import (
 )
 from .channels import cnot_pauli_action
 from .circuit import Circuit, NoiseModel, circuit_from_json, parse_circuit, random_circuit
-from .paulis import PauliString
+from .paulis import MAX_COEFF_QUBITS, PauliString
 from .simulate import InputPair, basis_density, output_distinguishability, sample_output_difference
 
 
@@ -88,6 +88,9 @@ def _load_circuit(args) -> Circuit:
 
 
 def _input_pair(args, circ: Circuit) -> tuple[InputPair, str, str]:
+    # Checked before the two 2^n x 2^n input matrices are allocated.
+    if circ.n > MAX_COEFF_QUBITS:
+        raise UsageError(f"n={circ.n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
     rho_bits = args.rho if args.rho is not None else "0" * circ.n
     tau_bits = args.tau if args.tau is not None else "1" * circ.n
     for name, bits in (("rho", rho_bits), ("tau", tau_bits)):
@@ -182,6 +185,8 @@ def cmd_check_invariant(args) -> int:
     k = _gate_k(args, circ)
     forced = args.force_theta is not None
     if forced:
+        if not 0.0 < args.force_theta <= 1.0:
+            raise UsageError(f"--force-theta must lie in (0, 1], got {args.force_theta}")
         theta = args.force_theta
         binding = "forced"
     else:

@@ -1,8 +1,10 @@
 """Dual evolution engines for the difference of two states.
 
-The Pauli engine tracks the 4^n coefficient vector of delta = rho - tau:
-unitary-mixture gates act through their transfer matrices and depolarizing
-noise multiplies every coefficient supported on the noisy wire by (1 - p).
+The Pauli engine tracks the 4^n coefficient vector of delta = rho - tau.
+A circuit is compiled once into one fused transfer matrix per gate, with
+the gate's depolarizing noise (which multiplies every coefficient supported
+on the noisy wire by 1 - p) folded in, and each gate then costs one tensor
+contraction.
 The density engine evolves the dense 2^n x 2^n matrix with embedded
 unitary conjugations, Kraus pairs, and partial traces; it exists as an
 independent cross-check of the Pauli engine.
@@ -16,7 +18,9 @@ then depolarize the output with ``eps1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import reduce
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,12 +29,13 @@ from .channels import (
     GateSpec,
     OneQubitGate,
     UnitaryMixture,
+    depolarizing_ptm,
     gate_arity,
     gate_ptm,
     kraus_of_rsw,
     lower_builtin,
 )
-from .circuit import Circuit, ConsistentSet, LightCones, QubitRef, is_consistent
+from .circuit import Circuit, ConsistentSet, LightCones, QubitRef
 from .paulis import (
     MAX_COEFF_QUBITS,
     MAX_DENSE_QUBITS,
@@ -53,19 +58,66 @@ class Cut:
         return len(self.gates)
 
 
-def full_cut(circ: Circuit) -> Cut:
-    return Cut(frozenset(LightCones.of(circ).gates))
+@dataclass(frozen=True, eq=False)
+class CompiledCircuit:
+    """A circuit compiled for the Pauli engine; a snapshot, immune to later
+    edits of the source circuit.
+
+    ``gates`` maps each gate (level, placement index), in that order, to its
+    wires and its fused transfer matrix with the gate's noise folded in:
+    ``M @ (D (x) ... (x) D)`` for a multi-qubit gate, D depolarizing with
+    ``epsk``, and ``D @ M`` for a one-qubit gate, D depolarizing with
+    ``eps1``.  The matrix is stored read-only as a (4,) * 2k tensor.
+    ``cones`` are the circuit's light cones.
+    """
+
+    n: int
+    T: int
+    output_wire: int
+    cones: LightCones
+    gates: Mapping[tuple[int, int], tuple[tuple[int, ...], np.ndarray]]
 
 
-def min_cut(circ: Circuit, refs: Iterable[QubitRef]) -> Cut:
+def compile_circuit(circ: Circuit | CompiledCircuit) -> CompiledCircuit:
+    """Build every fused transfer matrix and the light cones of ``circ`` once."""
+    if isinstance(circ, CompiledCircuit):
+        return circ
+    d_in = depolarizing_ptm(circ.noise.epsk).m.diagonal()
+    d_out = depolarizing_ptm(circ.noise.eps1).m.diagonal()
+    gates = {}
+    for level, placements in enumerate(circ.levels, start=1):
+        for i, pl in enumerate(placements):
+            m = gate_ptm(pl.gate).m
+            k = len(pl.wires)
+            if k >= 2:
+                fused = m * reduce(np.kron, [d_in] * k)  # scales the input columns
+            else:
+                fused = d_out[:, None] * m  # scales the output rows
+            fused = fused.reshape((4,) * (2 * k))
+            fused.setflags(write=False)
+            gates[(level, i)] = (pl.wires, fused)
+    return CompiledCircuit(
+        circ.n, circ.T, circ.output_wire, LightCones.of(circ), MappingProxyType(gates)
+    )
+
+
+def _cones(circ: Circuit | CompiledCircuit) -> LightCones:
+    return circ.cones if isinstance(circ, CompiledCircuit) else LightCones.of(circ)
+
+
+def full_cut(circ: Circuit | CompiledCircuit) -> Cut:
+    return Cut(frozenset(_cones(circ).gates))
+
+
+def min_cut(circ: Circuit | CompiledCircuit, refs: Iterable[QubitRef]) -> Cut:
     """The smallest cut producing every qubit in ``refs``."""
-    cones = LightCones.of(circ)
+    cones = _cones(circ)
     return Cut(cones.cut_gates(cones.mask(refs)))
 
 
-def check_cut(circ: Circuit, cut: Cut) -> None:
+def check_cut(circ: Circuit | CompiledCircuit, cut: Cut) -> None:
     """Raise unless every gate exists and the cut is downward-closed."""
-    cones = LightCones.of(circ)
+    cones = _cones(circ)
     produced = 0
     for level, i in sorted(cut.gates):
         if (level, i) not in cones.gates:
@@ -209,7 +261,11 @@ def evolve_density(circ: Circuit, op: np.ndarray, cut: Cut) -> np.ndarray:
 
 
 def shrink_coeffs(values: np.ndarray, n: int, wire: int, p: float) -> np.ndarray:
-    """Multiply every coefficient whose string is supported on ``wire`` by 1-p."""
+    """Multiply every coefficient whose string is supported on ``wire`` by 1-p.
+
+    The reference form of depolarizing noise; the engine folds the same
+    factor into each gate's fused transfer matrix.
+    """
     t = values.reshape((4,) * n).copy() if n else values.copy()
     if n:
         sl = [slice(None)] * n
@@ -218,47 +274,39 @@ def shrink_coeffs(values: np.ndarray, n: int, wire: int, p: float) -> np.ndarray
     return t.reshape(-1)
 
 
-def _apply_ptm(tensor: np.ndarray, m: np.ndarray, wires: tuple[int, ...], n: int) -> np.ndarray:
+def _apply_gate(values: np.ndarray, wires: tuple[int, ...], ptm: np.ndarray, n: int) -> np.ndarray:
+    """The contraction kernel: one fused gate on a flat coefficient vector."""
     k = len(wires)
-    mt = m.reshape((4,) * (2 * k))
-    # input axis k+j of mt carries local site k-1-j, i.e. wire wires[k-1-j]
+    # input axis k+j of ptm carries local site k-1-j, i.e. wire wires[k-1-j]
     taxes = [n - 1 - w for w in reversed(wires)]
-    t = np.tensordot(mt, tensor, axes=(list(range(k, 2 * k)), taxes))
-    return np.moveaxis(t, range(k), taxes)
+    t = np.tensordot(ptm, values.reshape((4,) * n), axes=(list(range(k, 2 * k)), taxes))
+    return np.moveaxis(t, range(k), taxes).reshape(-1)
 
 
-def _circuit_ptms(circ: Circuit) -> dict[tuple[int, int], np.ndarray]:
-    cache = circ.__dict__.get("_ptm_cache")
-    if cache is None:
-        cache = {}
-        for level in range(1, circ.T + 1):
-            for i, pl in enumerate(circ.levels[level - 1]):
-                cache[(level, i)] = gate_ptm(pl.gate).m
-        circ.__dict__["_ptm_cache"] = cache
-    return cache
+def _evolve_levels(
+    comp: CompiledCircuit, values: np.ndarray, gates: Iterable[tuple[int, int]], depth: int
+) -> Iterator[np.ndarray]:
+    """Apply ``gates`` (all at levels <= depth) in (level, index) order;
+    yield the coefficients before level 1 and after each level up to ``depth``."""
+    order = sorted(gates)
+    j = 0
+    for level in range(depth + 1):
+        while j < len(order) and order[j][0] == level:
+            values = _apply_gate(values, *comp.gates[order[j]], comp.n)
+            j += 1
+        yield values
 
 
-def evolve_pauli(circ: Circuit, v: CoeffVector, cut: Cut) -> CoeffVector:
+def evolve_pauli(circ: Circuit | CompiledCircuit, v: CoeffVector, cut: Cut) -> CoeffVector:
     """Coefficient-vector evolution; the same map as :func:`evolve_density`."""
     if circ.n > MAX_COEFF_QUBITS:
         raise ValueError(f"n={circ.n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
     if v.n != circ.n:
         raise ValueError(f"vector is on {v.n} qubits, circuit on {circ.n}")
-    check_cut(circ, cut)
-    ptms = _circuit_ptms(circ)
-    values = v.values.copy()
-    n = circ.n
-    for level, i in sorted(cut.gates):
-        pl = circ.levels[level - 1][i]
-        if gate_arity(pl.gate) >= 2:
-            for w in pl.wires:
-                values = shrink_coeffs(values, n, w, circ.noise.epsk)
-            t = _apply_ptm(values.reshape((4,) * n), ptms[(level, i)], pl.wires, n)
-            values = t.reshape(-1)
-        else:
-            t = _apply_ptm(values.reshape((4,) * n), ptms[(level, i)], pl.wires, n)
-            values = shrink_coeffs(t.reshape(-1), n, pl.wires[0], circ.noise.eps1)
-    return CoeffVector(n, values)
+    comp = compile_circuit(circ)
+    check_cut(comp, cut)
+    *_, values = _evolve_levels(comp, v.values.copy(), cut.gates, comp.T)
+    return CoeffVector(comp.n, values)
 
 
 def restrict_coeffs(v: CoeffVector, wires: Iterable[int]) -> CoeffVector:
@@ -277,17 +325,18 @@ def restrict_coeffs(v: CoeffVector, wires: Iterable[int]) -> CoeffVector:
     return CoeffVector(len(wires), t[sl].reshape(-1).copy())
 
 
-def reduced_delta(circ: Circuit, delta0: np.ndarray, vset: ConsistentSet) -> CoeffVector:
+def reduced_delta(circ: Circuit | CompiledCircuit, delta0: np.ndarray, vset: ConsistentSet) -> CoeffVector:
     """Coefficients of the difference reduced to a consistent set.
 
     Evolves through the minimal cut producing the set, then keeps the
     coefficients supported on the set's wires.
     """
+    comp = compile_circuit(circ)
     refs = vset.qubits
-    if not is_consistent(refs, circ):
+    if not comp.cones.consistent(refs):
         raise ValueError("set is not consistent")
     v0 = coeffs_from_op(delta0)
-    evolved = evolve_pauli(circ, v0, min_cut(circ, refs))
+    evolved = evolve_pauli(comp, v0, min_cut(comp, refs))
     return restrict_coeffs(evolved, [q.wire for q in refs])
 
 
@@ -297,14 +346,32 @@ def born_probability_one(op: np.ndarray, wire: int, n: int) -> float:
     return float(reduced[1, 1].real)
 
 
-def output_distinguishability(circ: Circuit, pair: InputPair) -> float:
-    """Half the magnitude of the evolved difference's Z coefficient at the
-    output qubit; equals |Pr[1 | rho] - Pr[1 | tau]|."""
+def distinguishability_by_depth(
+    circ: Circuit | CompiledCircuit, pair: InputPair, depth: int
+) -> list[float]:
+    """Output distinguishability of the first t levels, for t = 0..depth.
+
+    One pass evolves the cut producing the output qubit at ``depth`` and
+    reads half the magnitude of its Z coefficient after every level.  The
+    light cone of the output at any t <= depth lies inside that cut, and the
+    cut's other gates act on wires traced out at t, so reading t equals
+    ``output_distinguishability(circ.prefix(t), pair)``.
+    """
     if pair.n != circ.n:
         raise ValueError(f"input pair is on {pair.n} qubits, circuit on {circ.n}")
-    out = ConsistentSet.build(circ, [QubitRef(circ.output_wire, circ.T)])
-    v = reduced_delta(circ, pair.delta(), out)
-    return 0.5 * abs(v["Z"])
+    if not 0 <= depth <= circ.T:
+        raise ValueError(f"depth {depth} outside [0, {circ.T}]")
+    comp = compile_circuit(circ)
+    cut = min_cut(comp, [QubitRef(comp.output_wire, depth)])
+    v0 = coeffs_from_op(pair.delta())
+    z = 1 << 2 * comp.output_wire  # flat index of Z on the output wire, I elsewhere
+    return [0.5 * abs(values[z]) for values in _evolve_levels(comp, v0.values, cut.gates, depth)]
+
+
+def output_distinguishability(circ: Circuit | CompiledCircuit, pair: InputPair) -> float:
+    """Half the magnitude of the evolved difference's Z coefficient at the
+    output qubit; equals |Pr[1 | rho] - Pr[1 | tau]|."""
+    return distinguishability_by_depth(circ, pair, circ.T)[-1]
 
 
 # --- trajectory sampling (demonstration only) ------------------------------

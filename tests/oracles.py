@@ -8,7 +8,7 @@ gate with its outputs, and taking subsets, preserves consistency).
 
 import numpy as np
 
-from paulidelta import all_pauli_strings
+from paulidelta import all_pauli_strings, coeffs_from_op
 from paulidelta.circuit import Circuit, QubitRef
 
 
@@ -19,6 +19,17 @@ def pauli_coeffs_by_trace(op: np.ndarray) -> np.ndarray:
     for s in all_pauli_strings(n):
         out[s.index()] = np.trace(op @ s.matrix()).real
     return out
+
+
+def ptm_by_columns(u: np.ndarray) -> np.ndarray:
+    """Transfer matrix of conjugation by ``u``, one string S at a time: column
+    S holds the coefficients of U S U^dagger, divided by 2^k."""
+    k = u.shape[0].bit_length() - 1
+    m = np.empty((4**k, 4**k))
+    for s in all_pauli_strings(k):
+        conj = u @ s.matrix() @ u.conj().T
+        m[:, s.index()] = coeffs_from_op(conj, imag_tol=1e-9).values / 2**k
+    return m
 
 
 def producing_gate(circ: Circuit, level: int, wire: int) -> int:

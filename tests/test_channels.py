@@ -25,6 +25,8 @@ from paulidelta import (
 from paulidelta.channels import BUILTIN_MATRICES, kraus_of_rsw, lower_builtin
 from paulidelta.simulate import random_hermitian
 
+from oracles import ptm_by_columns
+
 I_, X_, Y_, Z_ = (PauliString.from_label(c).index() for c in "IXYZ")
 
 
@@ -48,6 +50,21 @@ def test_ptm_orthogonal_for_random_unitaries():
         k = int(rng.integers(1, 3))
         m = ptm_of_unitary(haar_unitary(2**k, rng)).m
         assert np.max(np.abs(m.T @ m - np.eye(4**k))) < 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_ptm_matches_column_oracle(k):
+    rng = np.random.default_rng(100 + k)
+    for _ in range(5):
+        u = haar_unitary(2**k, rng)
+        assert np.max(np.abs(ptm_of_unitary(u).m - ptm_by_columns(u))) < 1e-12
+
+
+def test_builtin_ptms_are_shared_and_read_only():
+    a, b = gate_ptm(BuiltinGate("CNOT")), gate_ptm(BuiltinGate("CNOT"))
+    assert a.m is b.m
+    with pytest.raises(ValueError):
+        a.m[0, 0] = 2.0
 
 
 def test_ptm_first_row_trace_preserving():

@@ -135,6 +135,14 @@ def test_check_invariant_forced_theta_is_exploratory(tmp_path, capsys):
     assert doc["forced"] is True
 
 
+@pytest.mark.parametrize("theta", ["-0.5", "nan", "2"])
+def test_check_invariant_forced_theta_outside_unit_interval(cnot_file, theta, capsys):
+    assert main(["check-invariant", "--circuit", cnot_file, "--force-theta", theta]) == 2
+    captured = capsys.readouterr()
+    assert "--force-theta must lie in (0, 1]" in captured.err
+    assert captured.out == ""
+
+
 def test_check_invariant_budget(cnot_file, capsys):
     assert main(["check-invariant", "--circuit", cnot_file, "--max-sets", "2"]) == 2
     assert "budget" in capsys.readouterr().err
@@ -144,6 +152,14 @@ def test_check_invariant_budget(cnot_file, capsys):
 def test_k_below_gate_arity_rejected(cnot_file, command, capsys):
     assert main([command, "--circuit", cnot_file, "--k", "1"]) == 2
     assert "gate arity 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decay", "check-invariant", "simulate"])
+def test_engine_cap_checked_before_inputs_are_built(command, capsys):
+    # n=13 input matrices would take about 1 GiB each; the cap must refuse first.
+    argv = [command, "--random", "n=13,T=1,pool=ID", "--seed", "0"]
+    assert main(argv) == 2
+    assert "n=13 exceeds the coefficient-engine cap 12" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from paulidelta import (
     shrink_coeffs,
     sum_of_squares,
 )
-from paulidelta import enumerate_consistent_sets
+from paulidelta import BuiltinGate, GatePlacement, enumerate_consistent_sets
 from paulidelta.circuit import ConsistentSet
 from paulidelta.simulate import check_cut
 
@@ -352,3 +352,14 @@ def test_trajectory_sampler_is_seeded_and_sane():
     assert est1 == est2
     exact = output_distinguishability(c, InputPair(basis_density("00"), basis_density("11")))
     assert abs(est1 - exact) < 0.2
+
+
+def test_output_distinguishability_follows_edited_levels():
+    text = "qubits 2 levels 2 output 0\nnoise eps1=0.05 epsk=0.45\nlevel 1: CNOT(0,1)\n"
+    c = parse_circuit(text + "level 2: ID(0); RESET(1)\n")
+    pair = InputPair(basis_density("00"), basis_density("11"))
+    assert output_distinguishability(c, pair) == pytest.approx(0.5225, abs=1e-12)
+    c.levels[1][0] = GatePlacement((0,), BuiltinGate("H"))
+    fresh = parse_circuit(text + "level 2: H(0); RESET(1)\n")
+    assert output_distinguishability(c, pair) == output_distinguishability(fresh, pair)
+    assert output_distinguishability(c, pair) == pytest.approx(0.0, abs=1e-12)
