@@ -43,12 +43,10 @@ from .circuit import (
     random_circuit,
 )
 from .simulate import (
-    CompiledCircuit,
     Cut,
     InputPair,
     basis_density,
     born_probability_one,
-    compile_circuit,
     distinguishability_by_depth,
     evolve_density,
     evolve_pauli,

@@ -22,7 +22,6 @@ from .paulis import CoeffVector, coeffs_from_op, sum_of_squares
 from .simulate import (
     Cut,
     InputPair,
-    compile_circuit,
     distinguishability_by_depth,
     evolve_pauli,
     reduced_delta,
@@ -168,14 +167,13 @@ def audit_invariant(
     evolution.
     """
     v0 = coeffs_from_op(pair.delta())
-    comp = compile_circuit(circ)
-    cones = comp.cones
+    cones = circ.cones
     cache: dict[frozenset, CoeffVector] = {}
     records = []
     for vset in enumerate_consistent_sets(circ, max_size, max_sets):
         gates = cones.cut_gates(cones.mask(vset.qubits))
         if gates not in cache:
-            cache[gates] = evolve_pauli(comp, v0, Cut(gates))
+            cache[gates] = evolve_pauli(circ, v0, Cut(gates))
         reduced = restrict_coeffs(cache[gates], [q.wire for q in vset.qubits])
         records.append(_record(vset, reduced, theta))
     return InvariantReport(theta, records)

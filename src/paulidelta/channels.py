@@ -28,13 +28,13 @@ from .paulis import (
     PauliString,
     all_pauli_strings,
     check_unitary,
-    coeffs_from_op,
 )
 
 PROB_TOL = 1e-10
 PTM_IMAG_TOL = 1e-9
 
 _ID2 = np.eye(2, dtype=complex)
+_ID2.setflags(write=False)
 
 # Canonical matrices of the builtin gate table.
 BUILTIN_MATRICES: dict[str, np.ndarray] = {
@@ -71,18 +71,25 @@ class BuiltinGate:
         return f"BuiltinGate({self.name}, p={self.p})" if self.name == "DEPOL" else f"BuiltinGate({self.name})"
 
 
-@dataclass
+def _read_only(m) -> np.ndarray:
+    """A read-only complex copy of ``m``."""
+    m = np.array(m, dtype=complex)
+    m.setflags(write=False)
+    return m
+
+
+@dataclass(frozen=True)
 class UnitaryMixture:
     """A k-qubit channel of the form rho -> sum_i p_i U_i rho U_i^dagger."""
 
     k: int
-    terms: list[tuple[float, np.ndarray]]
+    terms: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self):
-        self.terms = [(float(p), np.asarray(u, dtype=complex)) for p, u in self.terms]
+        object.__setattr__(self, "terms", tuple((float(p), _read_only(u)) for p, u in self.terms))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RswChannel:
     """One extreme-form one-qubit channel U1 o J o U2.
 
@@ -93,8 +100,12 @@ class RswChannel:
     lam1: float
     lam2: float
     t_sign: int = 1
-    pre_unitary: np.ndarray = field(default_factory=lambda: _ID2.copy())
-    post_unitary: np.ndarray = field(default_factory=lambda: _ID2.copy())
+    pre_unitary: np.ndarray = field(default_factory=lambda: _ID2)
+    post_unitary: np.ndarray = field(default_factory=lambda: _ID2)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pre_unitary", _read_only(self.pre_unitary))
+        object.__setattr__(self, "post_unitary", _read_only(self.post_unitary))
 
     @property
     def t(self) -> float:
@@ -103,14 +114,14 @@ class RswChannel:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class OneQubitGate:
     """A one-qubit channel as a convex combination of canonical-form terms."""
 
-    terms: list[tuple[float, RswChannel]]
+    terms: tuple[tuple[float, RswChannel], ...]
 
     def __post_init__(self):
-        self.terms = [(float(p), ch) for p, ch in self.terms]
+        object.__setattr__(self, "terms", tuple((float(p), ch) for p, ch in self.terms))
 
 
 GateSpec = Union[BuiltinGate, UnitaryMixture, OneQubitGate]
@@ -184,7 +195,7 @@ def _j_ptm(lam1: float, lam2: float, t: float) -> np.ndarray:
 
 def rsw_ptm(ch: RswChannel) -> Ptm:
     """Transfer matrix of a canonical-form channel: P(U1) @ J @ P(U2)."""
-    if abs(ch.lam1) > 1 or abs(ch.lam2) > 1:
+    if not (abs(ch.lam1) <= 1 and abs(ch.lam2) <= 1):
         raise ValueError(f"lambda range: |lam1|={abs(ch.lam1)}, |lam2|={abs(ch.lam2)} must be <= 1")
     m = (
         ptm_of_unitary(ch.post_unitary).m
@@ -239,29 +250,18 @@ def beta_of_gate(g: OneQubitGate) -> float:
     )
 
 
-_P2 = [PauliString.from_label(a + b) for a in "IXYZ" for b in "IXYZ"]
-_CNOT_ACTION: dict[int, tuple[PauliString, int]] = {}
-
-
 def cnot_pauli_action(r: PauliString) -> tuple[PauliString, int]:
     """Signed permutation CNOT R CNOT^dagger on the 16 two-qubit strings.
 
     The first qubit is the control.  The map never exchanges the blocks
-    I (x) {X,Y,Z} and {X,Y,Z} (x) I.
+    I (x) {X,Y,Z} and {X,Y,Z} (x) I.  Read from column R of the CNOT's
+    transfer matrix, which is a signed unit vector.
     """
     if r.n != 2:
         raise ValueError(f"expected a 2-qubit string, got n={r.n}")
-    if not _CNOT_ACTION:
-        cnot = BUILTIN_MATRICES["CNOT"]
-        for s in _P2:
-            conj = cnot @ s.matrix() @ cnot.conj().T
-            c = coeffs_from_op(conj)
-            idx = int(np.argmax(np.abs(c.values)))
-            _CNOT_ACTION[s.index()] = (
-                PauliString.from_index(2, idx),
-                1 if c.values[idx] > 0 else -1,
-            )
-    return _CNOT_ACTION[r.index()]
+    column = gate_ptm(BuiltinGate("CNOT")).m[:, r.index()]
+    idx = int(np.argmax(np.abs(column)))
+    return PauliString.from_index(2, idx), 1 if column[idx] > 0 else -1
 
 
 def gate_arity(g: GateSpec) -> int:
@@ -293,29 +293,29 @@ def lower_builtin(g: BuiltinGate) -> GateSpec:
     return UnitaryMixture(BUILTIN_ARITY[g.name], [(1.0, u)])
 
 
+def _weight_problems(probs: list[float], kind: str) -> list[str]:
+    # Written so that a NaN weight fails every comparison it enters.
+    if not probs:
+        return [f"probabilities: {kind} has no terms"]
+    problems = [f"probabilities: bad weight {p}" for p in probs if not p >= -PROB_TOL]
+    if not abs(sum(probs) - 1.0) <= PROB_TOL:
+        problems.append(f"probabilities sum to {sum(probs)}, expected 1")
+    return problems
+
+
 def validate_gate(g: GateSpec) -> list[str]:
     """Check all gate invariants; return a list of problems (empty = ok)."""
-    problems: list[str] = []
     if isinstance(g, BuiltinGate):
         if g.name not in BUILTIN_ARITY:
             return [f"unknown builtin gate {g.name!r}"]
-        if g.name == "DEPOL":
-            if g.p is None:
-                problems.append("DEPOL requires a strength p")
-            elif not 0.0 <= g.p <= 1.0:
-                problems.append(f"DEPOL strength {g.p} outside [0, 1]")
-        elif g.p is not None:
-            problems.append(f"builtin {g.name} takes no parameter")
-        return problems
+        if g.name != "DEPOL":
+            return [] if g.p is None else [f"builtin {g.name} takes no parameter"]
+        if g.p is None:
+            return ["DEPOL requires a strength p"]
+        return [] if 0.0 <= g.p <= 1.0 else [f"DEPOL strength {g.p} outside [0, 1]"]
 
     if isinstance(g, UnitaryMixture):
-        probs = [p for p, _ in g.terms]
-        if not g.terms:
-            problems.append("probabilities: mixture has no terms")
-        if any(p < -PROB_TOL for p in probs):
-            problems.append(f"probabilities: negative weight {min(probs)}")
-        if g.terms and abs(sum(probs) - 1.0) > PROB_TOL:
-            problems.append(f"probabilities sum to {sum(probs)}, expected 1")
+        problems = _weight_problems([p for p, _ in g.terms], "mixture")
         for i, (_, u) in enumerate(g.terms):
             if u.shape != (2**g.k, 2**g.k):
                 problems.append(f"unitarity: term {i} has shape {u.shape}, arity {g.k}")
@@ -327,15 +327,9 @@ def validate_gate(g: GateSpec) -> list[str]:
         return problems
 
     if isinstance(g, OneQubitGate):
-        probs = [p for p, _ in g.terms]
-        if not g.terms:
-            problems.append("probabilities: channel has no terms")
-        if any(p < -PROB_TOL for p in probs):
-            problems.append(f"probabilities: negative weight {min(probs)}")
-        if g.terms and abs(sum(probs) - 1.0) > PROB_TOL:
-            problems.append(f"probabilities sum to {sum(probs)}, expected 1")
+        problems = _weight_problems([p for p, _ in g.terms], "channel")
         for i, (_, ch) in enumerate(g.terms):
-            if abs(ch.lam1) > 1 or abs(ch.lam2) > 1:
+            if not (abs(ch.lam1) <= 1 and abs(ch.lam2) <= 1):
                 problems.append(
                     f"lambda range: term {i} has (lam1, lam2)=({ch.lam1}, {ch.lam2})"
                 )

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +51,8 @@ class LevelError(ValueError):
     ``placement`` indexes the offending placement, or is None."""
 
     def __init__(self, level: int, message: str, placement: int | None = None):
-        super().__init__(f"level {level}: {message}")
+        where = f"level {level}" if placement is None else f"level {level}, placement {placement}"
+        super().__init__(f"{where}: {message}")
         self.level = level
         self.placement = placement
 
@@ -68,26 +72,32 @@ class NoiseModel:
             raise ValueError(f"epsk must lie in [0, 1], got {self.epsk}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GatePlacement:
-    """A gate applied to an ordered list of distinct wires."""
+    """A gate applied to an ordered tuple of distinct wires."""
 
     wires: tuple[int, ...]
     gate: GateSpec
 
     def __post_init__(self):
-        self.wires = tuple(int(w) for w in self.wires)
+        object.__setattr__(self, "wires", tuple(operator.index(w) for w in self.wires))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
+    """An immutable leveled circuit.  ``levels`` may be given as lists; they
+    are stored as tuples.  ``cones`` holds the circuit's light cones, and
+    ``fused`` its per-gate transfer matrices for the Pauli engine."""
+
     n: int
     T: int
-    levels: list[list[GatePlacement]]
+    levels: tuple[tuple[GatePlacement, ...], ...]
     noise: NoiseModel
     output_wire: int
+    cones: LightCones = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(tuple(level) for level in self.levels))
         if self.T != len(self.levels):
             raise ValueError(f"T={self.T} but {len(self.levels)} levels given")
         if not 0 <= self.output_wire < self.n:
@@ -112,6 +122,16 @@ class Circuit:
             if seen != set(range(self.n)):
                 missing = sorted(set(range(self.n)) - seen)
                 raise LevelError(li, f"not a partition: missing wires {missing}")
+        object.__setattr__(self, "cones", LightCones.of(self))
+
+    @cached_property
+    def fused(self) -> Mapping[tuple[int, int], tuple[tuple[int, ...], np.ndarray]]:
+        """Per gate (level, placement index), in that order: its wires and its
+        read-only transfer matrix with the gate's noise folded in; see
+        :func:`paulidelta.simulate.fused_ptms`."""
+        from .simulate import fused_ptms  # simulate imports this module
+
+        return fused_ptms(self)
 
     @property
     def max_arity(self) -> int:
@@ -124,7 +144,7 @@ class Circuit:
         """The first ``t`` levels as a circuit with the same noise and output."""
         if not 0 <= t <= self.T:
             raise ValueError(f"prefix length {t} outside [0, {self.T}]")
-        return Circuit(self.n, t, [list(l) for l in self.levels[:t]], self.noise, self.output_wire)
+        return Circuit(self.n, t, self.levels[:t], self.noise, self.output_wire)
 
 
 @dataclass(frozen=True, order=True)
@@ -152,10 +172,10 @@ class ConsistentSet:
         return cls(refs, d, l)
 
 
-def _check_refs(refs: Iterable[QubitRef], circ: Circuit) -> None:
+def _check_refs(refs: Iterable[QubitRef], n: int, T: int) -> None:
     for q in refs:
-        if not (0 <= q.wire < circ.n and 0 <= q.time <= circ.T):
-            raise ValueError(f"qubit ref {q} out of range for n={circ.n}, T={circ.T}")
+        if not (0 <= q.wire < n and 0 <= q.time <= T):
+            raise ValueError(f"qubit ref {q} out of range for n={n}, T={T}")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -168,17 +188,18 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class LightCones:
-    """Bitmasks over the (wire, time) grid of ``circ``; bit ``time*n + wire``
-    stands for ``QubitRef(wire, time)``.
+    """Bitmasks over the (wire, time) grid of an n-wire, T-level circuit;
+    bit ``time*n + wire`` stands for ``QubitRef(wire, time)``.
 
     ``consumed[b]`` marks the refs consumed by the gates in the light cone
     of ref ``b``, i.e. by the gates that must run to produce it.  ``gates``
     maps each gate (level, placement index) to its (input, output) masks.
     """
 
-    circ: Circuit
+    n: int
+    T: int
     consumed: tuple[int, ...]
-    gates: dict[tuple[int, int], tuple[int, int]]
+    gates: Mapping[tuple[int, int], tuple[int, int]]
 
     @classmethod
     def of(cls, circ: Circuit) -> "LightCones":
@@ -196,12 +217,12 @@ class LightCones:
                 for w in pl.wires:
                     consumed[base + n + w] = cone
                 gates[(level, i)] = (in_mask, in_mask << n)
-        return cls(circ, tuple(consumed), gates)
+        return cls(n, circ.T, tuple(consumed), MappingProxyType(gates))
 
     def mask(self, refs: Iterable[QubitRef]) -> int:
         refs = frozenset(refs)
-        _check_refs(refs, self.circ)
-        return sum(1 << (q.time * self.circ.n + q.wire) for q in refs)
+        _check_refs(refs, self.n, self.T)
+        return sum(1 << (q.time * self.n + q.wire) for q in refs)
 
     def consistent(self, refs: Iterable[QubitRef]) -> bool:
         """Whether no member's light cone consumes a member; see
@@ -232,14 +253,14 @@ def is_consistent(refs: Iterable[QubitRef], circ: Circuit) -> bool:
     outputs (subsets included).  It follows that a set is consistent iff
     each of its pairs is.
     """
-    return LightCones.of(circ).consistent(refs)
+    return circ.cones.consistent(refs)
 
 
 def dist_latest(refs: Iterable[QubitRef], circ: Circuit) -> tuple[float, int]:
     """(dist, latest): min and max time over the set; dist of the empty set
     is infinity, its latest is 0."""
     refs = frozenset(refs)
-    _check_refs(refs, circ)
+    _check_refs(refs, circ.n, circ.T)
     if not refs:
         return math.inf, 0
     times = [q.time for q in refs]
@@ -256,7 +277,7 @@ def enumerate_consistent_sets(
     Order: increasing (latest, number of members at latest, sorted refs).
     Raises RuntimeError when more than ``max_sets`` sets would be yielded.
     """
-    cones = LightCones.of(circ)
+    cones = circ.cones
     n, size = circ.n, len(cones.consumed)
     grid = [QubitRef(b % n, b // n) for b in range(size)]
     # later[b]: the refs after b in bit order that can coexist with b.  A
@@ -347,37 +368,30 @@ def _parse_placement(text: str, line: int, col: int) -> GatePlacement:
             raise CircuitParseError(f"{name} placement missing {key}=", line, col)
         return kv[key]
 
+    def number(key: str, text: str) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise CircuitParseError(f"bad {name} value {key}={text.strip()!r}", line, col) from None
+
     if name in _BUILTIN_SIMPLE:
         if kv:
             raise CircuitParseError(f"{name} takes no parameters", line, col)
         return GatePlacement(wires, BuiltinGate(name))
     if name == "DEPOL":
-        try:
-            p = float(need("p"))
-        except ValueError:
-            raise CircuitParseError(f"bad DEPOL strength {kv['p']!r}", line, col) from None
-        return GatePlacement(wires, BuiltinGate("DEPOL", p))
+        return GatePlacement(wires, BuiltinGate("DEPOL", number("p", need("p"))))
     if name == "U":
         u = _parse_matrix(need("m"), len(wires), line, col)
         return GatePlacement(wires, UnitaryMixture(len(wires), [(1.0, u)]))
     if name == "MIX":
-        probs = [float(t) for t in need("p").split(",") if t.strip()]
-        mats = []
-        for i in range(1, len(probs) + 1):
-            mats.append(_parse_matrix(need(f"m{i}"), len(wires), line, col))
-        return GatePlacement(
-            wires, UnitaryMixture(len(wires), list(zip(probs, mats)))
-        )
+        probs = [number("p", t) for t in need("p").split(",") if t.strip()]
+        mats = [_parse_matrix(need(f"m{i}"), len(wires), line, col) for i in range(1, len(probs) + 1)]
+        return GatePlacement(wires, UnitaryMixture(len(wires), list(zip(probs, mats))))
     if name == "RSW":
-        try:
-            lam1, lam2 = float(need("l1")), float(need("l2"))
-            sign = int(float(need("sign")))
-        except ValueError:
-            raise CircuitParseError("bad RSW parameters", line, col) from None
+        lam1, lam2, sign = (number(key, need(key)) for key in ("l1", "l2", "sign"))
         if sign not in (-1, 1):
-            raise CircuitParseError(f"RSW sign must be +-1, got {sign}", line, col)
-        ch = RswChannel(lam1, lam2, sign)
-        return GatePlacement(wires, OneQubitGate([(1.0, ch)]))
+            raise CircuitParseError(f"RSW sign must be +-1, got {need('sign')}", line, col)
+        return GatePlacement(wires, OneQubitGate([(1.0, RswChannel(lam1, lam2, int(sign)))]))
     raise CircuitParseError(f"unknown gate name {name!r}", line, col)
 
 
@@ -470,6 +484,12 @@ def _mat_to_json(u: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(u, complex).reshape(-1)]
 
 
+def _int_from_json(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _mat_from_json(entries, arity: int) -> np.ndarray:
     dim = 2**arity
     if len(entries) != dim * dim:
@@ -495,9 +515,9 @@ def _gate_to_json(g: GateSpec) -> dict:
         terms = []
         for p, ch in g.terms:
             term = {"prob": p, "l1": ch.lam1, "l2": ch.lam2, "sign": ch.t_sign}
-            if not np.allclose(ch.pre_unitary, np.eye(2)):
+            if not np.array_equal(ch.pre_unitary, np.eye(2)):
                 term["u2"] = _mat_to_json(ch.pre_unitary)
-            if not np.allclose(ch.post_unitary, np.eye(2)):
+            if not np.array_equal(ch.post_unitary, np.eye(2)):
                 term["u1"] = _mat_to_json(ch.post_unitary)
             terms.append(term)
         return {"gate": "RSWMIX", "terms": terms}
@@ -521,7 +541,7 @@ def _gate_from_json(d: dict, arity: int) -> GateSpec:
             ch = RswChannel(
                 float(term["l1"]),
                 float(term["l2"]),
-                int(term["sign"]),
+                _int_from_json(term["sign"], "sign"),
                 pre_unitary=_mat_from_json(term["u2"], 1) if "u2" in term else np.eye(2, dtype=complex),
                 post_unitary=_mat_from_json(term["u1"], 1) if "u1" in term else np.eye(2, dtype=complex),
             )
@@ -551,13 +571,14 @@ def circuit_from_json(text: str) -> Circuit:
     where = "circuit"
     try:
         noise = NoiseModel(float(doc["noise"]["eps1"]), float(doc["noise"]["epsk"]))
-        n, output, all_levels = int(doc["qubits"]), int(doc["output"]), doc["levels"]
+        n, output = _int_from_json(doc["qubits"], "qubits"), _int_from_json(doc["output"], "output")
+        all_levels = doc["levels"]
         where, levels = "levels", []
         for li, level in enumerate(all_levels, start=1):
             where, placements = f"level {li}", []
             for pi, pd in enumerate(level):
                 where = f"level {li}, placement {pi}"
-                wires = tuple(int(w) for w in pd["wires"])
+                wires = tuple(_int_from_json(w, "wire") for w in pd["wires"])
                 placements.append(GatePlacement(wires, _gate_from_json(pd, len(wires))))
             levels.append(placements)
     except (KeyError, TypeError, ValueError) as e:
@@ -568,8 +589,6 @@ def circuit_from_json(text: str) -> Circuit:
 
 # --- random circuits ----------------------------------------------------
 
-_POOL_TOKENS = _BUILTIN_SIMPLE + ("RANDU1", "RANDU2", "RANDMIX2")
-
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
@@ -578,29 +597,19 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _pool_arity(token: str) -> int:
-    if token in BUILTIN_ARITY:
-        return BUILTIN_ARITY[token]
-    if token in ("RANDU1",):
-        return 1
-    if token in ("RANDU2", "RANDMIX2"):
-        return 2
-    raise ValueError(f"unknown pool token {token!r}")
+_POOL_ARITY = {**BUILTIN_ARITY, "RANDU1": 1, "RANDU2": 2, "RANDMIX2": 2}
 
 
 def _instantiate(token: str, rng: np.random.Generator) -> GateSpec:
     if token in BUILTIN_ARITY:
         return BuiltinGate(token)
-    if token == "RANDU1":
-        return UnitaryMixture(1, [(1.0, haar_unitary(2, rng))])
-    if token == "RANDU2":
-        return UnitaryMixture(2, [(1.0, haar_unitary(4, rng))])
     if token == "RANDMIX2":
         w = rng.uniform(0.2, 0.8)
         return UnitaryMixture(
             2, [(w, haar_unitary(4, rng)), (1.0 - w, haar_unitary(4, rng))]
         )
-    raise ValueError(f"unknown pool token {token!r}")
+    k = _POOL_ARITY[token]
+    return UnitaryMixture(k, [(1.0, haar_unitary(2**k, rng))])
 
 
 def random_circuit(
@@ -619,7 +628,10 @@ def random_circuit(
     """
     if not gate_pool:
         raise ValueError("gate pool is empty")
-    arities = {tok: _pool_arity(tok) for tok in gate_pool}
+    unknown = [tok for tok in gate_pool if tok not in _POOL_ARITY]
+    if unknown:
+        raise ValueError(f"unknown pool token {unknown[0]!r}")
+    arities = {tok: _POOL_ARITY[tok] for tok in gate_pool}
     if max(arities.values()) > k:
         raise ValueError(f"pool arity {max(arities.values())} exceeds k={k}")
     if k > n:

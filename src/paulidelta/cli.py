@@ -340,10 +340,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,10 @@
 """Dual evolution engines for the difference of two states.
 
 The Pauli engine tracks the 4^n coefficient vector of delta = rho - tau.
-A circuit is compiled once into one fused transfer matrix per gate, with
-the gate's depolarizing noise (which multiplies every coefficient supported
-on the noisy wire by 1 - p) folded in, and each gate then costs one tensor
-contraction.
+Each circuit carries one fused transfer matrix per gate (``circ.fused``,
+built once), with the gate's depolarizing noise (which multiplies every
+coefficient supported on the noisy wire by 1 - p) folded in, so each gate
+costs one tensor contraction.
 The density engine evolves the dense 2^n x 2^n matrix with embedded
 unitary conjugations, Kraus pairs, and partial traces; it exists as an
 independent cross-check of the Pauli engine.
@@ -35,7 +35,7 @@ from .channels import (
     kraus_of_rsw,
     lower_builtin,
 )
-from .circuit import Circuit, ConsistentSet, LightCones, QubitRef
+from .circuit import Circuit, ConsistentSet, QubitRef
 from .paulis import (
     MAX_COEFF_QUBITS,
     MAX_DENSE_QUBITS,
@@ -58,30 +58,13 @@ class Cut:
         return len(self.gates)
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledCircuit:
-    """A circuit compiled for the Pauli engine; a snapshot, immune to later
-    edits of the source circuit.
-
-    ``gates`` maps each gate (level, placement index), in that order, to its
-    wires and its fused transfer matrix with the gate's noise folded in:
-    ``M @ (D (x) ... (x) D)`` for a multi-qubit gate, D depolarizing with
-    ``epsk``, and ``D @ M`` for a one-qubit gate, D depolarizing with
-    ``eps1``.  The matrix is stored read-only as a (4,) * 2k tensor.
-    ``cones`` are the circuit's light cones.
+def fused_ptms(circ: Circuit) -> Mapping[tuple[int, int], tuple[tuple[int, ...], np.ndarray]]:
+    """Per gate (level, placement index), in that order: its wires and its
+    transfer matrix with the gate's noise folded in, ``M @ (D (x) ... (x) D)``
+    for a multi-qubit gate, D depolarizing with ``epsk``, and ``D @ M`` for a
+    one-qubit gate, D depolarizing with ``eps1``.  Each matrix is a read-only
+    (4,) * 2k tensor.  ``circ.fused`` builds this once per circuit.
     """
-
-    n: int
-    T: int
-    output_wire: int
-    cones: LightCones
-    gates: Mapping[tuple[int, int], tuple[tuple[int, ...], np.ndarray]]
-
-
-def compile_circuit(circ: Circuit | CompiledCircuit) -> CompiledCircuit:
-    """Build every fused transfer matrix and the light cones of ``circ`` once."""
-    if isinstance(circ, CompiledCircuit):
-        return circ
     d_in = depolarizing_ptm(circ.noise.epsk).m.diagonal()
     d_out = depolarizing_ptm(circ.noise.eps1).m.diagonal()
     gates = {}
@@ -96,28 +79,21 @@ def compile_circuit(circ: Circuit | CompiledCircuit) -> CompiledCircuit:
             fused = fused.reshape((4,) * (2 * k))
             fused.setflags(write=False)
             gates[(level, i)] = (pl.wires, fused)
-    return CompiledCircuit(
-        circ.n, circ.T, circ.output_wire, LightCones.of(circ), MappingProxyType(gates)
-    )
+    return MappingProxyType(gates)
 
 
-def _cones(circ: Circuit | CompiledCircuit) -> LightCones:
-    return circ.cones if isinstance(circ, CompiledCircuit) else LightCones.of(circ)
+def full_cut(circ: Circuit) -> Cut:
+    return Cut(frozenset(circ.cones.gates))
 
 
-def full_cut(circ: Circuit | CompiledCircuit) -> Cut:
-    return Cut(frozenset(_cones(circ).gates))
-
-
-def min_cut(circ: Circuit | CompiledCircuit, refs: Iterable[QubitRef]) -> Cut:
+def min_cut(circ: Circuit, refs: Iterable[QubitRef]) -> Cut:
     """The smallest cut producing every qubit in ``refs``."""
-    cones = _cones(circ)
-    return Cut(cones.cut_gates(cones.mask(refs)))
+    return Cut(circ.cones.cut_gates(circ.cones.mask(refs)))
 
 
-def check_cut(circ: Circuit | CompiledCircuit, cut: Cut) -> None:
+def check_cut(circ: Circuit, cut: Cut) -> None:
     """Raise unless every gate exists and the cut is downward-closed."""
-    cones = _cones(circ)
+    cones = circ.cones
     produced = 0
     for level, i in sorted(cut.gates):
         if (level, i) not in cones.gates:
@@ -284,29 +260,29 @@ def _apply_gate(values: np.ndarray, wires: tuple[int, ...], ptm: np.ndarray, n: 
 
 
 def _evolve_levels(
-    comp: CompiledCircuit, values: np.ndarray, gates: Iterable[tuple[int, int]], depth: int
+    circ: Circuit, values: np.ndarray, gates: Iterable[tuple[int, int]], depth: int
 ) -> Iterator[np.ndarray]:
     """Apply ``gates`` (all at levels <= depth) in (level, index) order;
     yield the coefficients before level 1 and after each level up to ``depth``."""
+    fused = circ.fused
     order = sorted(gates)
     j = 0
     for level in range(depth + 1):
         while j < len(order) and order[j][0] == level:
-            values = _apply_gate(values, *comp.gates[order[j]], comp.n)
+            values = _apply_gate(values, *fused[order[j]], circ.n)
             j += 1
         yield values
 
 
-def evolve_pauli(circ: Circuit | CompiledCircuit, v: CoeffVector, cut: Cut) -> CoeffVector:
+def evolve_pauli(circ: Circuit, v: CoeffVector, cut: Cut) -> CoeffVector:
     """Coefficient-vector evolution; the same map as :func:`evolve_density`."""
     if circ.n > MAX_COEFF_QUBITS:
         raise ValueError(f"n={circ.n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
     if v.n != circ.n:
         raise ValueError(f"vector is on {v.n} qubits, circuit on {circ.n}")
-    comp = compile_circuit(circ)
-    check_cut(comp, cut)
-    *_, values = _evolve_levels(comp, v.values.copy(), cut.gates, comp.T)
-    return CoeffVector(comp.n, values)
+    check_cut(circ, cut)
+    *_, values = _evolve_levels(circ, v.values.copy(), cut.gates, circ.T)
+    return CoeffVector(circ.n, values)
 
 
 def restrict_coeffs(v: CoeffVector, wires: Iterable[int]) -> CoeffVector:
@@ -325,18 +301,17 @@ def restrict_coeffs(v: CoeffVector, wires: Iterable[int]) -> CoeffVector:
     return CoeffVector(len(wires), t[sl].reshape(-1).copy())
 
 
-def reduced_delta(circ: Circuit | CompiledCircuit, delta0: np.ndarray, vset: ConsistentSet) -> CoeffVector:
+def reduced_delta(circ: Circuit, delta0: np.ndarray, vset: ConsistentSet) -> CoeffVector:
     """Coefficients of the difference reduced to a consistent set.
 
     Evolves through the minimal cut producing the set, then keeps the
     coefficients supported on the set's wires.
     """
-    comp = compile_circuit(circ)
     refs = vset.qubits
-    if not comp.cones.consistent(refs):
+    if not circ.cones.consistent(refs):
         raise ValueError("set is not consistent")
     v0 = coeffs_from_op(delta0)
-    evolved = evolve_pauli(comp, v0, min_cut(comp, refs))
+    evolved = evolve_pauli(circ, v0, min_cut(circ, refs))
     return restrict_coeffs(evolved, [q.wire for q in refs])
 
 
@@ -346,9 +321,7 @@ def born_probability_one(op: np.ndarray, wire: int, n: int) -> float:
     return float(reduced[1, 1].real)
 
 
-def distinguishability_by_depth(
-    circ: Circuit | CompiledCircuit, pair: InputPair, depth: int
-) -> list[float]:
+def distinguishability_by_depth(circ: Circuit, pair: InputPair, depth: int) -> list[float]:
     """Output distinguishability of the first t levels, for t = 0..depth.
 
     One pass evolves the cut producing the output qubit at ``depth`` and
@@ -361,14 +334,13 @@ def distinguishability_by_depth(
         raise ValueError(f"input pair is on {pair.n} qubits, circuit on {circ.n}")
     if not 0 <= depth <= circ.T:
         raise ValueError(f"depth {depth} outside [0, {circ.T}]")
-    comp = compile_circuit(circ)
-    cut = min_cut(comp, [QubitRef(comp.output_wire, depth)])
+    cut = min_cut(circ, [QubitRef(circ.output_wire, depth)])
     v0 = coeffs_from_op(pair.delta())
-    z = 1 << 2 * comp.output_wire  # flat index of Z on the output wire, I elsewhere
-    return [0.5 * abs(values[z]) for values in _evolve_levels(comp, v0.values, cut.gates, depth)]
+    z = 1 << 2 * circ.output_wire  # flat index of Z on the output wire, I elsewhere
+    return [0.5 * abs(values[z]) for values in _evolve_levels(circ, v0.values, cut.gates, depth)]
 
 
-def output_distinguishability(circ: Circuit | CompiledCircuit, pair: InputPair) -> float:
+def output_distinguishability(circ: Circuit, pair: InputPair) -> float:
     """Half the magnitude of the evolved difference's Z coefficient at the
     output qubit; equals |Pr[1 | rho] - Pr[1 | tau]|."""
     return distinguishability_by_depth(circ, pair, circ.T)[-1]
@@ -384,45 +356,58 @@ def _apply_unitary_state(psi: np.ndarray, u: np.ndarray, wires: tuple[int, ...],
     return np.moveaxis(t, range(k), wires).reshape(-1)
 
 
-def _sample_trajectory_p1(circ: Circuit, psi: np.ndarray, rng: np.random.Generator) -> float:
+def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
+    return int(rng.choice(len(probs), p=probs))
+
+
+def _trajectory_steps(circ: Circuit) -> list[tuple]:
+    """Per placement in level order: its wires, whether it is a multi-qubit
+    gate, its branch probabilities, and per branch its Kraus operators (one
+    unitary for a mixture term, two operators for a canonical-form term)."""
+    steps = []
+    for level in circ.levels:
+        for pl in level:
+            spec = lower_builtin(pl.gate) if isinstance(pl.gate, BuiltinGate) else pl.gate
+            probs = np.array([q for q, _ in spec.terms])
+            if isinstance(spec, OneQubitGate):
+                branches = [kraus_of_rsw(ch) for _, ch in spec.terms]
+            else:
+                branches = [[u] for _, u in spec.terms]
+            steps.append((pl.wires, len(pl.wires) >= 2, probs / probs.sum(), branches))
+    return steps
+
+
+def _sample_trajectory_p1(
+    circ: Circuit, steps: list[tuple], psi: np.ndarray, rng: np.random.Generator
+) -> float:
     pauli_ops = [PAULI_MATS[c] for c in "IXYZ"]
     n = circ.n
-    for level in range(1, circ.T + 1):
-        for pl in circ.levels[level - 1]:
-            spec = lower_builtin(pl.gate) if isinstance(pl.gate, BuiltinGate) else pl.gate
-            if gate_arity(pl.gate) >= 2:
-                p = circ.noise.epsk
-                for w in pl.wires:
-                    choice = rng.choice(4, p=[1 - 3 * p / 4, p / 4, p / 4, p / 4])
-                    if choice:
-                        psi = _apply_unitary_state(psi, pauli_ops[choice], (w,), n)
-                probs = np.array([q for q, _ in spec.terms])
-                u = spec.terms[int(rng.choice(len(probs), p=probs / probs.sum()))][1]
-                psi = _apply_unitary_state(psi, u, pl.wires, n)
+
+    def depolarize(psi: np.ndarray, wires: tuple[int, ...], p: float) -> np.ndarray:
+        probs = np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4])
+        for w in wires:
+            choice = _draw(rng, probs)
+            if choice:
+                psi = _apply_unitary_state(psi, pauli_ops[choice], (w,), n)
+        return psi
+
+    for wires, multi, probs, branches in steps:
+        if multi:
+            psi = depolarize(psi, wires, circ.noise.epsk)
+        ops = branches[_draw(rng, probs)]
+        if len(ops) == 1:
+            psi = _apply_unitary_state(psi, ops[0], wires, n)
+        else:
+            psi1 = _apply_unitary_state(psi, ops[0], wires, n)
+            w1 = float(np.vdot(psi1, psi1).real)
+            if rng.random() < w1:
+                psi = psi1 / max(np.sqrt(w1), 1e-300)
             else:
-                if isinstance(spec, UnitaryMixture):
-                    probs = np.array([q for q, _ in spec.terms])
-                    u = spec.terms[int(rng.choice(len(probs), p=probs / probs.sum()))][1]
-                    psi = _apply_unitary_state(psi, u, pl.wires, n)
-                else:
-                    probs = np.array([q for q, _ in spec.terms])
-                    ch = spec.terms[int(rng.choice(len(probs), p=probs / probs.sum()))][1]
-                    k1, k2 = kraus_of_rsw(ch)
-                    psi1 = _apply_unitary_state(psi, k1, pl.wires, n)
-                    w1 = float(np.vdot(psi1, psi1).real)
-                    if rng.random() < w1:
-                        psi = psi1 / max(np.sqrt(w1), 1e-300)
-                    else:
-                        psi2 = _apply_unitary_state(psi, k2, pl.wires, n)
-                        psi = psi2 / max(np.linalg.norm(psi2), 1e-300)
-                p = circ.noise.eps1
-                choice = rng.choice(4, p=[1 - 3 * p / 4, p / 4, p / 4, p / 4])
-                if choice:
-                    psi = _apply_unitary_state(psi, pauli_ops[choice], pl.wires, n)
-    t = np.abs(psi.reshape((2,) * n)) ** 2
-    sl = [slice(None)] * n
-    sl[circ.output_wire] = 1
-    return float(np.sum(t[tuple(sl)]))
+                psi2 = _apply_unitary_state(psi, ops[1], wires, n)
+                psi = psi2 / max(np.linalg.norm(psi2), 1e-300)
+        if not multi:
+            psi = depolarize(psi, wires, circ.noise.eps1)
+    return float(np.sum(np.abs(np.take(psi.reshape((2,) * n), 1, axis=circ.output_wire)) ** 2))
 
 
 def sample_output_difference(
@@ -434,11 +419,12 @@ def sample_output_difference(
     pure-state trajectories; the exact engines remain the reference.
     """
     rng = np.random.default_rng(seed)
+    steps = _trajectory_steps(circ)
     est = []
     for bits in (rho_bits, tau_bits):
         psi0 = np.zeros(2**circ.n, dtype=complex)
         psi0[int(bits, 2)] = 1.0
         est.append(
-            sum(_sample_trajectory_p1(circ, psi0, rng) for _ in range(shots)) / shots
+            sum(_sample_trajectory_p1(circ, steps, psi0, rng) for _ in range(shots)) / shots
         )
     return abs(est[0] - est[1])

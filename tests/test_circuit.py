@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -390,3 +391,63 @@ def test_prefix_keeps_noise_and_output():
     assert (p.n, p.T, p.output_wire) == (3, 2, 2)
     assert p.noise == c.noise
     assert circuit_to_json(p.prefix(2)) == circuit_to_json(p)
+
+
+# --- immutability ----------------------------------------------------------
+
+
+def test_circuit_and_its_gates_refuse_edits():
+    c = parse_circuit(
+        "qubits 2 levels 2 output 0\nnoise eps1=0.05 epsk=0.4\n"
+        "level 1: U(0; m=[0,1,1,0]); MIX(1; p=[0.5,0.5]; m1=[1,0,0,1]; m2=[0,1,1,0])\n"
+        "level 2: RSW(0; l1=0.8, l2=0.5, sign=-1); ID(1)\n"
+    )
+    placement = c.levels[0][0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.levels = ()
+    with pytest.raises(TypeError):
+        c.levels[0][0] = GatePlacement((0,), BuiltinGate("H"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        placement.wires = (1,)
+    mix = c.levels[0][1].gate
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mix.terms = ()
+    with pytest.raises(ValueError, match="read-only"):
+        mix.terms[0][1][0, 0] = 2.0
+    channel = c.levels[1][0].gate.terms[0][1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        channel.lam1 = 0.1
+    with pytest.raises(ValueError, match="read-only"):
+        channel.pre_unitary[0, 0] = 2.0
+
+
+def test_gates_copy_the_matrices_they_are_given():
+    u = np.eye(2, dtype=complex)
+    mix = UnitaryMixture(1, [(1.0, u)])
+    u[0, 0] = 5.0
+    assert mix.terms[0][1][0, 0] == 1.0
+    assert isinstance(mix.terms, tuple)
+
+
+def test_circuit_stores_levels_as_tuples_and_carries_cones_and_fused_ptms():
+    levels = [
+        [GatePlacement([0, 1], BuiltinGate("CNOT"))],
+        [GatePlacement([0], BuiltinGate("H")), GatePlacement([1], BuiltinGate("ID"))],
+    ]
+    c = Circuit(2, 2, levels, NoiseModel(0.05, 0.4), 0)
+    assert isinstance(c.levels, tuple) and all(isinstance(level, tuple) for level in c.levels)
+    assert c.levels[0][0].wires == (0, 1)
+    levels[0].clear()  # the caller's lists are not the circuit's
+    assert len(c.levels[0]) == 1
+    assert c.cones is c.cones and c.fused is c.fused
+    assert set(c.fused) == set(c.cones.gates) == {(1, 0), (2, 0), (2, 1)}
+    wires, ptm = c.fused[(1, 0)]
+    assert wires == (0, 1) and ptm.shape == (4, 4, 4, 4) and not ptm.flags.writeable
+    assert c.prefix(1).levels == c.levels[:1]
+    assert c == Circuit(2, 2, c.levels, NoiseModel(0.05, 0.4), 0)
+
+
+def test_placement_wires_must_be_integers():
+    with pytest.raises(TypeError):
+        GatePlacement((0, 1.9), BuiltinGate("CNOT"))
+    assert GatePlacement((np.int64(1),), BuiltinGate("H")).wires == (1,)

@@ -1,4 +1,4 @@
-"""Cross-checks of the compiled Pauli engine's fast paths against the dense
+"""Cross-checks of the Pauli engine's fast paths against the dense
 density-matrix engine and against per-prefix evaluation, on seeded random
 circuits with n <= 5 and T <= 6."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -355,11 +356,19 @@ def test_trajectory_sampler_is_seeded_and_sane():
 
 
 def test_output_distinguishability_follows_edited_levels():
+    """A circuit refuses edits in place; an edited copy is a new circuit with
+    its own light cones and fused transfer matrices."""
     text = "qubits 2 levels 2 output 0\nnoise eps1=0.05 epsk=0.45\nlevel 1: CNOT(0,1)\n"
     c = parse_circuit(text + "level 2: ID(0); RESET(1)\n")
     pair = InputPair(basis_density("00"), basis_density("11"))
     assert output_distinguishability(c, pair) == pytest.approx(0.5225, abs=1e-12)
-    c.levels[1][0] = GatePlacement((0,), BuiltinGate("H"))
+    h = GatePlacement((0,), BuiltinGate("H"))
+    with pytest.raises(TypeError):
+        c.levels[1][0] = h
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.levels = [c.levels[0], [h, c.levels[1][1]]]
+    assert output_distinguishability(c, pair) == pytest.approx(0.5225, abs=1e-12)
+    edited = dataclasses.replace(c, levels=[c.levels[0], [h, c.levels[1][1]]])
     fresh = parse_circuit(text + "level 2: H(0); RESET(1)\n")
-    assert output_distinguishability(c, pair) == output_distinguishability(fresh, pair)
-    assert output_distinguishability(c, pair) == pytest.approx(0.0, abs=1e-12)
+    assert output_distinguishability(edited, pair) == output_distinguishability(fresh, pair)
+    assert output_distinguishability(edited, pair) == pytest.approx(0.0, abs=1e-12)
