@@ -490,11 +490,21 @@ def _int_from_json(value, what: str) -> int:
     return value
 
 
+def _float_from_json(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range, got {value}") from None
+
+
 def _mat_from_json(entries, arity: int) -> np.ndarray:
     dim = 2**arity
     if len(entries) != dim * dim:
         raise ValueError(f"matrix needs {dim * dim} entries, got {len(entries)}")
-    return np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
+    values = [[_float_from_json(x, "matrix entry") for x in entry] for entry in entries]
+    return np.array([complex(re, im) for re, im in values]).reshape(dim, dim)
 
 
 def _gate_to_json(g: GateSpec) -> dict:
@@ -529,23 +539,24 @@ def _gate_from_json(d: dict, arity: int) -> GateSpec:
     if name in _BUILTIN_SIMPLE:
         return BuiltinGate(name)
     if name == "DEPOL":
-        return BuiltinGate("DEPOL", float(d["p"]))
+        return BuiltinGate("DEPOL", _float_from_json(d["p"], "p"))
     if name == "U":
         return UnitaryMixture(arity, [(1.0, _mat_from_json(d["matrix"], arity))])
     if name == "MIX":
         mats = [_mat_from_json(m, arity) for m in d["matrices"]]
-        return UnitaryMixture(arity, list(zip(map(float, d["probs"]), mats)))
+        probs = [_float_from_json(q, "probability") for q in d["probs"]]
+        return UnitaryMixture(arity, list(zip(probs, mats)))
     if name == "RSWMIX":
         terms = []
         for term in d["terms"]:
             ch = RswChannel(
-                float(term["l1"]),
-                float(term["l2"]),
+                _float_from_json(term["l1"], "l1"),
+                _float_from_json(term["l2"], "l2"),
                 _int_from_json(term["sign"], "sign"),
                 pre_unitary=_mat_from_json(term["u2"], 1) if "u2" in term else np.eye(2, dtype=complex),
                 post_unitary=_mat_from_json(term["u1"], 1) if "u1" in term else np.eye(2, dtype=complex),
             )
-            terms.append((float(term["prob"]), ch))
+            terms.append((_float_from_json(term["prob"], "prob"), ch))
         return OneQubitGate(terms)
     raise ValueError(f"unknown gate kind {name!r}")
 
@@ -570,7 +581,7 @@ def circuit_from_json(text: str) -> Circuit:
     doc = json.loads(text)
     where = "circuit"
     try:
-        noise = NoiseModel(float(doc["noise"]["eps1"]), float(doc["noise"]["epsk"]))
+        noise = NoiseModel(*(_float_from_json(doc["noise"][key], key) for key in ("eps1", "epsk")))
         n, output = _int_from_json(doc["qubits"], "qubits"), _int_from_json(doc["output"], "output")
         all_levels = doc["levels"]
         where, levels = "levels", []
@@ -631,6 +642,8 @@ def random_circuit(
     unknown = [tok for tok in gate_pool if tok not in _POOL_ARITY]
     if unknown:
         raise ValueError(f"unknown pool token {unknown[0]!r}")
+    if "DEPOL" in gate_pool:
+        raise ValueError("pool token 'DEPOL' needs a strength p, which a random pool cannot give")
     arities = {tok: _POOL_ARITY[tok] for tok in gate_pool}
     if max(arities.values()) > k:
         raise ValueError(f"pool arity {max(arities.values())} exceeds k={k}")

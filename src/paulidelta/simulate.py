@@ -121,6 +121,8 @@ class InputPair:
         if self.rho.shape != self.tau.shape:
             raise ValueError("rho and tau have different shapes")
         for name, m in (("rho", self.rho), ("tau", self.tau)):
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} has non-finite entries")
             if abs(np.trace(m) - 1.0) > PSD_TOL:
                 raise ValueError(f"{name} has trace {np.trace(m)}, expected 1")
             if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)) < -PSD_TOL:
@@ -349,65 +351,116 @@ def output_distinguishability(circ: Circuit, pair: InputPair) -> float:
 # --- trajectory sampling (demonstration only) ------------------------------
 
 
-def _apply_unitary_state(psi: np.ndarray, u: np.ndarray, wires: tuple[int, ...], n: int) -> np.ndarray:
-    k = len(wires)
-    ut = u.reshape((2,) * (2 * k))
-    t = np.tensordot(ut, psi.reshape((2,) * n), axes=(list(range(k, 2 * k)), list(wires)))
-    return np.moveaxis(t, range(k), wires).reshape(-1)
+SHOT_BLOCK = 256  # trajectories advanced together; bounds the states and uniforms held at once
 
 
-def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
-    return int(rng.choice(len(probs), p=probs))
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(len(probs), p=probs)`` searches: one
+    uniform u picks ``cdf.searchsorted(u, side="right")``, so pre-drawn
+    uniforms pick the branches that one ``choice`` call each would."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _trajectory_steps(circ: Circuit) -> list[tuple]:
-    """Per placement in level order: its wires, whether it is a multi-qubit
-    gate, its branch probabilities, and per branch its Kraus operators (one
-    unitary for a mixture term, two operators for a canonical-form term)."""
+    """The draws of one trajectory, in stream order.  Per draw: the wires it
+    acts on, its branch CDF, per branch the operators applied (none for the
+    identity Pauli, one unitary for a mixture term, a Kraus pair for a
+    canonical-form term), and whether its Kraus pairs take one more uniform.
+    A multi-qubit gate depolarizes each input wire first; a one-qubit gate
+    depolarizes its output afterwards."""
+    paulis = [[], [PAULI_MATS["X"]], [PAULI_MATS["Y"]], [PAULI_MATS["Z"]]]
+
+    def depolarize(wires: tuple[int, ...], p: float) -> list[tuple]:
+        cdf = _choice_cdf(np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4]))
+        return [((w,), cdf, paulis, False) for w in wires]
+
     steps = []
     for level in circ.levels:
         for pl in level:
             spec = lower_builtin(pl.gate) if isinstance(pl.gate, BuiltinGate) else pl.gate
             probs = np.array([q for q, _ in spec.terms])
-            if isinstance(spec, OneQubitGate):
-                branches = [kraus_of_rsw(ch) for _, ch in spec.terms]
+            kraus = isinstance(spec, OneQubitGate)
+            branches = [kraus_of_rsw(ch) if kraus else [ch] for _, ch in spec.terms]
+            gate = (pl.wires, _choice_cdf(probs / probs.sum()), branches, kraus)
+            if len(pl.wires) >= 2:
+                steps += depolarize(pl.wires, circ.noise.epsk) + [gate]
             else:
-                branches = [[u] for _, u in spec.terms]
-            steps.append((pl.wires, len(pl.wires) >= 2, probs / probs.sum(), branches))
+                steps += [gate] + depolarize(pl.wires, circ.noise.eps1)
     return steps
 
 
-def _sample_trajectory_p1(
-    circ: Circuit, steps: list[tuple], psi: np.ndarray, rng: np.random.Generator
-) -> float:
-    pauli_ops = [PAULI_MATS[c] for c in "IXYZ"]
-    n = circ.n
+def _apply_to_rows(states: np.ndarray, op: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
+    """``op`` on ``wires`` of every row of a (rows, 2, ..., 2) state array.
 
-    def depolarize(psi: np.ndarray, wires: tuple[int, ...], p: float) -> np.ndarray:
-        probs = np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4])
-        for w in wires:
-            choice = _draw(rng, probs)
-            if choice:
-                psi = _apply_unitary_state(psi, pauli_ops[choice], (w,), n)
-        return psi
+    Each row is its own (2^k x 2^k) @ (2^k x rest) BLAS product, the one
+    ``tensordot`` makes for a single state vector, so a row's rounding does
+    not depend on how many rows run together.
+    """
+    k = len(wires)
+    axes = [w + 1 for w in wires]
+    order = [0, *axes, *(a for a in range(1, states.ndim) if a not in axes)]
+    front = states.transpose(order)
+    out = np.matmul(op, front.reshape(len(states), 2**k, -1)).reshape(front.shape)
+    return out.transpose(np.argsort(order))
 
-    for wires, multi, probs, branches in steps:
-        if multi:
-            psi = depolarize(psi, wires, circ.noise.epsk)
-        ops = branches[_draw(rng, probs)]
-        if len(ops) == 1:
-            psi = _apply_unitary_state(psi, ops[0], wires, n)
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the dot product of two (rows, dim) arrays as its own BLAS
+    dot, the call ``vdot`` and ``linalg.norm`` make for a single vector."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _apply_grouped(
+    psi: np.ndarray, wires: tuple[int, ...], choice: np.ndarray, branches: list, u: np.ndarray | None
+) -> np.ndarray:
+    """Apply branch b to the rows whose ``choice`` is b.  A Kraus pair keeps
+    K0 psi, renormalised, where the row's uniform ``u`` is below |K0 psi|^2,
+    and K1 psi, renormalised, elsewhere."""
+    for b, ops in enumerate(branches):
+        rows = np.flatnonzero(choice == b)
+        if not ops or len(rows) == 0:  # the identity Pauli, or a branch no row took
+            continue
+        whole = len(rows) == len(psi)
+        sub = psi if whole else psi[rows]
+        out = _apply_to_rows(sub, ops[0], wires)
+        if len(ops) == 2:
+            flat = out.reshape(len(rows), -1)
+            weight = _row_dots(flat.conj(), flat).real
+            out = flat / np.maximum(np.sqrt(weight), 1e-300)[:, None]
+            other = ~(u[rows] < weight)
+            if other.any():
+                flat = _apply_to_rows(sub[other], ops[1], wires).reshape(-1, flat.shape[1])
+                norm = np.sqrt(_row_dots(flat.real, flat.real) + _row_dots(flat.imag, flat.imag))
+                out[other] = flat / np.maximum(norm, 1e-300)[:, None]
+            out = out.reshape(sub.shape)
+        if whole:
+            psi = out
         else:
-            psi1 = _apply_unitary_state(psi, ops[0], wires, n)
-            w1 = float(np.vdot(psi1, psi1).real)
-            if rng.random() < w1:
-                psi = psi1 / max(np.sqrt(w1), 1e-300)
-            else:
-                psi2 = _apply_unitary_state(psi, ops[1], wires, n)
-                psi = psi2 / max(np.linalg.norm(psi2), 1e-300)
-        if not multi:
-            psi = depolarize(psi, wires, circ.noise.eps1)
-    return float(np.sum(np.abs(np.take(psi.reshape((2,) * n), 1, axis=circ.output_wire)) ** 2))
+            psi[rows] = out
+    return psi
+
+
+def _shot_probabilities(
+    circ: Circuit, steps: list[tuple], index: int, shots: int, rng: np.random.Generator
+) -> Iterator[float]:
+    """Each shot's outcome-1 probability at the output, in shot order, for
+    trajectories from basis state ``index``.  Blocks of up to ``SHOT_BLOCK``
+    shots advance together; each shot takes the next fixed-length run of
+    uniforms from the stream, so blocking does not change any draw."""
+    draws = sum(1 + kraus for *_, kraus in steps)
+    for start in range(0, shots, SHOT_BLOCK):
+        rows = min(SHOT_BLOCK, shots - start)
+        uniforms = iter(rng.random((rows, draws)).T)
+        psi = np.zeros((rows, 2**circ.n), dtype=complex)
+        psi[:, index] = 1.0
+        psi = psi.reshape((rows,) + (2,) * circ.n)
+        for wires, cdf, branches, kraus in steps:
+            choice = cdf.searchsorted(next(uniforms), side="right")
+            psi = _apply_grouped(psi, wires, choice, branches, next(uniforms) if kraus else None)
+        ones = np.take(psi, 1, axis=circ.output_wire + 1).reshape(rows, -1)
+        yield from np.sum(np.abs(ones) ** 2, axis=1).tolist()
 
 
 def sample_output_difference(
@@ -416,15 +469,18 @@ def sample_output_difference(
     """Monte-Carlo estimate of the output-probability difference.
 
     Samples mixture branches, Kraus branches, and depolarizing events on
-    pure-state trajectories; the exact engines remain the reference.
+    pure-state trajectories, all shots of one input together and rho's
+    before tau's; the exact engines remain the reference.
     """
+    for name, bits in (("rho_bits", rho_bits), ("tau_bits", tau_bits)):
+        if len(bits) != circ.n or set(bits) - {"0", "1"}:
+            raise ValueError(f"{name} must be {circ.n} bits of 0/1, got {bits!r}")
+    if not shots >= 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
     steps = _trajectory_steps(circ)
-    est = []
-    for bits in (rho_bits, tau_bits):
-        psi0 = np.zeros(2**circ.n, dtype=complex)
-        psi0[int(bits, 2)] = 1.0
-        est.append(
-            sum(_sample_trajectory_p1(circ, steps, psi0, rng) for _ in range(shots)) / shots
-        )
+    est = [
+        sum(_shot_probabilities(circ, steps, int(bits, 2), shots, rng)) / shots
+        for bits in (rho_bits, tau_bits)
+    ]
     return abs(est[0] - est[1])

@@ -3,13 +3,16 @@
 These deliberately avoid the library's fast paths: coefficients come from
 literal traces against dense Pauli matrices, and consistency comes from the
 inductive closure (time-0 sets are consistent; replacing all inputs of a
-gate with its outputs, and taking subsets, preserves consistency).
+gate with its outputs, and taking subsets, preserves consistency).  The
+reference trajectory sampler advances one shot at a time.
 """
 
 import numpy as np
 
 from paulidelta import all_pauli_strings, coeffs_from_op
+from paulidelta.channels import BuiltinGate, OneQubitGate, kraus_of_rsw, lower_builtin
 from paulidelta.circuit import Circuit, QubitRef
+from paulidelta.paulis import PAULI_MATS
 
 
 def pauli_coeffs_by_trace(op: np.ndarray) -> np.ndarray:
@@ -86,3 +89,62 @@ def inductive_consistent_sets(circ: Circuit) -> set[frozenset[QubitRef]]:
         return frozenset(out)
 
     return {refs(m) for m in known}
+
+
+def _apply_unitary_state(psi: np.ndarray, u: np.ndarray, wires: tuple[int, ...], n: int) -> np.ndarray:
+    k = len(wires)
+    ut = u.reshape((2,) * (2 * k))
+    t = np.tensordot(ut, psi.reshape((2,) * n), axes=(list(range(k, 2 * k)), list(wires)))
+    return np.moveaxis(t, range(k), wires).reshape(-1)
+
+
+def _trajectory_p1(circ: Circuit, psi: np.ndarray, rng: np.random.Generator) -> float:
+    """One noisy trajectory from ``psi``; its outcome-1 probability at the output."""
+    n = circ.n
+
+    def draw(probs) -> int:
+        return int(rng.choice(len(probs), p=probs))
+
+    def depolarize(psi: np.ndarray, wires: tuple[int, ...], p: float) -> np.ndarray:
+        probs = np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4])
+        for w in wires:
+            choice = draw(probs)
+            if choice:
+                psi = _apply_unitary_state(psi, PAULI_MATS["IXYZ"[choice]], (w,), n)
+        return psi
+
+    for level in circ.levels:
+        for pl in level:
+            spec = lower_builtin(pl.gate) if isinstance(pl.gate, BuiltinGate) else pl.gate
+            probs = np.array([q for q, _ in spec.terms])
+            multi = len(pl.wires) >= 2
+            if multi:
+                psi = depolarize(psi, pl.wires, circ.noise.epsk)
+            _, term = spec.terms[draw(probs / probs.sum())]
+            if isinstance(spec, OneQubitGate):
+                k0, k1 = kraus_of_rsw(term)
+                psi1 = _apply_unitary_state(psi, k0, pl.wires, n)
+                w1 = float(np.vdot(psi1, psi1).real)
+                if rng.random() < w1:
+                    psi = psi1 / max(np.sqrt(w1), 1e-300)
+                else:
+                    psi2 = _apply_unitary_state(psi, k1, pl.wires, n)
+                    psi = psi2 / max(np.linalg.norm(psi2), 1e-300)
+            else:
+                psi = _apply_unitary_state(psi, term, pl.wires, n)
+            if not multi:
+                psi = depolarize(psi, pl.wires, circ.noise.eps1)
+    return float(np.sum(np.abs(np.take(psi.reshape((2,) * n), 1, axis=circ.output_wire)) ** 2))
+
+
+def sample_by_trajectory(circ: Circuit, rho_bits: str, tau_bits: str, shots: int, seed: int) -> float:
+    """The trajectory sampler one shot at a time: every depolarizing Pauli,
+    mixture branch and Kraus branch is its own ``rng.choice`` or
+    ``rng.random`` call on one 2^n state vector; rho's shots come first."""
+    rng = np.random.default_rng(seed)
+    est = []
+    for bits in (rho_bits, tau_bits):
+        psi0 = np.zeros(2**circ.n, dtype=complex)
+        psi0[int(bits, 2)] = 1.0
+        est.append(sum(_trajectory_p1(circ, psi0, rng) for _ in range(shots)) / shots)
+    return abs(est[0] - est[1])

@@ -104,6 +104,13 @@ def test_random_requires_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_random_pool_rejects_depol_up_front(capsys):
+    assert main(["simulate", "--random", "n=2,T=2,pool=DEPOL", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "pool token 'DEPOL' needs a strength p" in err
+    assert "placement" not in err
+
+
 def test_circuit_and_random_mutually_exclusive(all_id_file, capsys):
     assert main(["decay", "--circuit", all_id_file, "--random", "n=2,T=2,pool=ID"]) == 2
     capsys.readouterr()

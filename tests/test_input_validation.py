@@ -39,10 +39,56 @@ NAN_GATES = [
 ]
 
 
-def _json_doc(placements, qubits=2, output=0) -> str:
+def _json_doc(placements, qubits=2, output=0, eps1=0.1) -> str:
     return json.dumps(
-        {"qubits": qubits, "levels": [placements], "noise": {"eps1": 0.1, "epsk": 0.4}, "output": output}
+        {"qubits": qubits, "levels": [placements], "noise": {"eps1": eps1, "epsk": 0.4}, "output": output}
     )
+
+
+ID_1 = {"gate": "ID", "wires": [1]}
+NOT_NUMBERS = [
+    pytest.param(
+        _json_doc([{"gate": "RSWMIX", "terms": [{"prob": True, "l1": 0.5, "l2": 0.5, "sign": 1}], "wires": [0]}, ID_1]),
+        "level 1, placement 0: prob must be a number, got true",
+        id="prob-true",
+    ),
+    pytest.param(
+        _json_doc([{"gate": "RSWMIX", "terms": [{"prob": 1.0, "l1": "0.5", "l2": 0.5, "sign": 1}], "wires": [0]}, ID_1]),
+        'level 1, placement 0: l1 must be a number, got "0.5"',
+        id="l1-string",
+    ),
+    pytest.param(
+        _json_doc([{"gate": "CNOT", "wires": [0, 1]}], eps1="0.05"),
+        'circuit: eps1 must be a number, got "0.05"',
+        id="eps1-string",
+    ),
+    pytest.param(
+        _json_doc([{"gate": "RSWMIX", "terms": [{"prob": 1.0, "l1": 0.5, "l2": None, "sign": 1}], "wires": [0]}, ID_1]),
+        "level 1, placement 0: l2 must be a number, got null",
+        id="l2-null",
+    ),
+    pytest.param(
+        _json_doc([{"gate": "DEPOL", "p": "0.1", "wires": [0]}, ID_1]),
+        'level 1, placement 0: p must be a number, got "0.1"',
+        id="p-string",
+    ),
+    pytest.param(
+        _json_doc([{"gate": "MIX", "probs": [True, 0], "matrices": [[[1, 0], [0, 0], [0, 0], [1, 0]]] * 2, "wires": [0]},
+                   ID_1]),
+        "level 1, placement 0: probability must be a number, got true",
+        id="probs-true",
+    ),
+    pytest.param(
+        _json_doc([{"gate": "U", "matrix": [[1, 0], [0, 0], [0, False], [1, 0]], "wires": [0]}, ID_1]),
+        "level 1, placement 0: matrix entry must be a number, got false",
+        id="matrix-false",
+    ),
+    pytest.param(
+        _json_doc([{"gate": "DEPOL", "p": 10**400, "wires": [0]}, ID_1]),
+        "level 1, placement 0: p is out of range",
+        id="p-overflow",
+    ),
+]
 
 
 # --- non-finite gate parameters ----------------------------------------------------
@@ -133,6 +179,26 @@ def test_dsl_accepts_signed_unit_rsw_signs():
 def test_json_errors_are_located_and_nothing_is_truncated(doc, problem):
     with pytest.raises(ValueError, match=re.escape(problem)):
         circuit_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, problem", NOT_NUMBERS)
+def test_json_floats_must_be_numbers(doc, problem):
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        circuit_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, problem", NOT_NUMBERS[:3])
+def test_cli_exits_2_on_a_json_float_that_is_not_a_number(tmp_path, capsys, doc, problem):
+    path = tmp_path / "c.json"
+    path.write_text(doc)
+    assert main(["simulate", "--circuit", str(path)]) == 2
+    assert problem in capsys.readouterr().err
+
+
+def test_json_floats_accept_integers():
+    doc = _json_doc([{"gate": "DEPOL", "p": 0, "wires": [0]}, ID_1], eps1=1)
+    c = circuit_from_json(doc)
+    assert c.noise.eps1 == 1.0 and c.levels[0][0].gate.p == 0.0
 
 
 def test_cli_exits_2_on_a_placement_without_parameters(tmp_path, capsys):

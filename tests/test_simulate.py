@@ -340,6 +340,15 @@ def test_input_pair_validation():
         InputPair(not_psd, basis_density("0"))
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_input_pair_rejects_non_finite_entries(entry, value):
+    rho = basis_density("0")
+    rho[entry] = value
+    with pytest.raises(ValueError, match="rho has non-finite entries"):
+        InputPair(rho, basis_density("1"))
+
+
 # --- sampling demo ------------------------------------------------------------
 
 
@@ -353,6 +362,20 @@ def test_trajectory_sampler_is_seeded_and_sane():
     assert est1 == est2
     exact = output_distinguishability(c, InputPair(basis_density("00"), basis_density("11")))
     assert abs(est1 - exact) < 0.2
+
+
+@pytest.mark.parametrize("rho, tau", [("0", "1"), ("00", "1"), ("000", "111"), ("00", "12"), ("0x", "11")])
+def test_trajectory_sampler_rejects_bits_that_do_not_fit_the_circuit(rho, tau):
+    c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: CNOT(0,1)\n")
+    with pytest.raises(ValueError, match="must be 2 bits of 0/1"):
+        sample_output_difference(c, rho, tau, 20, 0)
+
+
+@pytest.mark.parametrize("shots", [0, -5])
+def test_trajectory_sampler_needs_a_shot(shots):
+    c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: CNOT(0,1)\n")
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        sample_output_difference(c, "00", "11", shots, 0)
 
 
 def test_output_distinguishability_follows_edited_levels():
