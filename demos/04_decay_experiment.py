@@ -7,9 +7,8 @@ T.  The same table is available from the command line as
 """
 
 from paulidelta import (
-    InputPair,
+    BasisPair,
     NoiseModel,
-    basis_density,
     decay_table,
     epsk_threshold,
     random_circuit,
@@ -25,7 +24,7 @@ circ = random_circuit(
 result = theta_for(noise, k=2)
 print(f"theta = {result.theta:.6f} ({result.binding_constraint} constraint binds)\n")
 
-pair = InputPair(basis_density("000"), basis_density("111"))
+pair = BasisPair("000", "111")
 print("T   measured        bound")
 for t, measured, bound in decay_table(circ, pair, list(range(1, 13)), result.theta):
     print(f"{t:<3d} {measured:.10f}  {bound:.10f}")

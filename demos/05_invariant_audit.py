@@ -7,9 +7,8 @@ every consistent set up to a size cap and reports the slimmest margin.
 """
 
 from paulidelta import (
-    InputPair,
+    BasisPair,
     audit_invariant,
-    basis_density,
     enumerate_consistent_sets,
     parse_circuit,
     theta_for,
@@ -31,7 +30,7 @@ for cs in sets[:4] + sets[-2:]:
     print(f"  {refs}  dist={cs.dist} latest={cs.latest}")
 
 result = theta_for(circ.noise, k=2)
-pair = InputPair(basis_density("000"), basis_density("111"))
+pair = BasisPair("000", "111")
 report = audit_invariant(circ, pair, result.theta, max_size=3)
 print(f"\ntheta = {result.theta:.6f}; all pass: {report.all_pass}")
 worst = min((r for r in report.records if r.qubits), key=lambda r: r.margin)

@@ -43,6 +43,7 @@ from .circuit import (
     random_circuit,
 )
 from .simulate import (
+    BasisPair,
     Cut,
     InputPair,
     basis_density,

@@ -18,10 +18,12 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, ConsistentSet, NoiseModel, enumerate_consistent_sets
-from .paulis import CoeffVector, coeffs_from_op, sum_of_squares
+from .paulis import CoeffVector, sum_of_squares
 from .simulate import (
+    BasisPair,
     Cut,
     InputPair,
+    check_pair,
     distinguishability_by_depth,
     evolve_pauli,
     reduced_delta,
@@ -145,18 +147,19 @@ def _record(vset: ConsistentSet, reduced: CoeffVector, theta: float) -> Invarian
 
 
 def invariant_check(
-    circ: Circuit, pair: InputPair, vset: ConsistentSet, theta: float
+    circ: Circuit, pair: InputPair | BasisPair, vset: ConsistentSet, theta: float
 ) -> InvariantRecord:
     """Audit one consistent set against Tr(delta_V^2) <= 2*theta^dist(V)."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    reduced = reduced_delta(circ, pair.delta(), vset)
+    check_pair(circ, pair)
+    reduced = reduced_delta(circ, pair.delta_coeffs(), vset)
     return _record(vset, reduced, theta)
 
 
 def audit_invariant(
     circ: Circuit,
-    pair: InputPair,
+    pair: InputPair | BasisPair,
     theta: float,
     max_size: int,
     max_sets: int | None = None,
@@ -166,7 +169,8 @@ def audit_invariant(
     Evolutions are cached per minimal cut, so sets sharing a cut reuse one
     evolution.
     """
-    v0 = coeffs_from_op(pair.delta())
+    check_pair(circ, pair)
+    v0 = pair.delta_coeffs()
     cones = circ.cones
     cache: dict[frozenset, CoeffVector] = {}
     records = []
@@ -180,7 +184,7 @@ def audit_invariant(
 
 
 def decay_table(
-    circ: Circuit, pair: InputPair, ts: list[int], theta: float
+    circ: Circuit, pair: InputPair | BasisPair, ts: list[int], theta: float
 ) -> list[tuple[int, float, float]]:
     """(T, measured, bound) rows for the depths ``ts``, in their given order;
     every depth is read from one forward pass through the circuit."""

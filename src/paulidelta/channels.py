@@ -143,9 +143,6 @@ class Ptm:
                 f"expected {(4 ** self.k, 4 ** self.k)} matrix, got {self.m.shape}"
             )
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.m @ values
-
 
 # Permutation from (I, X, Y, Z) display order to canonical codes (I, Z, X, Y).
 _IXYZ_TO_CODE = [PauliString.from_label(c).index() for c in "IXYZ"]

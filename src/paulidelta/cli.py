@@ -26,7 +26,12 @@ from .bounds import (
 from .channels import cnot_pauli_action
 from .circuit import Circuit, NoiseModel, circuit_from_json, parse_circuit, random_circuit
 from .paulis import MAX_COEFF_QUBITS, PauliString
-from .simulate import InputPair, basis_density, output_distinguishability, sample_output_difference
+from .simulate import (  # noqa: F401 (perfbench/selftest.py reads cli.InputPair)
+    BasisPair,
+    InputPair,
+    output_distinguishability,
+    sample_output_difference,
+)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -58,6 +63,19 @@ class UsageError(Exception):
     pass
 
 
+# --random keys, each with its smallest value when it is an integer.
+_RANDOM_KEYS = {"n": 1, "T": 0, "pool": None, "k": 1}
+
+
+def _random_int(spec: dict[str, str], key: str) -> int:
+    text = spec[key]
+    if not (text.isascii() and text.isdigit()) or int(text) < _RANDOM_KEYS[key]:
+        raise UsageError(
+            f"--random {key} must be an integer >= {_RANDOM_KEYS[key]}, got {text!r}"
+        )
+    return int(text)
+
+
 def _load_circuit(args) -> Circuit:
     if bool(args.circuit) == bool(args.random):
         raise UsageError("provide exactly one of --circuit and --random")
@@ -69,34 +87,42 @@ def _load_circuit(args) -> Circuit:
         return circuit_from_json(text) if path.suffix == ".json" else parse_circuit(text)
     spec = {}
     for piece in args.random.split(","):
-        key, eq, val = piece.partition("=")
+        key, eq, val = (part.strip() for part in piece.partition("="))
         if not eq:
             raise UsageError(f"bad --random entry {piece!r}")
-        spec[key.strip()] = val.strip()
-    try:
-        n = int(spec["n"])
-        t = int(spec["T"])
-        pool = tuple(p for p in spec["pool"].replace("+", "|").split("|") if p)
-    except KeyError as e:
-        raise UsageError(f"--random spec missing {e.args[0]}") from None
+        if key not in _RANDOM_KEYS:
+            raise UsageError(f"--random has unknown key {key!r}; the keys are n, T, pool and k")
+        if key in spec:
+            raise UsageError(f"--random gives {key} more than once")
+        spec[key] = val
+    for key in ("n", "T", "pool"):
+        if key not in spec:
+            raise UsageError(f"--random spec missing {key}")
+    spec.setdefault("k", "2")
+    n, t, k = (_random_int(spec, key) for key in ("n", "T", "k"))
+    pool = tuple(p for p in spec["pool"].replace("+", "|").split("|") if p)
     if args.seed is None:
         raise UsageError("--random requires an explicit --seed")
-    k = int(spec.get("k", 2))
     return random_circuit(
         n, t, seed=args.seed, gate_pool=pool, k=k, noise=NoiseModel(args.eps1, args.epsk)
     )
 
 
-def _input_pair(args, circ: Circuit) -> tuple[InputPair, str, str]:
-    # Checked before the two 2^n x 2^n input matrices are allocated.
+def _input_pair(args, circ: Circuit) -> BasisPair:
+    # Checked before any 4^n coefficient vector is allocated.
     if circ.n > MAX_COEFF_QUBITS:
         raise UsageError(f"n={circ.n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
     rho_bits = args.rho if args.rho is not None else "0" * circ.n
     tau_bits = args.tau if args.tau is not None else "1" * circ.n
-    for name, bits in (("rho", rho_bits), ("tau", tau_bits)):
-        if len(bits) != circ.n or set(bits) - {"0", "1"}:
-            raise UsageError(f"--{name} must be {circ.n} bits of 0/1, got {bits!r}")
-    return InputPair(basis_density(rho_bits), basis_density(tau_bits)), rho_bits, tau_bits
+    try:
+        pair = BasisPair(rho_bits, tau_bits)
+    except ValueError:
+        pair = None
+    if pair is None or pair.n != circ.n:
+        raise UsageError(
+            f"--rho and --tau must be {circ.n} bits of 0/1, got {rho_bits!r}, {tau_bits!r}"
+        )
+    return pair
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -140,7 +166,7 @@ def _gate_k(args, circ: Circuit) -> int:
 
 def cmd_decay(args) -> int:
     circ = _load_circuit(args)
-    pair, _, _ = _input_pair(args, circ)
+    pair = _input_pair(args, circ)
     k = _gate_k(args, circ)
     result = _theta_or_refuse(circ.noise, k, args.cnot_only)
     t_max = args.t_max if args.t_max is not None else circ.T
@@ -181,7 +207,7 @@ def _record_doc(r: InvariantRecord) -> dict:
 
 def cmd_check_invariant(args) -> int:
     circ = _load_circuit(args)
-    pair, _, _ = _input_pair(args, circ)
+    pair = _input_pair(args, circ)
     k = _gate_k(args, circ)
     forced = args.force_theta is not None
     if forced:
@@ -261,12 +287,12 @@ def cmd_cnot_table(args) -> int:
 
 def cmd_simulate(args) -> int:
     circ = _load_circuit(args)
-    pair, rho_bits, tau_bits = _input_pair(args, circ)
+    pair = _input_pair(args, circ)
     measured = output_distinguishability(circ, pair)
     lines = [f"distinguishability {_fmt(measured)}"]
     if args.shots:
         seed = args.seed if args.seed is not None else 0
-        est = sample_output_difference(circ, rho_bits, tau_bits, args.shots, seed)
+        est = sample_output_difference(circ, pair.rho_bits, pair.tau_bits, args.shots, seed)
         lines.append(f"sampled({args.shots} shots) {_fmt(est)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -135,6 +135,64 @@ class InputPair:
     def delta(self) -> np.ndarray:
         return self.rho - self.tau
 
+    def delta_coeffs(self) -> CoeffVector:
+        return coeffs_from_op(self.delta())
+
+
+# Per-site Pauli coefficients (I, Z) of |0><0| and |1><1|; their X and Y
+# coefficients are 0.
+_BASIS_SITE = {"0": np.array([1.0, 1.0]), "1": np.array([1.0, -1.0])}
+
+
+@dataclass(frozen=True)
+class BasisPair:
+    """Two computational-basis states, as bit strings whose first character
+    is wire 0; the same inputs as ``InputPair(basis_density(rho_bits),
+    basis_density(tau_bits))``, with no 2^n x 2^n matrix behind them."""
+
+    rho_bits: str
+    tau_bits: str
+
+    def __post_init__(self):
+        for name in ("rho_bits", "tau_bits"):
+            bits = getattr(self, name)
+            if not isinstance(bits, str) or not bits or set(bits) - {"0", "1"}:
+                raise ValueError(f"{name} must be a nonempty string of 0/1, got {bits!r}")
+        if len(self.rho_bits) != len(self.tau_bits):
+            raise ValueError(
+                f"rho_bits and tau_bits differ in length: {self.rho_bits!r}, {self.tau_bits!r}"
+            )
+
+    @property
+    def n(self) -> int:
+        return len(self.rho_bits)
+
+    def delta_coeffs(self) -> CoeffVector:
+        """The coefficients of |rho><rho| - |tau><tau|, equal to
+        ``coeffs_from_op`` of the dense difference.
+
+        A basis state's coefficients are the Kronecker product of per-site
+        4-vectors in ``SITE_ORDER`` IZXY, (1, 1, 0, 0) for |0> and
+        (1, -1, 0, 0) for |1>, wire n-1 the most significant site.  The
+        product vanishes unless every site is I or Z, so only that block,
+        the product of the (I, Z) halves, is written.
+        """
+        n = self.n
+        if n > MAX_COEFF_QUBITS:
+            raise ValueError(f"n={n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
+        rho, tau = (
+            reduce(np.kron, [_BASIS_SITE[b] for b in reversed(bits)])
+            for bits in (self.rho_bits, self.tau_bits)
+        )
+        values = np.zeros((4,) * n)
+        values[(slice(0, 2),) * n] = (rho - tau).reshape((2,) * n)
+        return CoeffVector(n, values.reshape(-1))
+
+
+def check_pair(circ: Circuit, pair: InputPair | BasisPair) -> None:
+    if pair.n != circ.n:
+        raise ValueError(f"input pair is on {pair.n} qubits, circuit on {circ.n}")
+
 
 def basis_density(bits: str) -> np.ndarray:
     """|b><b| for a classical bit string; the first character is wire 0."""
@@ -303,16 +361,16 @@ def restrict_coeffs(v: CoeffVector, wires: Iterable[int]) -> CoeffVector:
     return CoeffVector(len(wires), t[sl].reshape(-1).copy())
 
 
-def reduced_delta(circ: Circuit, delta0: np.ndarray, vset: ConsistentSet) -> CoeffVector:
+def reduced_delta(circ: Circuit, v0: CoeffVector, vset: ConsistentSet) -> CoeffVector:
     """Coefficients of the difference reduced to a consistent set.
 
-    Evolves through the minimal cut producing the set, then keeps the
-    coefficients supported on the set's wires.
+    Evolves the input difference's coefficients ``v0`` through the minimal
+    cut producing the set, then keeps the coefficients supported on the
+    set's wires.
     """
     refs = vset.qubits
     if not circ.cones.consistent(refs):
         raise ValueError("set is not consistent")
-    v0 = coeffs_from_op(delta0)
     evolved = evolve_pauli(circ, v0, min_cut(circ, refs))
     return restrict_coeffs(evolved, [q.wire for q in refs])
 
@@ -323,7 +381,9 @@ def born_probability_one(op: np.ndarray, wire: int, n: int) -> float:
     return float(reduced[1, 1].real)
 
 
-def distinguishability_by_depth(circ: Circuit, pair: InputPair, depth: int) -> list[float]:
+def distinguishability_by_depth(
+    circ: Circuit, pair: InputPair | BasisPair, depth: int
+) -> list[float]:
     """Output distinguishability of the first t levels, for t = 0..depth.
 
     One pass evolves the cut producing the output qubit at ``depth`` and
@@ -332,17 +392,16 @@ def distinguishability_by_depth(circ: Circuit, pair: InputPair, depth: int) -> l
     cut's other gates act on wires traced out at t, so reading t equals
     ``output_distinguishability(circ.prefix(t), pair)``.
     """
-    if pair.n != circ.n:
-        raise ValueError(f"input pair is on {pair.n} qubits, circuit on {circ.n}")
+    check_pair(circ, pair)
     if not 0 <= depth <= circ.T:
         raise ValueError(f"depth {depth} outside [0, {circ.T}]")
     cut = min_cut(circ, [QubitRef(circ.output_wire, depth)])
-    v0 = coeffs_from_op(pair.delta())
+    v0 = pair.delta_coeffs()
     z = 1 << 2 * circ.output_wire  # flat index of Z on the output wire, I elsewhere
     return [0.5 * abs(values[z]) for values in _evolve_levels(circ, v0.values, cut.gates, depth)]
 
 
-def output_distinguishability(circ: Circuit, pair: InputPair) -> float:
+def output_distinguishability(circ: Circuit, pair: InputPair | BasisPair) -> float:
     """Half the magnitude of the evolved difference's Z coefficient at the
     output qubit; equals |Pr[1 | rho] - Pr[1 | tau]|."""
     return distinguishability_by_depth(circ, pair, circ.T)[-1]
@@ -472,9 +531,14 @@ def sample_output_difference(
     pure-state trajectories, all shots of one input together and rho's
     before tau's; the exact engines remain the reference.
     """
-    for name, bits in (("rho_bits", rho_bits), ("tau_bits", tau_bits)):
-        if len(bits) != circ.n or set(bits) - {"0", "1"}:
-            raise ValueError(f"{name} must be {circ.n} bits of 0/1, got {bits!r}")
+    try:
+        fits = BasisPair(rho_bits, tau_bits).n == circ.n
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(
+            f"rho_bits and tau_bits must be {circ.n} bits of 0/1, got {rho_bits!r}, {tau_bits!r}"
+        )
     if not shots >= 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)

@@ -93,7 +93,7 @@ def suite_unitary_sum_of_squares(seed: int, cases: int) -> SuiteResult:
         k = int(rng.integers(1, 3))
         u = haar_unitary(2**k, rng)
         v = CoeffVector(k, rng.normal(size=4**k))
-        w = CoeffVector(k, ptm_of_unitary(u).apply(v.values))
+        w = CoeffVector(k, ptm_of_unitary(u).m @ v.values)
         if abs(sum_of_squares(w) - sum_of_squares(v)) > 1e-9:
             res.failures.append(f"case {i}: sum of squares not preserved")
     return res

@@ -245,9 +245,43 @@ def test_simulate_json_circuit_by_extension(tmp_path, capsys):
 
 def test_bad_input_pair_bits(cnot_file, capsys):
     assert main(["simulate", "--circuit", cnot_file, "--rho", "012"]) == 2
-    capsys.readouterr()
+    assert "--rho and --tau must be 2 bits of 0/1, got '012', '11'" in capsys.readouterr().err
 
 
 def test_missing_circuit_file(capsys):
     assert main(["simulate", "--circuit", "/nonexistent.pdc"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("n=two,T=2,pool=CNOT", "--random n must be an integer >= 1, got 'two'"),
+        ("n=2,T=2.5,pool=CNOT", "--random T must be an integer >= 0, got '2.5'"),
+        ("n=2,T=2,pool=CNOT,k=x", "--random k must be an integer >= 1, got 'x'"),
+        ("n=2,T=-1,pool=CNOT", "--random T must be an integer >= 0, got '-1'"),
+        ("n=2,T=2,pool=CNOT,t=9", "--random has unknown key 't'"),
+        ("n=3,T=2,pool=CNOT,n=4", "--random gives n more than once"),
+        ("n=2,T=2", "--random spec missing pool"),
+    ],
+)
+def test_bad_random_spec_is_located(spec, message, capsys):
+    assert main(["simulate", "--random", spec, "--seed", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_never_builds_a_dense_input_pair(cnot_file, tmp_path, monkeypatch):
+    import paulidelta.bounds
+    import paulidelta.paulis
+    import paulidelta.simulate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI built a dense input")
+
+    monkeypatch.setattr(paulidelta.simulate.InputPair, "__post_init__", refuse)
+    for module in (paulidelta.paulis, paulidelta.simulate, paulidelta.bounds):
+        monkeypatch.setattr(module, "coeffs_from_op", refuse, raising=False)
+    out = str(tmp_path / "out")
+    assert main(["decay", "--circuit", cnot_file, "--out", out]) == 0
+    assert main(["check-invariant", "--circuit", cnot_file, "--out", out]) == 0
+    assert main(["simulate", "--circuit", cnot_file, "--shots", "20", "--seed", "1", "--out", out]) == 0

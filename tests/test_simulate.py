@@ -229,7 +229,7 @@ def test_reduced_delta_at_time_zero_is_input():
     c = random_circuit(3, 2, seed=6, gate_pool=POOL, k=2)
     rng = np.random.default_rng(23)
     delta = random_pure_density(3, rng) - random_pure_density(3, rng)
-    v = reduced_delta(c, delta, cs(c, (0, 0), (1, 0), (2, 0)))
+    v = reduced_delta(c, coeffs_from_op(delta), cs(c, (0, 0), (1, 0), (2, 0)))
     assert np.allclose(v.values, coeffs_from_op(delta).values)
 
 
@@ -237,7 +237,7 @@ def test_reduced_delta_empty_set_traceless():
     c = random_circuit(2, 1, seed=7, gate_pool=POOL, k=2)
     rng = np.random.default_rng(25)
     delta = random_pure_density(2, rng) - random_pure_density(2, rng)
-    v = reduced_delta(c, delta, ConsistentSet.build(c, frozenset()))
+    v = reduced_delta(c, coeffs_from_op(delta), ConsistentSet.build(c, frozenset()))
     assert v.n == 0
     assert abs(v.values[0]) < 1e-12
 
@@ -246,7 +246,7 @@ def test_reduced_delta_rejects_inconsistent():
     c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.1 epsk=0.4\nlevel 1: CNOT(0,1)\n")
     bad = ConsistentSet(refs((0, 0), (1, 1)), 0.0, 1)
     with pytest.raises(ValueError, match="consistent"):
-        reduced_delta(c, np.zeros((4, 4), dtype=complex), bad)
+        reduced_delta(c, CoeffVector.zero(2), bad)
 
 
 def _greedy_extension(circ, vset):
@@ -293,7 +293,7 @@ def test_reduced_delta_full_prefix_for_uniform_time():
     prefix_cut = Cut(frozenset(
         (level, i) for level in (1, 2) for i in range(len(c.levels[level - 1]))
     ))
-    via_min = reduced_delta(c, delta, vset)
+    via_min = reduced_delta(c, coeffs_from_op(delta), vset)
     via_prefix = restrict_coeffs(
         evolve_pauli(c, coeffs_from_op(delta), prefix_cut), [0, 1, 2]
     )
