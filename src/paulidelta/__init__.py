@@ -44,7 +44,6 @@ from .circuit import (
 )
 from .simulate import (
     BasisPair,
-    Cut,
     InputPair,
     basis_density,
     born_probability_one,
@@ -61,7 +60,6 @@ from .simulate import (
     reduced_delta,
     restrict_coeffs,
     sample_output_difference,
-    shrink_coeffs,
 )
 from .bounds import (
     InvariantRecord,

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, ConsistentSet, NoiseModel, enumerate_consistent_sets
 from .paulis import CoeffVector, sum_of_squares
-from .simulate import (
+from .simulate import (  # noqa: F401 (perfbench/selftest.py reads bounds.evolve_pauli)
     BasisPair,
-    Cut,
     InputPair,
+    _evolve_levels,
     check_pair,
     distinguishability_by_depth,
     evolve_pauli,
@@ -146,12 +146,16 @@ def _record(vset: ConsistentSet, reduced: CoeffVector, theta: float) -> Invarian
     return InvariantRecord(refs, vset.dist, lhs, rhs)
 
 
+def _check_theta(theta: float) -> None:
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+
+
 def invariant_check(
     circ: Circuit, pair: InputPair | BasisPair, vset: ConsistentSet, theta: float
 ) -> InvariantRecord:
     """Audit one consistent set against Tr(delta_V^2) <= 2*theta^dist(V)."""
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    _check_theta(theta)
     check_pair(circ, pair)
     reduced = reduced_delta(circ, pair.delta_coeffs(), vset)
     return _record(vset, reduced, theta)
@@ -166,19 +170,26 @@ def audit_invariant(
 ) -> InvariantReport:
     """Audit every consistent set of size <= max_size, in enumeration order.
 
-    Evolutions are cached per minimal cut, so sets sharing a cut reuse one
-    evolution.
+    Each set's minimal cut is evolved from the nearest cut below it on a
+    stack of nested cuts.  If cuts A <= B are both downward-closed, no gate
+    of B - A acts on a wire before a gate of A, so B's coefficients are A's
+    with the gates of B - A applied in (level, index) order.  The stack
+    holds one vector per nested cut, never one per distinct cut.
     """
+    _check_theta(theta)
     check_pair(circ, pair)
-    v0 = pair.delta_coeffs()
     cones = circ.cones
-    cache: dict[frozenset, CoeffVector] = {}
+    stack = [(frozenset(), pair.delta_coeffs().values)]
     records = []
     for vset in enumerate_consistent_sets(circ, max_size, max_sets):
-        gates = cones.cut_gates(cones.mask(vset.qubits))
-        if gates not in cache:
-            cache[gates] = evolve_pauli(circ, v0, Cut(gates))
-        reduced = restrict_coeffs(cache[gates], [q.wire for q in vset.qubits])
+        cut = cones.cut_gates(cones.mask(vset.qubits))
+        while not stack[-1][0] <= cut:
+            stack.pop()
+        below, values = stack[-1]
+        if below != cut:
+            *_, values = _evolve_levels(circ, values, cut - below, circ.T)
+            stack.append((cut, values))
+        reduced = restrict_coeffs(CoeffVector(circ.n, values), [q.wire for q in vset.qubits])
         records.append(_record(vset, reduced, theta))
     return InvariantReport(theta, records)
 

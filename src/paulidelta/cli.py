@@ -34,10 +34,8 @@ from .simulate import (  # noqa: F401 (perfbench/selftest.py reads cli.InputPair
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (required for --random)")
+def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write machine output to this file")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
 
 
 def _count(text: str) -> int:
@@ -57,6 +55,7 @@ def _add_circuit_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsk", type=float, default=0.4, help="epsk for --random")
     p.add_argument("--rho", default=None, help="rho as a bit string (default all zeros)")
     p.add_argument("--tau", default=None, help="tau as a bit string (default all ones)")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed (required for --random)")
 
 
 class UsageError(Exception):
@@ -248,8 +247,7 @@ def cmd_check_invariant(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all
 
-    seed = args.seed if args.seed is not None else 0
-    results = run_all(seed, args.cases)
+    results = run_all(args.seed, args.cases)
     lines = [f"{r.name}: {r.cases} cases, {len(r.failures)} failures" for r in results]
     failed = [r for r in results if not r.passed]
     lines.append("FAIL" if failed else "PASS")
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="print closed-form noise thresholds")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cnot-only", action="store_true")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(fn=cmd_threshold)
 
     p = sub.add_parser(
@@ -322,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--k", type=int, default=None, help="override the gate-arity k")
     p.add_argument("--cnot-only", action="store_true")
-    _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+    _add_out(p)
     p.set_defaults(fn=cmd_decay)
 
     p = sub.add_parser("check-invariant", help="audit the shrink invariant over consistent sets")
@@ -337,22 +336,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exploratory: audit against this theta and report margins only",
     )
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(fn=cmd_check_invariant)
 
     p = sub.add_parser("verify", help="run the seeded self-check suites")
     p.add_argument("--cases", type=_count, default=25)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    _add_out(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("cnot-table", help="print the CNOT conjugation table")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(fn=cmd_cnot_table)
 
     p = sub.add_parser("simulate", help="single-run output distinguishability")
     _add_circuit_source(p)
     p.add_argument("--shots", type=_count, default=0, help="add a trajectory-sampling estimate")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(fn=cmd_simulate)
 
     return parser

@@ -9,7 +9,9 @@ The density engine evolves the dense 2^n x 2^n matrix with embedded
 unitary conjugations, Kraus pairs, and partial traces; it exists as an
 independent cross-check of the Pauli engine.
 
-Both engines apply a *cut*: a set of gates closed under input dependencies.
+Both engines apply a *cut*: a frozenset of (level, placement index) gate
+identities, downward-closed, so that whenever a gate is applied, so are all
+gates producing its inputs.  Its gates run in (level, index) order.
 Gate internals are fixed: multi-qubit gates depolarize each input with
 ``epsk`` and then apply the mixture; one-qubit gates apply the channel and
 then depolarize the output with ``eps1``.
@@ -47,17 +49,6 @@ from .paulis import (
 PSD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Cut:
-    """A set of (level, placement index) gate identities, downward-closed:
-    whenever a gate is applied, so are all gates producing its inputs."""
-
-    gates: frozenset[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-
 def fused_ptms(circ: Circuit) -> Mapping[tuple[int, int], tuple[tuple[int, ...], np.ndarray]]:
     """Per gate (level, placement index), in that order: its wires and its
     transfer matrix with the gate's noise folded in, ``M @ (D (x) ... (x) D)``
@@ -82,24 +73,24 @@ def fused_ptms(circ: Circuit) -> Mapping[tuple[int, int], tuple[tuple[int, ...],
     return MappingProxyType(gates)
 
 
-def full_cut(circ: Circuit) -> Cut:
-    return Cut(frozenset(circ.cones.gates))
+def full_cut(circ: Circuit) -> frozenset[tuple[int, int]]:
+    return frozenset(circ.cones.gates)
 
 
-def min_cut(circ: Circuit, refs: Iterable[QubitRef]) -> Cut:
+def min_cut(circ: Circuit, refs: Iterable[QubitRef]) -> frozenset[tuple[int, int]]:
     """The smallest cut producing every qubit in ``refs``."""
-    return Cut(circ.cones.cut_gates(circ.cones.mask(refs)))
+    return circ.cones.cut_gates(circ.cones.mask(refs))
 
 
-def check_cut(circ: Circuit, cut: Cut) -> None:
+def check_cut(circ: Circuit, cut: frozenset[tuple[int, int]]) -> None:
     """Raise unless every gate exists and the cut is downward-closed."""
     cones = circ.cones
     produced = 0
-    for level, i in sorted(cut.gates):
+    for level, i in sorted(cut):
         if (level, i) not in cones.gates:
             raise ValueError(f"cut names a nonexistent gate (level {level}, index {i})")
         produced |= cones.gates[(level, i)][1]
-    missing = cones.cut_gates(produced) - cut.gates
+    missing = cones.cut_gates(produced) - cut
     if missing:
         level, i = min(missing)
         raise ValueError(f"cut is not downward-closed: it lacks gate (level {level}, index {i})")
@@ -273,7 +264,7 @@ def _apply_gate_dense(op: np.ndarray, spec: GateSpec, wires: tuple[int, ...], n:
     raise TypeError(f"not a gate spec: {spec!r}")
 
 
-def evolve_density(circ: Circuit, op: np.ndarray, cut: Cut) -> np.ndarray:
+def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]]) -> np.ndarray:
     """Dense-matrix evolution through the gates of a cut, in (level, index) order."""
     op = np.asarray(op, dtype=complex)
     if circ.n > MAX_DENSE_QUBITS:
@@ -281,7 +272,7 @@ def evolve_density(circ: Circuit, op: np.ndarray, cut: Cut) -> np.ndarray:
     if op.shape != (2**circ.n, 2**circ.n):
         raise ValueError(f"operator shape {op.shape} does not match n={circ.n}")
     check_cut(circ, cut)
-    for level, i in sorted(cut.gates):
+    for level, i in sorted(cut):
         pl = circ.levels[level - 1][i]
         if gate_arity(pl.gate) >= 2:
             for w in pl.wires:
@@ -294,20 +285,6 @@ def evolve_density(circ: Circuit, op: np.ndarray, cut: Cut) -> np.ndarray:
 
 
 # --- Pauli-coefficient machinery ------------------------------------------
-
-
-def shrink_coeffs(values: np.ndarray, n: int, wire: int, p: float) -> np.ndarray:
-    """Multiply every coefficient whose string is supported on ``wire`` by 1-p.
-
-    The reference form of depolarizing noise; the engine folds the same
-    factor into each gate's fused transfer matrix.
-    """
-    t = values.reshape((4,) * n).copy() if n else values.copy()
-    if n:
-        sl = [slice(None)] * n
-        sl[n - 1 - wire] = slice(1, 4)
-        t[tuple(sl)] *= 1.0 - p
-    return t.reshape(-1)
 
 
 def _apply_gate(values: np.ndarray, wires: tuple[int, ...], ptm: np.ndarray, n: int) -> np.ndarray:
@@ -334,14 +311,14 @@ def _evolve_levels(
         yield values
 
 
-def evolve_pauli(circ: Circuit, v: CoeffVector, cut: Cut) -> CoeffVector:
+def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]]) -> CoeffVector:
     """Coefficient-vector evolution; the same map as :func:`evolve_density`."""
     if circ.n > MAX_COEFF_QUBITS:
         raise ValueError(f"n={circ.n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
     if v.n != circ.n:
         raise ValueError(f"vector is on {v.n} qubits, circuit on {circ.n}")
     check_cut(circ, cut)
-    *_, values = _evolve_levels(circ, v.values.copy(), cut.gates, circ.T)
+    *_, values = _evolve_levels(circ, v.values.copy(), cut, circ.T)
     return CoeffVector(circ.n, values)
 
 
@@ -398,7 +375,7 @@ def distinguishability_by_depth(
     cut = min_cut(circ, [QubitRef(circ.output_wire, depth)])
     v0 = pair.delta_coeffs()
     z = 1 << 2 * circ.output_wire  # flat index of Z on the output wire, I elsewhere
-    return [0.5 * abs(values[z]) for values in _evolve_levels(circ, v0.values, cut.gates, depth)]
+    return [0.5 * abs(values[z]) for values in _evolve_levels(circ, v0.values, cut, depth)]
 
 
 def output_distinguishability(circ: Circuit, pair: InputPair | BasisPair) -> float:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .channels import (
     BUILTIN_MATRICES,
+    BuiltinGate,
     OneQubitGate,
     RswChannel,
     UnitaryMixture,
@@ -23,7 +24,7 @@ from .channels import (
     ptm_of_unitary,
     validate_gate,
 )
-from .circuit import NoiseModel, haar_unitary, random_circuit
+from .circuit import Circuit, GatePlacement, NoiseModel, QubitRef, haar_unitary, random_circuit
 from .paulis import CoeffVector, PauliString, coeffs_from_op, pauli_conjugation_oracle, sum_of_squares
 from .simulate import (
     InputPair,
@@ -31,10 +32,10 @@ from .simulate import (
     evolve_density,
     evolve_pauli,
     full_cut,
+    min_cut,
     output_distinguishability,
     random_hermitian,
     random_pure_density,
-    shrink_coeffs,
 )
 
 ENGINE_POOL = ("CNOT", "H", "S", "T", "RESET", "ID", "RANDMIX2")
@@ -100,14 +101,19 @@ def suite_unitary_sum_of_squares(seed: int, cases: int) -> SuiteResult:
 
 
 def suite_noise_shrink(seed: int, cases: int) -> SuiteResult:
+    """One level of ID gates with eps1 = p, evolved on one wire, shrinks
+    exactly the coefficients supported on that wire, by exactly 1 - p."""
     rng = np.random.default_rng(seed)
     res = SuiteResult("noise-shrink", cases)
     for i in range(cases):
         n = int(rng.integers(1, 4))
         wire = int(rng.integers(n))
-        p = float(rng.random())
+        p = 1.0 - float(rng.random())  # NoiseModel needs eps1 > 0
         v = rng.normal(size=4**n)
-        out = shrink_coeffs(v, n, wire, p)
+        level = [GatePlacement((w,), BuiltinGate("ID")) for w in range(n)]
+        circ = Circuit(n, 1, [level], NoiseModel(p, 0.4), 0)
+        cut = min_cut(circ, [QubitRef(wire, 1)])
+        out = evolve_pauli(circ, CoeffVector(n, v), cut).values
         for s_idx in range(4**n):
             s = PauliString.from_index(n, s_idx)
             expect = v[s_idx] * (1 - p) if wire in s.support() else v[s_idx]

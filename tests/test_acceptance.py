@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from paulidelta import (
+    BuiltinGate,
+    CoeffVector,
+    GatePlacement,
     InputPair,
     NoiseModel,
     OneQubitGate,
@@ -33,6 +36,7 @@ from paulidelta import (
     gate_ptm,
     haar_unitary,
     is_consistent,
+    min_cut,
     output_distinguishability,
     parse_circuit,
     partial_trace,
@@ -43,7 +47,6 @@ from paulidelta import (
     random_product_density,
     random_pure_density,
     restrict_coeffs,
-    shrink_coeffs,
     sum_of_squares,
     sweep,
     theta_for,
@@ -120,9 +123,11 @@ def test_depolarizing_shrink_exact():
         for _ in range(50):
             n = int(rng.integers(1, 4))
             wire = int(rng.integers(n))
-            p = float(rng.random())
+            p = 1.0 - float(rng.random())  # NoiseModel needs eps1 > 0
             v = rng.normal(size=4**n)
-            out = shrink_coeffs(v, n, wire, p)
+            level = [GatePlacement((w,), BuiltinGate("ID")) for w in range(n)]
+            c = Circuit(n, 1, [level], NoiseModel(p, 0.4), 0)
+            out = evolve_pauli(c, CoeffVector(n, v), min_cut(c, [QubitRef(wire, 1)])).values
             for s in all_pauli_strings(n):
                 want = v[s.index()] * (1 - p) if wire in s.support() else v[s.index()]
                 assert out[s.index()] == want

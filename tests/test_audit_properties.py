@@ -1,0 +1,63 @@
+"""The audit's walk over nested cuts: it gives the records that auditing
+each set from scratch gives, and it keeps a stack of vectors, not one
+vector per distinct cut."""
+
+import tracemalloc
+
+from hypothesis import given, strategies as st
+
+from paulidelta import (
+    BasisPair,
+    NoiseModel,
+    audit_invariant,
+    enumerate_consistent_sets,
+    invariant_check,
+    random_circuit,
+)
+
+POOL = ("CNOT", "H", "T", "RESET", "ID", "RANDMIX2")
+BENCH_POOL = ("CNOT", "H", "S", "T", "RESET", "ID", "RANDMIX2")
+THETA = 0.9
+
+
+@st.composite
+def audits(draw):
+    """A seeded random circuit with n <= 5 and T <= 6, an input pair of basis
+    states, and a set-size limit <= 3."""
+    n = draw(st.integers(2, 5))
+    T = draw(st.integers(0, 6))
+    circ = random_circuit(
+        n, T, seed=draw(st.integers(0, 2**31 - 1)), gate_pool=POOL, k=2,
+        noise=NoiseModel(0.05, 0.45),
+    )
+    bits = st.text("01", min_size=n, max_size=n)
+    return circ, BasisPair(draw(bits), draw(bits)), draw(st.integers(0, 3))
+
+
+@given(audits())
+def test_audit_walk_matches_per_set_checks(audit):
+    circ, pair, max_size = audit
+    got = audit_invariant(circ, pair, THETA, max_size).records
+    sets = list(enumerate_consistent_sets(circ, max_size))
+    assert len(got) == len(sets)
+    for rec, vset in zip(got, sets):
+        want = invariant_check(circ, pair, vset, THETA)
+        assert rec.qubits == want.qubits
+        assert rec.dist == want.dist
+        assert rec.rhs == want.rhs
+        assert abs(rec.lhs - want.lhs) <= 1e-12
+
+
+def test_audit_memory_does_not_grow_with_distinct_cuts():
+    # 986 sets with 569 distinct minimal cuts; one 4^6 vector is 32 KiB.
+    circ = random_circuit(6, 8, seed=3, gate_pool=BENCH_POOL, k=2, noise=NoiseModel(0.05, 0.45))
+    pair = BasisPair("0" * 6, "1" * 6)
+    vector_bytes = 8 * 4**6
+    tracemalloc.start()
+    try:
+        report = audit_invariant(circ, pair, THETA, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 986
+    assert peak < 200 * vector_bytes

@@ -145,8 +145,11 @@ def test_invariant_check_rejects_bad_theta():
     c = random_circuit(2, 1, seed=3, gate_pool=POOL, k=2)
     pair = InputPair(basis_density("00"), basis_density("11"))
     vset = ConsistentSet.build(c, frozenset({QubitRef(0, 0)}))
-    with pytest.raises(ValueError, match="theta"):
-        invariant_check(c, pair, vset, 1.5)
+    for theta in (-0.5, 0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="theta"):
+            invariant_check(c, pair, vset, theta)
+        with pytest.raises(ValueError, match="theta"):
+            audit_invariant(c, pair, theta, 2)
 
 
 def _pairs_for(n, rng):

@@ -150,6 +150,23 @@ def test_check_invariant_forced_theta_outside_unit_interval(cnot_file, theta, ca
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check-invariant", "--format", "csv"], "--format"),
+        (["threshold", "--k", "2", "--seed", "1"], "--seed"),
+        (["cnot-table", "--seed", "1"], "--seed"),
+    ],
+)
+def test_flags_a_command_would_ignore_are_rejected(cnot_file, argv, flag, capsys):
+    if argv[0] == "check-invariant":
+        argv = argv + ["--circuit", cnot_file]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert captured.out == ""
+
+
 def test_check_invariant_budget(cnot_file, capsys):
     assert main(["check-invariant", "--circuit", cnot_file, "--max-sets", "2"]) == 2
     assert "budget" in capsys.readouterr().err

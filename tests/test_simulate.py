@@ -6,7 +6,6 @@ import pytest
 
 from paulidelta import (
     CoeffVector,
-    Cut,
     InputPair,
     NoiseModel,
     QubitRef,
@@ -26,11 +25,10 @@ from paulidelta import (
     reduced_delta,
     restrict_coeffs,
     sample_output_difference,
-    shrink_coeffs,
     sum_of_squares,
 )
 from paulidelta import BuiltinGate, GatePlacement, enumerate_consistent_sets
-from paulidelta.circuit import ConsistentSet
+from paulidelta.circuit import Circuit, ConsistentSet
 from paulidelta.simulate import check_cut
 
 from oracles import producing_gate
@@ -59,9 +57,9 @@ def test_cut_validation_rejects_gaps():
         "qubits 1 levels 2 output 0\nnoise eps1=0.1 epsk=0.4\nlevel 1: ID(0)\nlevel 2: ID(0)\n"
     )
     with pytest.raises(ValueError, match="downward-closed"):
-        check_cut(c, Cut(frozenset({(2, 0)})))
+        check_cut(c, frozenset({(2, 0)}))
     with pytest.raises(ValueError, match="nonexistent"):
-        check_cut(c, Cut(frozenset({(3, 0)})))
+        check_cut(c, frozenset({(3, 0)}))
 
 
 def test_min_cut_of_time_zero_is_empty():
@@ -76,10 +74,10 @@ def test_empty_cut_leaves_operator_unchanged():
     c = random_circuit(2, 2, seed=3, gate_pool=POOL, k=2)
     rng = np.random.default_rng(0)
     op = random_hermitian(2, rng)
-    out = evolve_density(c, op, Cut(frozenset()))
+    out = evolve_density(c, op, frozenset())
     assert np.allclose(out, op)
     v = coeffs_from_op(op)
-    assert np.allclose(evolve_pauli(c, v, Cut(frozenset())).values, v.values)
+    assert np.allclose(evolve_pauli(c, v, frozenset()).values, v.values)
 
 
 def test_single_identity_level_shrinks_z():
@@ -147,9 +145,11 @@ def test_shrink_is_exact_and_monotone():
     for _ in range(20):
         n = int(rng.integers(1, 4))
         wire = int(rng.integers(n))
-        p = float(rng.random())
+        p = 1.0 - float(rng.random())  # NoiseModel needs eps1 > 0
         v = rng.normal(size=4**n)
-        out = shrink_coeffs(v, n, wire, p)
+        level = [GatePlacement((w,), BuiltinGate("ID")) for w in range(n)]
+        c = Circuit(n, 1, [level], NoiseModel(p, 0.4), 0)
+        out = evolve_pauli(c, CoeffVector(n, v), min_cut(c, [QubitRef(wire, 1)])).values
         for s in all_pauli_strings(n):
             if wire in s.support():
                 assert out[s.index()] == v[s.index()] * (1 - p)
@@ -266,7 +266,7 @@ def _greedy_extension(circ, vset):
                 if not ok:
                     continue
             gates.add((level, i))
-    return Cut(frozenset(gates))
+    return frozenset(gates)
 
 
 def test_reduced_delta_independent_of_cut_extension():
@@ -280,7 +280,7 @@ def test_reduced_delta_independent_of_cut_extension():
             wires = [q.wire for q in vset.qubits]
             via_min = restrict_coeffs(evolve_pauli(c, v0, min_cut(c, vset.qubits)), wires)
             bigger = _greedy_extension(c, vset)
-            assert set(min_cut(c, vset.qubits).gates) <= set(bigger.gates)
+            assert set(min_cut(c, vset.qubits)) <= set(bigger)
             via_big = restrict_coeffs(evolve_pauli(c, v0, bigger), wires)
             assert np.max(np.abs(via_min.values - via_big.values)) < 1e-9
 
@@ -290,9 +290,9 @@ def test_reduced_delta_full_prefix_for_uniform_time():
     rng = np.random.default_rng(29)
     delta = random_pure_density(3, rng) - random_pure_density(3, rng)
     vset = cs(c, (0, 2), (1, 2), (2, 2))
-    prefix_cut = Cut(frozenset(
+    prefix_cut = frozenset(
         (level, i) for level in (1, 2) for i in range(len(c.levels[level - 1]))
-    ))
+    )
     via_min = reduced_delta(c, coeffs_from_op(delta), vset)
     via_prefix = restrict_coeffs(
         evolve_pauli(c, coeffs_from_op(delta), prefix_cut), [0, 1, 2]
