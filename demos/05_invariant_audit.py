@@ -33,5 +33,5 @@ result = theta_for(circ.noise, k=2)
 pair = BasisPair("000", "111")
 report = audit_invariant(circ, pair, result.theta, max_size=3)
 print(f"\ntheta = {result.theta:.6f}; all pass: {report.all_pass}")
-worst = min((r for r in report.records if r.qubits), key=lambda r: r.margin)
+worst = report.worst
 print(f"tightest set {list(worst.qubits)}: lhs={worst.lhs:.6f} rhs={worst.rhs:.6f}")

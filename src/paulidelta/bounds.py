@@ -135,8 +135,16 @@ class InvariantReport:
         return [r for r in self.records if not r.passed]
 
     @property
+    def worst(self) -> InvariantRecord | None:
+        """The non-empty set with the smallest margin.  The empty set has
+        lhs = rhs = 0, so its margin of 0 says nothing and is skipped."""
+        return min((r for r in self.records if r.qubits), key=lambda r: r.margin, default=None)
+
+    @property
     def min_margin(self) -> float:
-        return min((r.margin for r in self.records), default=math.inf)
+        """The worst set's margin; infinity when no non-empty set was audited."""
+        worst = self.worst
+        return math.inf if worst is None else worst.margin
 
 
 def _record(vset: ConsistentSet, reduced: CoeffVector, theta: float) -> InvariantRecord:
@@ -187,7 +195,8 @@ def audit_invariant(
             stack.pop()
         below, values = stack[-1]
         if below != cut:
-            *_, values = _evolve_levels(circ, values, cut - below, circ.T)
+            for _, values in _evolve_levels(circ, range(circ.n), values, cut - below, circ.T):
+                pass
             stack.append((cut, values))
         reduced = restrict_coeffs(CoeffVector(circ.n, values), [q.wire for q in vset.qubits])
         records.append(_record(vset, reduced, theta))

@@ -107,10 +107,15 @@ def _load_circuit(args) -> Circuit:
     )
 
 
-def _input_pair(args, circ: Circuit) -> BasisPair:
-    # Checked before any 4^n coefficient vector is allocated.
+def _check_width(circ: Circuit) -> None:
+    # For the commands that evolve all n wires; checked before any 4^n
+    # vector is allocated.  decay evolves only the output's light cone and
+    # checks its width itself.
     if circ.n > MAX_COEFF_QUBITS:
         raise UsageError(f"n={circ.n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
+
+
+def _input_pair(args, circ: Circuit) -> BasisPair:
     rho_bits = args.rho if args.rho is not None else "0" * circ.n
     tau_bits = args.tau if args.tau is not None else "1" * circ.n
     try:
@@ -206,6 +211,7 @@ def _record_doc(r: InvariantRecord) -> dict:
 
 def cmd_check_invariant(args) -> int:
     circ = _load_circuit(args)
+    _check_width(circ)
     pair = _input_pair(args, circ)
     k = _gate_k(args, circ)
     forced = args.force_theta is not None
@@ -221,7 +227,7 @@ def cmd_check_invariant(args) -> int:
         report = audit_invariant(circ, pair, theta, args.max_set_size, max_sets=args.max_sets)
     except RuntimeError as e:
         raise UsageError(str(e)) from None
-    worst = min(report.records, key=lambda r: r.margin, default=None)
+    worst = report.worst
     doc = {
         "theta": theta,
         "binding_constraint": binding,
@@ -229,7 +235,7 @@ def cmd_check_invariant(args) -> int:
         "max_set_size": args.max_set_size,
         "sets_checked": len(report.records),
         "failures": len(report.failures),
-        "min_margin": report.min_margin if report.records else None,
+        "min_margin": None if worst is None else worst.margin,
         "worst": None if worst is None else _record_doc(worst),
         "failing": [_record_doc(r) for r in report.failures],
     }
@@ -285,6 +291,7 @@ def cmd_cnot_table(args) -> int:
 
 def cmd_simulate(args) -> int:
     circ = _load_circuit(args)
+    _check_width(circ)
     pair = _input_pair(args, circ)
     measured = output_distinguishability(circ, pair)
     lines = [f"distinguishability {_fmt(measured)}"]

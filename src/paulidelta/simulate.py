@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -126,8 +126,11 @@ class InputPair:
     def delta(self) -> np.ndarray:
         return self.rho - self.tau
 
-    def delta_coeffs(self) -> CoeffVector:
-        return coeffs_from_op(self.delta())
+    def delta_coeffs(self, wires: Iterable[int] | None = None) -> CoeffVector:
+        """The difference's coefficients, reduced to ``wires`` (default all)
+        by the trace-out rule of :func:`restrict_coeffs`."""
+        v = coeffs_from_op(self.delta())
+        return v if wires is None else restrict_coeffs(v, wires)
 
 
 # Per-site Pauli coefficients (I, Z) of |0><0| and |1><1|; their X and Y
@@ -158,21 +161,26 @@ class BasisPair:
     def n(self) -> int:
         return len(self.rho_bits)
 
-    def delta_coeffs(self) -> CoeffVector:
+    def delta_coeffs(self, wires: Iterable[int] | None = None) -> CoeffVector:
         """The coefficients of |rho><rho| - |tau><tau|, equal to
-        ``coeffs_from_op`` of the dense difference.
+        ``coeffs_from_op`` of the dense difference, reduced to ``wires``
+        (default all) as :func:`restrict_coeffs` would.
 
         A basis state's coefficients are the Kronecker product of per-site
         4-vectors in ``SITE_ORDER`` IZXY, (1, 1, 0, 0) for |0> and
-        (1, -1, 0, 0) for |1>, wire n-1 the most significant site.  The
-        product vanishes unless every site is I or Z, so only that block,
-        the product of the (I, Z) halves, is written.
+        (1, -1, 0, 0) for |1>, the last kept wire the most significant
+        site; tracing a wire out drops its factor.  The product vanishes
+        unless every site is I or Z, so only that block, the product of
+        the (I, Z) halves, is written.
         """
-        n = self.n
+        wires = range(self.n) if wires is None else sorted(wires)
+        if not set(wires) <= set(range(self.n)):
+            raise ValueError(f"wires {list(wires)} are not all among the pair's {self.n}")
+        n = len(wires)
         if n > MAX_COEFF_QUBITS:
             raise ValueError(f"n={n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
         rho, tau = (
-            reduce(np.kron, [_BASIS_SITE[b] for b in reversed(bits)])
+            reduce(np.kron, [_BASIS_SITE[bits[w]] for w in reversed(wires)])
             for bits in (self.rho_bits, self.tau_bits)
         )
         values = np.zeros((4,) * n)
@@ -287,28 +295,50 @@ def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]
 # --- Pauli-coefficient machinery ------------------------------------------
 
 
-def _apply_gate(values: np.ndarray, wires: tuple[int, ...], ptm: np.ndarray, n: int) -> np.ndarray:
-    """The contraction kernel: one fused gate on a flat coefficient vector."""
-    k = len(wires)
-    # input axis k+j of ptm carries local site k-1-j, i.e. wire wires[k-1-j]
-    taxes = [n - 1 - w for w in reversed(wires)]
+def _apply_gate(
+    values: np.ndarray, wires: tuple[int, ...], ptm: np.ndarray, live: Sequence[int]
+) -> np.ndarray:
+    """The contraction kernel: one fused gate on a flat coefficient vector
+    over the wires ``live`` (increasing, wire ``live[j]`` at local site j)."""
+    k, n = len(wires), len(live)
+    # input axis k+j of ptm carries gate site k-1-j, i.e. wire wires[k-1-j]
+    taxes = [n - 1 - live.index(w) for w in reversed(wires)]
     t = np.tensordot(ptm, values.reshape((4,) * n), axes=(list(range(k, 2 * k)), taxes))
     return np.moveaxis(t, range(k), taxes).reshape(-1)
 
 
 def _evolve_levels(
-    circ: Circuit, values: np.ndarray, gates: Iterable[tuple[int, int]], depth: int
-) -> Iterator[np.ndarray]:
-    """Apply ``gates`` (all at levels <= depth) in (level, index) order;
-    yield the coefficients before level 1 and after each level up to ``depth``."""
+    circ: Circuit,
+    wires: Sequence[int],
+    values: np.ndarray,
+    gates: Iterable[tuple[int, int]],
+    depth: int,
+    retire: Collection[int] = (),
+) -> Iterator[tuple[Sequence[int], np.ndarray]]:
+    """Apply ``gates`` (all at levels <= depth, acting on ``wires``) in
+    (level, index) order to ``values``, the coefficients on ``wires``
+    (increasing, wire ``wires[j]`` at local site j).  Yield the wires and
+    coefficients before level 1 and after each level up to ``depth``.
+
+    A wire in ``retire`` is traced out after the level of its last gate:
+    only its I slice is kept.  No later gate acts on it, so every
+    coefficient that is I on it reads the same as without retiring.
+    """
     fused = circ.fused
     order = sorted(gates)
+    last = {}
+    if retire:  # the audit calls this once per nested cut, and retires nothing
+        last = {w: level for level, i in order for w in fused[(level, i)][0] if w in retire}
     j = 0
     for level in range(depth + 1):
         while j < len(order) and order[j][0] == level:
-            values = _apply_gate(values, *fused[order[j]], circ.n)
+            values = _apply_gate(values, *fused[order[j]], wires)
             j += 1
-        yield values
+        if level in last.values():
+            kept = tuple(w for w in wires if last.get(w) != level)
+            v = restrict_coeffs(CoeffVector(len(wires), values), [wires.index(w) for w in kept])
+            wires, values = kept, v.values
+        yield wires, values
 
 
 def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]]) -> CoeffVector:
@@ -318,7 +348,8 @@ def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]])
     if v.n != circ.n:
         raise ValueError(f"vector is on {v.n} qubits, circuit on {circ.n}")
     check_cut(circ, cut)
-    *_, values = _evolve_levels(circ, v.values.copy(), cut, circ.T)
+    for _, values in _evolve_levels(circ, range(circ.n), v.values.copy(), cut, circ.T):
+        pass
     return CoeffVector(circ.n, values)
 
 
@@ -368,14 +399,31 @@ def distinguishability_by_depth(
     light cone of the output at any t <= depth lies inside that cut, and the
     cut's other gates act on wires traced out at t, so reading t equals
     ``output_distinguishability(circ.prefix(t), pair)``.
+
+    Only the live wires are evolved: the wires the cut's gates touch, plus
+    the output wire.  No gate acts on any other wire, so tracing it out of
+    the input is exact, and reading Z on the output with I elsewhere needs
+    only the I component of the other wires, so each live wire but the
+    output is traced out after its last gate.  Raises ValueError, before
+    allocating any vector, if more than ``MAX_COEFF_QUBITS`` wires are live.
     """
     check_pair(circ, pair)
     if not 0 <= depth <= circ.T:
         raise ValueError(f"depth {depth} outside [0, {circ.T}]")
-    cut = min_cut(circ, [QubitRef(circ.output_wire, depth)])
-    v0 = pair.delta_coeffs()
-    z = 1 << 2 * circ.output_wire  # flat index of Z on the output wire, I elsewhere
-    return [0.5 * abs(values[z]) for values in _evolve_levels(circ, v0.values, cut, depth)]
+    out = circ.output_wire
+    cut = min_cut(circ, [QubitRef(out, depth)])
+    live = {out}.union(*(circ.levels[level - 1][i].wires for level, i in cut))
+    if len(live) > MAX_COEFF_QUBITS:
+        raise ValueError(
+            f"the output's light cone at depth {depth} touches {len(live)} wires, "
+            f"above the coefficient-engine cap {MAX_COEFF_QUBITS}"
+        )
+    wires = tuple(sorted(live))
+    v0 = pair.delta_coeffs(wires)
+    return [
+        0.5 * abs(values[1 << 2 * kept.index(out)])  # Z on the output wire, I elsewhere
+        for kept, values in _evolve_levels(circ, wires, v0.values, cut, depth, live - {out})
+    ]
 
 
 def output_distinguishability(circ: Circuit, pair: InputPair | BasisPair) -> float:

@@ -27,13 +27,15 @@ from .channels import (
 from .circuit import Circuit, GatePlacement, NoiseModel, QubitRef, haar_unitary, random_circuit
 from .paulis import CoeffVector, PauliString, coeffs_from_op, pauli_conjugation_oracle, sum_of_squares
 from .simulate import (
+    BasisPair,
     InputPair,
+    basis_density,
     born_probability_one,
+    distinguishability_by_depth,
     evolve_density,
     evolve_pauli,
     full_cut,
     min_cut,
-    output_distinguishability,
     random_hermitian,
     random_pure_density,
 )
@@ -124,26 +126,37 @@ def suite_noise_shrink(seed: int, cases: int) -> SuiteResult:
 
 
 def suite_output_statistic(seed: int, cases: int) -> SuiteResult:
+    """Every row of ``distinguishability_by_depth``, which evolves only the
+    output's light cone, against the dense Born difference of the matching
+    prefix, for a random pure-state pair and a random basis-state pair."""
     rng = np.random.default_rng(seed)
     res = SuiteResult("output-statistic", cases)
     for i in range(cases):
-        n = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 6))
         t = int(rng.integers(1, 4))
         circ = random_circuit(
             n, t, seed=int(rng.integers(1 << 31)),
             gate_pool=ENGINE_POOL if n >= 2 else ("H", "S", "RESET", "ID"),
             k=2 if n >= 2 else 1,
         )
-        pair = InputPair(random_pure_density(n, rng), random_pure_density(n, rng))
-        measured = output_distinguishability(circ, pair)
-        p_rho = born_probability_one(
-            evolve_density(circ, pair.rho, full_cut(circ)), circ.output_wire, n
-        )
-        p_tau = born_probability_one(
-            evolve_density(circ, pair.tau, full_cut(circ)), circ.output_wire, n
-        )
-        if abs(measured - abs(p_rho - p_tau)) > 1e-10:
-            res.failures.append(f"case {i}: disagrees with Born difference")
+        pure = InputPair(random_pure_density(n, rng), random_pure_density(n, rng))
+        bits = ["".join(map(str, rng.integers(0, 2, n))) for _ in range(2)]
+        inputs = [(pure, pure.rho, pure.tau), (BasisPair(*bits), *map(basis_density, bits))]
+        for pair, rho, tau in inputs:
+            rows = distinguishability_by_depth(circ, pair, t)
+            for depth, measured in enumerate(rows):
+                prefix = circ.prefix(depth)
+                p_rho, p_tau = (
+                    born_probability_one(
+                        evolve_density(prefix, state, full_cut(prefix)), circ.output_wire, n
+                    )
+                    for state in (rho, tau)
+                )
+                if abs(measured - abs(p_rho - p_tau)) > 1e-10:
+                    res.failures.append(
+                        f"case {i}, {type(pair).__name__} at depth {depth}: "
+                        "disagrees with Born difference"
+                    )
     return res
 
 

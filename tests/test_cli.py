@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from paulidelta import BasisPair, audit_invariant, random_circuit, theta_for
 from paulidelta.cli import main
 
 ALL_ID = "\n".join(
@@ -125,11 +126,31 @@ def test_check_invariant_passes_above_threshold(cnot_file, capsys):
     assert doc["worst"]["margin"] == doc["min_margin"]
 
 
+def test_check_invariant_worst_is_the_tightest_nonempty_set(capsys):
+    # The empty set has lhs = rhs = 0; its margin of 0 must not pass for the worst.
+    pool = ("CNOT", "H", "T", "RESET", "ID", "RANDMIX2")
+    spec = "n=4,T=4,pool=" + "|".join(pool)
+    argv = ["check-invariant", "--random", spec, "--seed", "7", "--max-set-size", "3"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    circ = random_circuit(4, 4, seed=7, gate_pool=pool, k=2)
+    report = audit_invariant(
+        circ, BasisPair("0000", "1111"), theta_for(circ.noise, 2).theta, max_size=3
+    )
+    nonempty = [r for r in report.records if r.qubits]
+    assert doc["sets_checked"] == len(report.records) == len(nonempty) + 1
+    assert doc["worst"]["qubits"]
+    assert doc["min_margin"] == doc["worst"]["margin"] == min(r.margin for r in nonempty)
+
+
 def test_check_invariant_max_set_size_zero(cnot_file, capsys):
     assert main(["check-invariant", "--circuit", cnot_file, "--max-set-size", "0"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
     assert doc["sets_checked"] == 1
     assert doc["failures"] == 0
+    assert doc["min_margin"] is None and doc["worst"] is None
+    assert "Infinity" not in text
 
 
 def test_check_invariant_forced_theta_is_exploratory(tmp_path, capsys):
@@ -178,12 +199,38 @@ def test_k_below_gate_arity_rejected(cnot_file, command, capsys):
     assert "gate arity 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["decay", "check-invariant", "simulate"])
-def test_engine_cap_checked_before_inputs_are_built(command, capsys):
-    # n=13 input matrices would take about 1 GiB each; the cap must refuse first.
-    argv = [command, "--random", "n=13,T=1,pool=ID", "--seed", "0"]
-    assert main(argv) == 2
-    assert "n=13 exceeds the coefficient-engine cap 12" in capsys.readouterr().err
+WIDE = "n=13 exceeds the coefficient-engine cap 12"
+
+
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        # decay caps the output's light cone, which here reaches all 13 wires at depth 12.
+        pytest.param(
+            "decay", "n=13,T=12,pool=CNOT|ID",
+            "error: the output's light cone at depth 12 touches 13 wires, "
+            "above the coefficient-engine cap 12", id="decay",
+        ),
+        pytest.param("check-invariant", "n=13,T=1,pool=ID", WIDE, id="check-invariant"),
+        pytest.param("simulate", "n=13,T=1,pool=ID", WIDE, id="simulate"),
+    ],
+)
+def test_engine_cap_checked_before_inputs_are_built(command, spec, message, capsys):
+    # A 13-wire coefficient vector would take 512 MiB; the cap must refuse first.
+    assert main([command, "--random", spec, "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec", ["n=13,T=1,pool=ID", "n=20,T=12,pool=CNOT|H|S|T|RESET|ID|RANDMIX2"]
+)
+def test_decay_past_the_cap_runs_on_the_output_light_cone(spec, capsys):
+    assert main(["decay", "--random", spec, "--seed", "3", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["T"] for r in rows] == list(range(1, len(rows) + 1))
+    assert all(0.0 <= r["measured"] <= r["bound"] for r in rows)
 
 
 @pytest.mark.parametrize(
