@@ -22,7 +22,7 @@ from .paulis import CoeffVector, sum_of_squares
 from .simulate import (  # noqa: F401 (perfbench/selftest.py reads bounds.evolve_pauli)
     BasisPair,
     InputPair,
-    _evolve_levels,
+    _apply_gate,
     check_pair,
     distinguishability_by_depth,
     evolve_pauli,
@@ -40,11 +40,18 @@ CONSTRAINT_FORMULAS = {
 }
 
 
+def check_k(k: int, cnot_only: bool = False) -> None:
+    """Raise unless k is a gate arity the constraints cover in this mode."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if cnot_only and k != 2:
+        raise ValueError("the CNOT refinement applies only to k=2")
+
+
 def epsk_threshold(k: int) -> float:
     """Noise level 1 - sqrt(2^(1/k) - 1) above which the k-gate constraint
     admits a theta < 1."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     return 1.0 - math.sqrt(2 ** (1.0 / k) - 1.0)
 
 
@@ -70,10 +77,7 @@ def theta_for(noise: NoiseModel, k: int, cnot_only: bool = False) -> ThetaResult
     (1+(1-eps1)^2) / 2.  CNOT mode (k=2 only) replaces the first expression
     with (1+mu^2)/2 + mu^4.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if cnot_only and k != 2:
-        raise ValueError("the CNOT refinement applies only to k=2")
+    check_k(k, cnot_only)
     mu = 1.0 - noise.epsk
     one_qubit = (1.0 + (1.0 - noise.eps1) ** 2) / 2.0
     if cnot_only:
@@ -169,6 +173,11 @@ def invariant_check(
     return _record(vset, reduced, theta)
 
 
+def _shared_prefix(a: tuple, b: tuple) -> int:
+    """The length of the longest common prefix of two tuples."""
+    return next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
 def audit_invariant(
     circ: Circuit,
     pair: InputPair | BasisPair,
@@ -176,30 +185,53 @@ def audit_invariant(
     max_size: int,
     max_sets: int | None = None,
 ) -> InvariantReport:
-    """Audit every consistent set of size <= max_size, in enumeration order.
+    """Audit every consistent set of size <= max_size; the records come in
+    enumeration order.
 
-    Each set's minimal cut is evolved from the nearest cut below it on a
-    stack of nested cuts.  If cuts A <= B are both downward-closed, no gate
-    of B - A acts on a wire before a gate of A, so B's coefficients are A's
-    with the gates of B - A applied in (level, index) order.  The stack
-    holds one vector per nested cut, never one per distinct cut.
+    Each set's minimal cut, as a gate tuple in (level, index) order, is a
+    path in the trie of those tuples.  Every such prefix of a downward-closed
+    cut is itself downward-closed (a gate's predecessors sit at lower
+    levels), so the sets are walked in lexicographic order of their cuts:
+    each set starts from the vector of the prefix it shares with the set
+    before it and applies its remaining gates one at a time.  Each distinct
+    prefix is evolved once, by the gates :func:`invariant_check` applies in
+    the order it applies them, so every record equals its from-scratch one
+    exactly.  A vector is kept only where a later cut branches off.
     """
     _check_theta(theta)
     check_pair(circ, pair)
-    cones = circ.cones
-    stack = [(frozenset(), pair.delta_coeffs().values)]
-    records = []
-    for vset in enumerate_consistent_sets(circ, max_size, max_sets):
-        cut = cones.cut_gates(cones.mask(vset.qubits))
-        while not stack[-1][0] <= cut:
-            stack.pop()
-        below, values = stack[-1]
-        if below != cut:
-            for _, values in _evolve_levels(circ, range(circ.n), values, cut - below, circ.T):
-                pass
-            stack.append((cut, values))
+    cones, fused, wires = circ.cones, circ.fused, range(circ.n)
+    sets = list(enumerate_consistent_sets(circ, max_size, max_sets))
+    cuts = [tuple(sorted(cones.cut_gates(cones.mask(vset.qubits)))) for vset in sets]
+    order = sorted(range(len(sets)), key=cuts.__getitem__)
+    # shared[p]: the gates the p-th cut in sorted order shares with the one before it
+    shared = [0] + [_shared_prefix(cuts[a], cuts[b]) for a, b in zip(order, order[1:])]
+    # branches[p]: the depths past shared[p] at which a later cut leaves the
+    # p-th cut's path, i.e. the prefix minima of shared[p+1:] above shared[p]
+    branches, minima = {}, []
+    for p in reversed(range(len(order))):
+        above = []
+        while minima and minima[-1] >= shared[p]:
+            depth = minima.pop()
+            if depth > shared[p]:
+                above.append(depth)
+        minima.append(shared[p])
+        if above:
+            branches[p] = above
+    saved = [(0, pair.delta_coeffs().values)]  # (depth, vector) at the branch points
+    records: list[InvariantRecord | None] = [None] * len(sets)
+    for p, s in enumerate(order):
+        while saved[-1][0] > shared[p]:
+            saved.pop()
+        depth, values = saved[-1]
+        cut, keep = cuts[s], branches.get(p)
+        for j in range(depth, len(cut)):
+            values = _apply_gate(values, *fused[cut[j]], wires)
+            if keep and keep[-1] == j + 1:
+                saved.append((keep.pop(), values))
+        vset = sets[s]
         reduced = restrict_coeffs(CoeffVector(circ.n, values), [q.wire for q in vset.qubits])
-        records.append(_record(vset, reduced, theta))
+        records[s] = _record(vset, reduced, theta)
     return InvariantReport(theta, records)
 
 

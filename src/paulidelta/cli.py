@@ -18,12 +18,13 @@ from .bounds import (
     MARGIN_TOL,
     InvariantRecord,
     audit_invariant,
+    check_k,
     cnot_threshold,
     decay_table,
     epsk_threshold,
     theta_for,
 )
-from .channels import cnot_pauli_action
+from .channels import BuiltinGate, cnot_pauli_action, gate_arity
 from .circuit import Circuit, NoiseModel, circuit_from_json, parse_circuit, random_circuit
 from .paulis import MAX_COEFF_QUBITS, PauliString
 from .simulate import (  # noqa: F401 (perfbench/selftest.py reads cli.InputPair)
@@ -39,7 +40,7 @@ def _add_out(p: argparse.ArgumentParser) -> None:
 
 
 def _count(text: str) -> int:
-    if not text.strip().isdigit():
+    if not (text.isascii() and text.strip().isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 
@@ -55,7 +56,7 @@ def _add_circuit_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsk", type=float, default=0.4, help="epsk for --random")
     p.add_argument("--rho", default=None, help="rho as a bit string (default all zeros)")
     p.add_argument("--tau", default=None, help="tau as a bit string (default all ones)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (required for --random)")
+    p.add_argument("--seed", type=_count, default=None, help="RNG seed (required for --random)")
 
 
 class UsageError(Exception):
@@ -144,6 +145,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_threshold(args) -> int:
+    check_k(args.k, args.cnot_only)
     lines = [f"epsk_threshold(k={args.k}) {epsk_threshold(args.k):.6f}"]
     if args.cnot_only:
         lines.append(f"cnot_threshold {cnot_threshold():.6f}")
@@ -163,6 +165,17 @@ def _theta_or_refuse(noise: NoiseModel, k: int, cnot_only: bool):
 
 
 def _gate_k(args, circ: Circuit) -> int:
+    """The k the bounds use; refuses a --k or --cnot-only the circuit breaks."""
+    if args.cnot_only:
+        for level, placements in enumerate(circ.levels, start=1):
+            for i, pl in enumerate(placements):
+                gate = pl.gate
+                if gate_arity(gate) >= 2 and gate != BuiltinGate("CNOT"):
+                    name = gate.name if isinstance(gate, BuiltinGate) else type(gate).__name__
+                    raise UsageError(
+                        f"--cnot-only needs CNOT as the only multi-qubit gate, but level {level}, "
+                        f"placement {i} is {name} on wires {list(pl.wires)}"
+                    )
     if args.k is not None and args.k < circ.max_arity:
         raise UsageError(f"--k {args.k} is below the circuit's gate arity {circ.max_arity}")
     return args.k if args.k is not None else max(2, circ.max_arity)
@@ -348,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded self-check suites")
     p.add_argument("--cases", type=_count, default=25)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_count, default=0, help="RNG seed")
     _add_out(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -327,7 +327,7 @@ def _evolve_levels(
     fused = circ.fused
     order = sorted(gates)
     last = {}
-    if retire:  # the audit calls this once per nested cut, and retires nothing
+    if retire:  # only decay's light-cone pass retires wires
         last = {w: level for level, i in order for w in fused[(level, i)][0] if w in retire}
     j = 0
     for level in range(depth + 1):

@@ -1,11 +1,14 @@
-"""The audit's walk over nested cuts: it gives the records that auditing
-each set from scratch gives, and it keeps a stack of vectors, not one
-vector per distinct cut."""
+"""The audit's walk over the trie of cut prefixes: it gives exactly the
+records that auditing each set from scratch gives, it applies one gate per
+distinct prefix, and it keeps vectors only at branch points, not one per
+distinct cut."""
 
 import tracemalloc
 
+import pytest
 from hypothesis import given, strategies as st
 
+from paulidelta import bounds
 from paulidelta import (
     BasisPair,
     NoiseModel,
@@ -45,7 +48,32 @@ def test_audit_walk_matches_per_set_checks(audit):
         assert rec.qubits == want.qubits
         assert rec.dist == want.dist
         assert rec.rhs == want.rhs
-        assert abs(rec.lhs - want.lhs) <= 1e-12
+        assert rec.lhs == want.lhs
+
+
+def _distinct_prefixes(circ, max_size):
+    """The distinct non-empty (level, index)-prefixes of the sets' minimal cuts."""
+    cones = circ.cones
+    prefixes = set()
+    for vset in enumerate_consistent_sets(circ, max_size):
+        cut = tuple(sorted(cones.cut_gates(cones.mask(vset.qubits))))
+        prefixes.update(cut[:j] for j in range(1, len(cut) + 1))
+    return len(prefixes)
+
+
+@pytest.mark.parametrize("n, max_size, prefixes", [(4, 4, 818), (8, 3, 6754)])
+def test_audit_applies_one_gate_per_distinct_cut_prefix(n, max_size, prefixes, monkeypatch):
+    circ = random_circuit(n, 6, seed=3, gate_pool=BENCH_POOL, k=2, noise=NoiseModel(0.05, 0.45))
+    calls = 0
+
+    def count(values, *gate):  # counts only; the property above checks the values
+        nonlocal calls
+        calls += 1
+        return values
+
+    monkeypatch.setattr(bounds, "_apply_gate", count)
+    audit_invariant(circ, BasisPair("0" * n, "1" * n), THETA, max_size)
+    assert calls == _distinct_prefixes(circ, max_size) == prefixes
 
 
 def test_audit_memory_does_not_grow_with_distinct_cuts():

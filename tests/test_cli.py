@@ -43,6 +43,12 @@ def test_threshold_cnot_only(capsys):
     assert "0.356406" in out and "0.292893" in out
 
 
+@pytest.mark.parametrize("k", ["1", "3"])
+def test_threshold_cnot_only_needs_k2(k, capsys):
+    assert main(["threshold", "--k", k, "--cnot-only"]) == 2
+    assert "the CNOT refinement applies only to k=2" in capsys.readouterr().err
+
+
 def test_threshold_k1(capsys):
     assert main(["threshold", "--k", "1"]) == 0
     assert "0.000000" in capsys.readouterr().out
@@ -98,6 +104,28 @@ def test_decay_output_files_are_deterministic(tmp_path):
     assert main(args + ["--out", str(f1)]) == 0
     assert main(args + ["--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["decay", "check-invariant"])
+def test_cnot_only_refuses_other_multi_qubit_gates(command, tmp_path, capsys):
+    p = tmp_path / "cz.pdc"
+    p.write_text(
+        "qubits 3 levels 2 output 0\nnoise eps1=0.1 epsk=0.45\n"
+        "level 1: CNOT(0,1); H(2)\nlevel 2: H(0); CZ(1,2)\n"
+    )
+    assert main([command, "--circuit", str(p), "--cnot-only"]) == 2
+    err = capsys.readouterr().err
+    assert "--cnot-only" in err and "level 2, placement 1 is CZ on wires [1, 2]" in err
+    argv = [command, "--random", "n=3,T=3,pool=RANDMIX2|H", "--seed", "1", "--cnot-only"]
+    assert main(argv) == 2
+    assert "level 1, placement 0 is UnitaryMixture" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decay", "check-invariant", "simulate", "verify"])
+def test_negative_seed_rejected(command, capsys):
+    assert main([command, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed" in err and ">= 0" in err
 
 
 def test_random_requires_seed(capsys):
@@ -240,6 +268,7 @@ def test_decay_past_the_cap_runs_on_the_output_light_cone(spec, capsys):
         ["check-invariant", "--max-set-size", "-1"],
         ["check-invariant", "--max-sets", "-1"],
         ["verify", "--cases", "-1"],
+        ["verify", "--cases", "\u00b2"],
     ],
 )
 def test_negative_counts_rejected(argv, capsys):
