@@ -200,6 +200,7 @@ def audit_invariant(
     """
     _check_theta(theta)
     check_pair(circ, pair)
+    v0 = pair.delta_coeffs()  # refuses a circuit past the engine cap before enumerating
     cones, fused, wires = circ.cones, circ.fused, range(circ.n)
     sets = list(enumerate_consistent_sets(circ, max_size, max_sets))
     cuts = [tuple(sorted(cones.cut_gates(cones.mask(vset.qubits)))) for vset in sets]
@@ -218,7 +219,7 @@ def audit_invariant(
         minima.append(shared[p])
         if above:
             branches[p] = above
-    saved = [(0, pair.delta_coeffs().values)]  # (depth, vector) at the branch points
+    saved = [(0, v0.values)]  # (depth, vector) at the branch points
     records: list[InvariantRecord | None] = [None] * len(sets)
     for p, s in enumerate(order):
         while saved[-1][0] > shared[p]:

@@ -578,7 +578,10 @@ def circuit_to_json(circ: Circuit) -> str:
 def circuit_from_json(text: str) -> Circuit:
     """Read the JSON mirror.  A malformed document raises ValueError naming
     the part at fault, down to the level and placement index."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("circuit: JSON nests too deeply") from None
     where = "circuit"
     try:
         noise = NoiseModel(*(_float_from_json(doc["noise"][key], key) for key in ("eps1", "epsk")))

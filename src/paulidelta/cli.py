@@ -26,10 +26,11 @@ from .bounds import (
 )
 from .channels import BuiltinGate, cnot_pauli_action, gate_arity
 from .circuit import Circuit, NoiseModel, circuit_from_json, parse_circuit, random_circuit
-from .paulis import MAX_COEFF_QUBITS, PauliString
+from .paulis import PauliString
 from .simulate import (  # noqa: F401 (perfbench/selftest.py reads cli.InputPair)
     BasisPair,
     InputPair,
+    check_pair,
     output_distinguishability,
     sample_output_difference,
 )
@@ -52,8 +53,8 @@ def _add_circuit_source(p: argparse.ArgumentParser) -> None:
         default=None,
         help="random circuit spec, e.g. 'n=3,T=4,pool=CNOT|H|ID'",
     )
-    p.add_argument("--eps1", type=float, default=0.05, help="eps1 for --random")
-    p.add_argument("--epsk", type=float, default=0.4, help="epsk for --random")
+    p.add_argument("--eps1", type=float, default=None, help="eps1 for --random (default 0.05)")
+    p.add_argument("--epsk", type=float, default=None, help="epsk for --random (default 0.4)")
     p.add_argument("--rho", default=None, help="rho as a bit string (default all zeros)")
     p.add_argument("--tau", default=None, help="tau as a bit string (default all ones)")
     p.add_argument("--seed", type=_count, default=None, help="RNG seed (required for --random)")
@@ -80,6 +81,9 @@ def _load_circuit(args) -> Circuit:
     if bool(args.circuit) == bool(args.random):
         raise UsageError("provide exactly one of --circuit and --random")
     if args.circuit:
+        for flag, value in (("--eps1", args.eps1), ("--epsk", args.epsk)):
+            if value is not None:
+                raise UsageError(f"{flag} applies only to --random; a circuit file sets its noise")
         path = Path(args.circuit)
         if not path.exists():
             raise UsageError(f"no such circuit file: {path}")
@@ -103,17 +107,10 @@ def _load_circuit(args) -> Circuit:
     pool = tuple(p for p in spec["pool"].replace("+", "|").split("|") if p)
     if args.seed is None:
         raise UsageError("--random requires an explicit --seed")
-    return random_circuit(
-        n, t, seed=args.seed, gate_pool=pool, k=k, noise=NoiseModel(args.eps1, args.epsk)
+    noise = NoiseModel(
+        0.05 if args.eps1 is None else args.eps1, 0.4 if args.epsk is None else args.epsk
     )
-
-
-def _check_width(circ: Circuit) -> None:
-    # For the commands that evolve all n wires; checked before any 4^n
-    # vector is allocated.  decay evolves only the output's light cone and
-    # checks its width itself.
-    if circ.n > MAX_COEFF_QUBITS:
-        raise UsageError(f"n={circ.n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
+    return random_circuit(n, t, seed=args.seed, gate_pool=pool, k=k, noise=noise)
 
 
 def _input_pair(args, circ: Circuit) -> BasisPair:
@@ -121,12 +118,11 @@ def _input_pair(args, circ: Circuit) -> BasisPair:
     tau_bits = args.tau if args.tau is not None else "1" * circ.n
     try:
         pair = BasisPair(rho_bits, tau_bits)
+        check_pair(circ, pair)
     except ValueError:
-        pair = None
-    if pair is None or pair.n != circ.n:
         raise UsageError(
             f"--rho and --tau must be {circ.n} bits of 0/1, got {rho_bits!r}, {tau_bits!r}"
-        )
+        ) from None
     return pair
 
 
@@ -224,7 +220,6 @@ def _record_doc(r: InvariantRecord) -> dict:
 
 def cmd_check_invariant(args) -> int:
     circ = _load_circuit(args)
-    _check_width(circ)
     pair = _input_pair(args, circ)
     k = _gate_k(args, circ)
     forced = args.force_theta is not None
@@ -304,13 +299,12 @@ def cmd_cnot_table(args) -> int:
 
 def cmd_simulate(args) -> int:
     circ = _load_circuit(args)
-    _check_width(circ)
     pair = _input_pair(args, circ)
     measured = output_distinguishability(circ, pair)
     lines = [f"distinguishability {_fmt(measured)}"]
     if args.shots:
         seed = args.seed if args.seed is not None else 0
-        est = sample_output_difference(circ, pair.rho_bits, pair.tau_bits, args.shots, seed)
+        est = sample_output_difference(circ, pair, args.shots, seed)
         lines.append(f"sampled({args.shots} shots) {_fmt(est)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

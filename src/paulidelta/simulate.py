@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -307,40 +307,6 @@ def _apply_gate(
     return np.moveaxis(t, range(k), taxes).reshape(-1)
 
 
-def _evolve_levels(
-    circ: Circuit,
-    wires: Sequence[int],
-    values: np.ndarray,
-    gates: Iterable[tuple[int, int]],
-    depth: int,
-    retire: Collection[int] = (),
-) -> Iterator[tuple[Sequence[int], np.ndarray]]:
-    """Apply ``gates`` (all at levels <= depth, acting on ``wires``) in
-    (level, index) order to ``values``, the coefficients on ``wires``
-    (increasing, wire ``wires[j]`` at local site j).  Yield the wires and
-    coefficients before level 1 and after each level up to ``depth``.
-
-    A wire in ``retire`` is traced out after the level of its last gate:
-    only its I slice is kept.  No later gate acts on it, so every
-    coefficient that is I on it reads the same as without retiring.
-    """
-    fused = circ.fused
-    order = sorted(gates)
-    last = {}
-    if retire:  # only decay's light-cone pass retires wires
-        last = {w: level for level, i in order for w in fused[(level, i)][0] if w in retire}
-    j = 0
-    for level in range(depth + 1):
-        while j < len(order) and order[j][0] == level:
-            values = _apply_gate(values, *fused[order[j]], wires)
-            j += 1
-        if level in last.values():
-            kept = tuple(w for w in wires if last.get(w) != level)
-            v = restrict_coeffs(CoeffVector(len(wires), values), [wires.index(w) for w in kept])
-            wires, values = kept, v.values
-        yield wires, values
-
-
 def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]]) -> CoeffVector:
     """Coefficient-vector evolution; the same map as :func:`evolve_density`."""
     if circ.n > MAX_COEFF_QUBITS:
@@ -348,8 +314,9 @@ def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]])
     if v.n != circ.n:
         raise ValueError(f"vector is on {v.n} qubits, circuit on {circ.n}")
     check_cut(circ, cut)
-    for _, values in _evolve_levels(circ, range(circ.n), v.values.copy(), cut, circ.T):
-        pass
+    values, fused, wires = v.values.copy(), circ.fused, range(circ.n)
+    for gate in sorted(cut):
+        values = _apply_gate(values, *fused[gate], wires)
     return CoeffVector(circ.n, values)
 
 
@@ -404,8 +371,9 @@ def distinguishability_by_depth(
     the output wire.  No gate acts on any other wire, so tracing it out of
     the input is exact, and reading Z on the output with I elsewhere needs
     only the I component of the other wires, so each live wire but the
-    output is traced out after its last gate.  Raises ValueError, before
-    allocating any vector, if more than ``MAX_COEFF_QUBITS`` wires are live.
+    output is traced out after the level of its last gate: only its I slice
+    is kept.  Raises ValueError, before allocating any vector, if more than
+    ``MAX_COEFF_QUBITS`` wires are live.
     """
     check_pair(circ, pair)
     if not 0 <= depth <= circ.T:
@@ -419,11 +387,21 @@ def distinguishability_by_depth(
             f"above the coefficient-engine cap {MAX_COEFF_QUBITS}"
         )
     wires = tuple(sorted(live))
-    v0 = pair.delta_coeffs(wires)
-    return [
-        0.5 * abs(values[1 << 2 * kept.index(out)])  # Z on the output wire, I elsewhere
-        for kept, values in _evolve_levels(circ, wires, v0.values, cut, depth, live - {out})
-    ]
+    values = pair.delta_coeffs(wires).values
+    fused, order = circ.fused, sorted(cut)
+    last = {w: level for level, i in order for w in fused[(level, i)][0] if w != out}
+    readings, j = [], 0
+    for level in range(depth + 1):
+        while j < len(order) and order[j][0] == level:
+            values = _apply_gate(values, *fused[order[j]], wires)
+            j += 1
+        if level in last.values():
+            kept = tuple(w for w in wires if last.get(w) != level)
+            v = restrict_coeffs(CoeffVector(len(wires), values), [wires.index(w) for w in kept])
+            wires, values = kept, v.values
+        # Z on the output wire, I elsewhere
+        readings.append(0.5 * abs(values[1 << 2 * wires.index(out)]))
+    return readings
 
 
 def output_distinguishability(circ: Circuit, pair: InputPair | BasisPair) -> float:
@@ -547,29 +525,24 @@ def _shot_probabilities(
         yield from np.sum(np.abs(ones) ** 2, axis=1).tolist()
 
 
-def sample_output_difference(
-    circ: Circuit, rho_bits: str, tau_bits: str, shots: int, seed: int
-) -> float:
+def sample_output_difference(circ: Circuit, pair: BasisPair, shots: int, seed: int) -> float:
     """Monte-Carlo estimate of the output-probability difference.
 
     Samples mixture branches, Kraus branches, and depolarizing events on
     pure-state trajectories, all shots of one input together and rho's
-    before tau's; the exact engines remain the reference.
+    before tau's; the exact engines remain the reference.  Raises
+    ValueError, before allocating any state, above ``MAX_COEFF_QUBITS``
+    qubits: each shot holds a 2^n state vector.
     """
-    try:
-        fits = BasisPair(rho_bits, tau_bits).n == circ.n
-    except ValueError:
-        fits = False
-    if not fits:
-        raise ValueError(
-            f"rho_bits and tau_bits must be {circ.n} bits of 0/1, got {rho_bits!r}, {tau_bits!r}"
-        )
+    check_pair(circ, pair)
+    if circ.n > MAX_COEFF_QUBITS:
+        raise ValueError(f"n={circ.n} exceeds the sampler cap {MAX_COEFF_QUBITS}")
     if not shots >= 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
     steps = _trajectory_steps(circ)
     est = [
         sum(_shot_probabilities(circ, steps, int(bits, 2), shots, rng)) / shots
-        for bits in (rho_bits, tau_bits)
+        for bits in (pair.rho_bits, pair.tau_bits)
     ]
     return abs(est[0] - est[1])

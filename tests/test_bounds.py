@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paulidelta import (
+    BasisPair,
     InputPair,
     NoiseModel,
     QubitRef,
@@ -20,6 +21,7 @@ from paulidelta import (
     sweep,
     theta_for,
 )
+from paulidelta import bounds
 from paulidelta.circuit import ConsistentSet, parse_circuit
 
 POOL = ("CNOT", "H", "S", "RESET", "ID")
@@ -150,6 +152,16 @@ def test_invariant_check_rejects_bad_theta():
             invariant_check(c, pair, vset, theta)
         with pytest.raises(ValueError, match="theta"):
             audit_invariant(c, pair, theta, 2)
+
+
+def test_audit_refuses_widths_past_the_engine_cap_before_enumerating(monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("enumerated the sets of a circuit past the engine cap")
+
+    monkeypatch.setattr(bounds, "enumerate_consistent_sets", enumerate_nothing)
+    c = random_circuit(13, 1, seed=0, gate_pool=("ID",), k=2)
+    with pytest.raises(ValueError, match="^n=13 exceeds the coefficient-engine cap 12$"):
+        audit_invariant(c, BasisPair("0" * 13, "1" * 13), 0.9, 2)
 
 
 def _pairs_for(n, rng):

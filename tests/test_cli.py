@@ -227,28 +227,45 @@ def test_k_below_gate_arity_rejected(cnot_file, command, capsys):
     assert "gate arity 2" in capsys.readouterr().err
 
 
-WIDE = "n=13 exceeds the coefficient-engine cap 12"
+LIGHT_CONE = (
+    "error: the output's light cone at depth 12 touches 13 wires, "
+    "above the coefficient-engine cap 12"
+)
 
 
 @pytest.mark.parametrize(
-    "command, spec, message",
+    "argv, spec, message",
     [
-        # decay caps the output's light cone, which here reaches all 13 wires at depth 12.
+        # The output's light cone here reaches all 13 wires at depth 12.
+        pytest.param(["decay"], "n=13,T=12,pool=CNOT|ID", LIGHT_CONE, id="decay"),
+        pytest.param(["simulate"], "n=13,T=12,pool=CNOT|ID", LIGHT_CONE, id="simulate-light-cone"),
         pytest.param(
-            "decay", "n=13,T=12,pool=CNOT|ID",
-            "error: the output's light cone at depth 12 touches 13 wires, "
-            "above the coefficient-engine cap 12", id="decay",
+            ["check-invariant"], "n=13,T=1,pool=ID",
+            "error: n=13 exceeds the coefficient-engine cap 12", id="check-invariant",
         ),
-        pytest.param("check-invariant", "n=13,T=1,pool=ID", WIDE, id="check-invariant"),
-        pytest.param("simulate", "n=13,T=1,pool=ID", WIDE, id="simulate"),
+        # The exact engine needs one wire here; the sampler's states span all 13.
+        pytest.param(
+            ["simulate", "--shots", "1"], "n=13,T=1,pool=ID",
+            "error: n=13 exceeds the sampler cap 12", id="simulate",
+        ),
     ],
 )
-def test_engine_cap_checked_before_inputs_are_built(command, spec, message, capsys):
+def test_engine_cap_checked_before_inputs_are_built(argv, spec, message, capsys):
     # A 13-wire coefficient vector would take 512 MiB; the cap must refuse first.
-    assert main([command, "--random", spec, "--seed", "0"]) == 2
-    err = capsys.readouterr().err
-    assert message in err
-    assert "Traceback" not in err
+    assert main(argv + ["--random", spec, "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_past_the_cap_runs_on_the_output_light_cone(capsys):
+    source = ["--random", "n=20,T=4,pool=CNOT|H|S|T|ID|RANDMIX2", "--seed", "1"]
+    assert main(["decay"] + source) == 0
+    last_row = capsys.readouterr().out.splitlines()[-1]
+    assert main(["simulate"] + source) == 0
+    assert capsys.readouterr().out == "distinguishability 0.0187766000311\n"
+    assert last_row.split(",")[:2] == ["4", "0.0187766000311"]
 
 
 @pytest.mark.parametrize(
@@ -286,6 +303,24 @@ def test_malformed_json_circuit_is_usage_error(tmp_path, levels, where, capsys):
     p.write_text(json.dumps(doc))
     assert main(["simulate", "--circuit", str(p)]) == 2
     assert where in capsys.readouterr().err
+
+
+def test_deeply_nested_json_circuit_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    assert main(["simulate", "--circuit", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "error: circuit: JSON nests too deeply" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["decay", "check-invariant", "simulate"])
+@pytest.mark.parametrize("flag", ["--eps1", "--epsk"])
+def test_noise_flags_are_refused_with_a_circuit_file(cnot_file, command, flag, capsys):
+    assert main([command, "--circuit", cnot_file, flag, "0.9"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} applies only to --random" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_default_passes(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import sample_by_trajectory
 
-from paulidelta import NoiseModel, random_circuit, sample_output_difference
+from paulidelta import BasisPair, NoiseModel, random_circuit, sample_output_difference
 from paulidelta import simulate
 
 POOL = ("CNOT", "H", "T", "RESET", "ID", "RANDMIX2")
@@ -35,7 +35,7 @@ def cases(draw):
 @given(cases())
 def test_batched_sampler_matches_the_reference(case):
     circ, rho, tau, shots, seed = case
-    got = sample_output_difference(circ, rho, tau, shots, seed)
+    got = sample_output_difference(circ, BasisPair(rho, tau), shots, seed)
     want = sample_by_trajectory(circ, rho, tau, shots, seed)
     assert abs(got - want) <= TOL
     assert f"{got:.12g}" == f"{want:.12g}"
@@ -45,7 +45,8 @@ def test_batched_sampler_matches_the_reference(case):
 def test_block_size_does_not_change_the_estimate(monkeypatch, block):
     circ = random_circuit(3, 6, seed=11, gate_pool=POOL, k=2, output_wire=1)
     assert simulate.SHOT_BLOCK > 20
-    one_block = sample_output_difference(circ, "010", "111", 20, 7)
+    pair = BasisPair("010", "111")
+    one_block = sample_output_difference(circ, pair, 20, 7)
     monkeypatch.setattr(simulate, "SHOT_BLOCK", block)
-    assert sample_output_difference(circ, "010", "111", 20, 7) == one_block
+    assert sample_output_difference(circ, pair, 20, 7) == one_block
     assert one_block == sample_by_trajectory(circ, "010", "111", 20, 7)

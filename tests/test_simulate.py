@@ -1,10 +1,13 @@
 import dataclasses
+import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from paulidelta import (
+    BasisPair,
     CoeffVector,
     InputPair,
     NoiseModel,
@@ -357,25 +360,52 @@ def test_trajectory_sampler_is_seeded_and_sane():
         "qubits 2 levels 2 output 0\nnoise eps1=0.05 epsk=0.4\n"
         "level 1: CNOT(0,1)\nlevel 2: H(0); RESET(1)\n"
     )
-    est1 = sample_output_difference(c, "00", "11", shots=200, seed=42)
-    est2 = sample_output_difference(c, "00", "11", shots=200, seed=42)
+    est1 = sample_output_difference(c, BasisPair("00", "11"), shots=200, seed=42)
+    est2 = sample_output_difference(c, BasisPair("00", "11"), shots=200, seed=42)
     assert est1 == est2
     exact = output_distinguishability(c, InputPair(basis_density("00"), basis_density("11")))
     assert abs(est1 - exact) < 0.2
 
 
-@pytest.mark.parametrize("rho, tau", [("0", "1"), ("00", "1"), ("000", "111"), ("00", "12"), ("0x", "11")])
-def test_trajectory_sampler_rejects_bits_that_do_not_fit_the_circuit(rho, tau):
+@pytest.mark.parametrize(
+    "rho, tau, message",
+    [
+        pytest.param("0", "1", "input pair is on 1 qubits, circuit on 2", id="0-1"),
+        pytest.param("00", "1", "rho_bits and tau_bits differ in length: '00', '1'", id="00-1"),
+        pytest.param("000", "111", "input pair is on 3 qubits, circuit on 2", id="000-111"),
+        pytest.param(
+            "00", "12", "tau_bits must be a nonempty string of 0/1, got '12'", id="00-12"
+        ),
+        pytest.param(
+            "0x", "11", "rho_bits must be a nonempty string of 0/1, got '0x'", id="0x-11"
+        ),
+    ],
+)
+def test_trajectory_sampler_rejects_bits_that_do_not_fit_the_circuit(rho, tau, message):
     c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: CNOT(0,1)\n")
-    with pytest.raises(ValueError, match="must be 2 bits of 0/1"):
-        sample_output_difference(c, rho, tau, 20, 0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_output_difference(c, BasisPair(rho, tau), 20, 0)
 
 
 @pytest.mark.parametrize("shots", [0, -5])
 def test_trajectory_sampler_needs_a_shot(shots):
     c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: CNOT(0,1)\n")
     with pytest.raises(ValueError, match="shots must be >= 1"):
-        sample_output_difference(c, "00", "11", shots, 0)
+        sample_output_difference(c, BasisPair("00", "11"), shots, 0)
+
+
+def test_trajectory_sampler_refuses_widths_past_its_cap_before_allocating():
+    # One 13-qubit shot would hold a 2^13 state; 30 qubits would ask for 16 GiB.
+    c = random_circuit(13, 1, seed=0, gate_pool=("ID",), k=2)
+    pair = BasisPair("0" * 13, "1" * 13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^n=13 exceeds the sampler cap 12$"):
+            sample_output_difference(c, pair, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_output_distinguishability_follows_edited_levels():
