@@ -83,7 +83,11 @@ def theta_for(noise: NoiseModel, k: int, cnot_only: bool = False) -> ThetaResult
     if cnot_only:
         gate_expr, gate_tag = (1.0 + mu**2) / 2.0 + mu**4, "cnot"
     else:
-        gate_expr, gate_tag = (1.0 + mu**2) ** k / 2.0, "k-gate"
+        try:
+            gate_expr = (1.0 + mu**2) ** k / 2.0
+        except OverflowError:  # past the float range, so far past 1
+            gate_expr = math.inf
+        gate_tag = "k-gate"
     if gate_expr >= one_qubit:
         theta, binding = gate_expr, gate_tag
     else:

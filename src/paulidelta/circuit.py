@@ -20,6 +20,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -119,9 +120,12 @@ class Circuit:
                 problems = validate_gate(pl.gate)
                 if problems:
                     raise LevelError(li, f"invalid gate: {'; '.join(problems)}", pi)
-            if seen != set(range(self.n)):
-                missing = sorted(set(range(self.n)) - seen)
-                raise LevelError(li, f"not a partition: missing wires {missing}")
+            if len(seen) != self.n:  # seen holds distinct wires in range
+                lowest = list(islice((w for w in range(self.n) if w not in seen), 5))
+                more = self.n - len(seen) - len(lowest)
+                raise LevelError(
+                    li, f"not a partition: missing wires {lowest}" + (f" and {more} more" if more else "")
+                )
         object.__setattr__(self, "cones", LightCones.of(self))
 
     @cached_property

@@ -416,36 +416,33 @@ def output_distinguishability(circ: Circuit, pair: InputPair | BasisPair) -> flo
 SHOT_BLOCK = 256  # trajectories advanced together; bounds the states and uniforms held at once
 
 
-def _choice_cdf(probs: np.ndarray) -> np.ndarray:
-    """The table ``Generator.choice(len(probs), p=probs)`` searches: one
-    uniform u picks ``cdf.searchsorted(u, side="right")``, so pre-drawn
-    uniforms pick the branches that one ``choice`` call each would."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
 def _trajectory_steps(circ: Circuit) -> list[tuple]:
     """The draws of one trajectory, in stream order.  Per draw: the wires it
-    acts on, its branch CDF, per branch the operators applied (none for the
-    identity Pauli, one unitary for a mixture term, a Kraus pair for a
-    canonical-form term), and whether its Kraus pairs take one more uniform.
-    A multi-qubit gate depolarizes each input wire first; a one-qubit gate
-    depolarizes its output afterwards."""
-    paulis = [[], [PAULI_MATS["X"]], [PAULI_MATS["Y"]], [PAULI_MATS["Z"]]]
+    acts on, the branch CDF that ``Generator.choice`` would search, and its
+    branch operators stacked, (I, X, Y, Z) for a depolarizing draw and the
+    unitaries for a mixture.  A canonical-form gate stacks its K0s over its
+    K1s, shape (2, terms, 2, 2), and takes one more uniform to pick between
+    them.  A multi-qubit gate depolarizes each input wire first; a one-qubit
+    gate depolarizes its output afterwards."""
+    paulis = np.stack([PAULI_MATS[c] for c in "IXYZ"])
+
+    def draw(wires: tuple[int, ...], probs: np.ndarray, ops: np.ndarray) -> tuple:
+        cdf = probs.cumsum()
+        return wires, cdf / cdf[-1], ops
 
     def depolarize(wires: tuple[int, ...], p: float) -> list[tuple]:
-        cdf = _choice_cdf(np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4]))
-        return [((w,), cdf, paulis, False) for w in wires]
+        return [draw((w,), np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4]), paulis) for w in wires]
 
     steps = []
     for level in circ.levels:
         for pl in level:
             spec = lower_builtin(pl.gate) if isinstance(pl.gate, BuiltinGate) else pl.gate
             probs = np.array([q for q, _ in spec.terms])
-            kraus = isinstance(spec, OneQubitGate)
-            branches = [kraus_of_rsw(ch) if kraus else [ch] for _, ch in spec.terms]
-            gate = (pl.wires, _choice_cdf(probs / probs.sum()), branches, kraus)
+            if isinstance(spec, OneQubitGate):
+                ops = np.stack([kraus_of_rsw(ch) for _, ch in spec.terms], axis=1)
+            else:
+                ops = np.stack([u for _, u in spec.terms])
+            gate = draw(pl.wires, probs / probs.sum(), ops)
             if len(pl.wires) >= 2:
                 steps += depolarize(pl.wires, circ.noise.epsk) + [gate]
             else:
@@ -453,18 +450,19 @@ def _trajectory_steps(circ: Circuit) -> list[tuple]:
     return steps
 
 
-def _apply_to_rows(states: np.ndarray, op: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
-    """``op`` on ``wires`` of every row of a (rows, 2, ..., 2) state array.
+def _apply(states: np.ndarray, ops: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
+    """``ops[r]`` on ``wires`` of row r of a (rows, 2, ..., 2) state array.
 
-    Each row is its own (2^k x 2^k) @ (2^k x rest) BLAS product, the one
-    ``tensordot`` makes for a single state vector, so a row's rounding does
-    not depend on how many rows run together.
+    One ``matmul`` makes each row its own (2^k x 2^k) @ (2^k x rest) BLAS
+    product, the one ``tensordot`` makes for a single state vector, so a
+    row's rounding does not depend on the other rows.  An identity operator
+    multiplies by 1 and adds exact zeros, so it leaves its rows unchanged.
     """
     k = len(wires)
     axes = [w + 1 for w in wires]
     order = [0, *axes, *(a for a in range(1, states.ndim) if a not in axes)]
     front = states.transpose(order)
-    out = np.matmul(op, front.reshape(len(states), 2**k, -1)).reshape(front.shape)
+    out = np.matmul(ops, front.reshape(len(states), 2**k, -1)).reshape(front.shape)
     return out.transpose(np.argsort(order))
 
 
@@ -474,53 +472,36 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _apply_grouped(
-    psi: np.ndarray, wires: tuple[int, ...], choice: np.ndarray, branches: list, u: np.ndarray | None
-) -> np.ndarray:
-    """Apply branch b to the rows whose ``choice`` is b.  A Kraus pair keeps
-    K0 psi, renormalised, where the row's uniform ``u`` is below |K0 psi|^2,
-    and K1 psi, renormalised, elsewhere."""
-    for b, ops in enumerate(branches):
-        rows = np.flatnonzero(choice == b)
-        if not ops or len(rows) == 0:  # the identity Pauli, or a branch no row took
-            continue
-        whole = len(rows) == len(psi)
-        sub = psi if whole else psi[rows]
-        out = _apply_to_rows(sub, ops[0], wires)
-        if len(ops) == 2:
-            flat = out.reshape(len(rows), -1)
-            weight = _row_dots(flat.conj(), flat).real
-            out = flat / np.maximum(np.sqrt(weight), 1e-300)[:, None]
-            other = ~(u[rows] < weight)
-            if other.any():
-                flat = _apply_to_rows(sub[other], ops[1], wires).reshape(-1, flat.shape[1])
-                norm = np.sqrt(_row_dots(flat.real, flat.real) + _row_dots(flat.imag, flat.imag))
-                out[other] = flat / np.maximum(norm, 1e-300)[:, None]
-            out = out.reshape(sub.shape)
-        if whole:
-            psi = out
-        else:
-            psi[rows] = out
-    return psi
-
-
 def _shot_probabilities(
     circ: Circuit, steps: list[tuple], index: int, shots: int, rng: np.random.Generator
 ) -> Iterator[float]:
     """Each shot's outcome-1 probability at the output, in shot order, for
     trajectories from basis state ``index``.  Blocks of up to ``SHOT_BLOCK``
-    shots advance together; each shot takes the next fixed-length run of
-    uniforms from the stream, so blocking does not change any draw."""
-    draws = sum(1 + kraus for *_, kraus in steps)
+    shots advance together, one batched product per draw; each shot takes
+    the next fixed-length run of uniforms from the stream, so blocking does
+    not change any draw."""
+    draws = sum(ops.ndim - 2 for *_, ops in steps)  # one uniform per draw, two per Kraus draw
     for start in range(0, shots, SHOT_BLOCK):
         rows = min(SHOT_BLOCK, shots - start)
         uniforms = iter(rng.random((rows, draws)).T)
         psi = np.zeros((rows, 2**circ.n), dtype=complex)
         psi[:, index] = 1.0
         psi = psi.reshape((rows,) + (2,) * circ.n)
-        for wires, cdf, branches, kraus in steps:
+        for wires, cdf, ops in steps:
             choice = cdf.searchsorted(next(uniforms), side="right")
-            psi = _apply_grouped(psi, wires, choice, branches, next(uniforms) if kraus else None)
+            if ops.ndim == 3:
+                psi = _apply(psi, ops[choice], wires)
+                continue
+            # Keep K0 psi, renormalised, where the row's uniform is below
+            # |K0 psi|^2, and K1 psi, renormalised, elsewhere.
+            k0, k1 = (_apply(psi, kraus[choice], wires).reshape(rows, -1) for kraus in ops)
+            weight = _row_dots(k0.conj(), k0).real
+            norm = np.sqrt(_row_dots(k1.real, k1.real) + _row_dots(k1.imag, k1.imag))
+            psi = np.where(
+                (next(uniforms) < weight)[:, None],
+                k0 / np.maximum(np.sqrt(weight), 1e-300)[:, None],
+                k1 / np.maximum(norm, 1e-300)[:, None],
+            ).reshape(psi.shape)
         ones = np.take(psi, 1, axis=circ.output_wire + 1).reshape(rows, -1)
         yield from np.sum(np.abs(ones) ** 2, axis=1).tolist()
 

@@ -68,6 +68,12 @@ def test_theta_infeasible_below_threshold():
     assert r.theta == pytest.approx(1.11005)
 
 
+def test_theta_past_the_float_range_is_infeasible():
+    # (1 + 0.36)^100000 overflows a float; the constraint is infinite, not an error
+    r = theta_for(NoiseModel(0.05, 0.4), k=100_000)
+    assert r == bounds.ThetaResult(math.inf, False, "k-gate")
+
+
 def test_theta_rejects_bad_modes():
     with pytest.raises(ValueError):
         theta_for(NoiseModel(0.1, 0.4), k=0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,28 @@ def test_parse_partition_error_names_its_level_line():
     with pytest.raises(CircuitParseError, match="level 2: not a partition") as info:
         parse_circuit(text)
     assert info.value.line == 4
+
+
+def test_partition_check_memory_does_not_grow_with_the_declared_width():
+    text = "qubits 1000000 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: ID(0)\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert info.value.line == 3
+    assert str(info.value).endswith(
+        "level 1: not a partition: missing wires [1, 2, 3, 4, 5] and 999994 more"
+    )
+
+
+def test_partition_error_names_every_wire_of_a_short_gap():
+    text = "qubits 4 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: ID(2)\n"
+    with pytest.raises(CircuitParseError, match=r"missing wires \[0, 1, 3\]$"):
+        parse_circuit(text)
 
 
 def test_parse_zero_eps1_rejected():

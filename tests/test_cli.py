@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from paulidelta import BasisPair, audit_invariant, random_circuit, theta_for
+from paulidelta import BasisPair, audit_invariant, random_circuit, simulate, theta_for
 from paulidelta.cli import main
 
 ALL_ID = "\n".join(
@@ -225,6 +225,28 @@ def test_check_invariant_budget(cnot_file, capsys):
 def test_k_below_gate_arity_rejected(cnot_file, command, capsys):
     assert main([command, "--circuit", cnot_file, "--k", "1"]) == 2
     assert "gate arity 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decay", "check-invariant"])
+def test_k_past_the_float_range_is_refused_as_infeasible(command, capsys):
+    argv = [command, "--random", "n=3,T=2,pool=CNOT|H|ID", "--seed", "1", "--k", "100000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: no feasible theta: binding constraint (1+mu^2)^k <= 2*theta gives "
+        "theta=inf >= 1 for eps1=0.05, epsk=0.4\n"
+    )
+    assert captured.out == ""
+
+
+def test_sampler_stream_is_pinned(capsys):
+    # 1000 shots span several blocks; any change to the draws moves the estimate
+    assert simulate.SHOT_BLOCK < 1000
+    spec = "n=6,T=12,pool=CNOT|H|S|T|RESET|ID|RANDMIX2"
+    assert main(["simulate", "--random", spec, "--seed", "3", "--epsk", "0.45", "--shots", "1000"]) == 0
+    assert capsys.readouterr().out == (
+        "distinguishability 2.50697298281e-05\nsampled(1000 shots) 0.0115719259019\n"
+    )
 
 
 LIGHT_CONE = (
