@@ -50,9 +50,9 @@ def check_k(k: int, cnot_only: bool = False) -> None:
 
 def epsk_threshold(k: int) -> float:
     """Noise level 1 - sqrt(2^(1/k) - 1) above which the k-gate constraint
-    admits a theta < 1."""
+    admits a theta < 1, to full precision at any k (``1 / k`` never overflows)."""
     check_k(k)
-    return 1.0 - math.sqrt(2 ** (1.0 / k) - 1.0)
+    return 1.0 - math.sqrt(math.expm1(math.log(2) * (1 / k)))
 
 
 def cnot_threshold() -> float:
@@ -177,11 +177,6 @@ def invariant_check(
     return _record(vset, reduced, theta)
 
 
-def _shared_prefix(a: tuple, b: tuple) -> int:
-    """The length of the longest common prefix of two tuples."""
-    return next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-
-
 def audit_invariant(
     circ: Circuit,
     pair: InputPair | BasisPair,
@@ -192,25 +187,29 @@ def audit_invariant(
     """Audit every consistent set of size <= max_size; the records come in
     enumeration order.
 
-    Each set's minimal cut, as a gate tuple in (level, index) order, is a
-    path in the trie of those tuples.  Every such prefix of a downward-closed
-    cut is itself downward-closed (a gate's predecessors sit at lower
-    levels), so the sets are walked in lexicographic order of their cuts:
-    each set starts from the vector of the prefix it shares with the set
-    before it and applies its remaining gates one at a time.  Each distinct
+    Each set's minimal cut is a gate mask of ``circ.cones``, the earliest
+    gate its most significant bit; read from the top bit down, its gates are
+    a path in the trie of (level, index) prefixes.  Every such prefix of a
+    downward-closed cut is itself downward-closed (a gate's predecessors sit
+    at lower levels).  Sorted as integers, the masks visit the trie depth
+    first, and a cut shares with the one before it the gates above their
+    highest differing bit.  Each set starts from the vector of that prefix
+    and applies its gates below that bit, highest first, so each distinct
     prefix is evolved once, by the gates :func:`invariant_check` applies in
-    the order it applies them, so every record equals its from-scratch one
+    the order it applies them: every record equals its from-scratch one
     exactly.  A vector is kept only where a later cut branches off.
     """
     _check_theta(theta)
     check_pair(circ, pair)
     v0 = pair.delta_coeffs()  # refuses a circuit past the engine cap before enumerating
     cones, fused, wires = circ.cones, circ.fused, range(circ.n)
+    top = len(cones.gates) - 1
     sets = list(enumerate_consistent_sets(circ, max_size, max_sets))
-    cuts = [tuple(sorted(cones.cut_gates(cones.mask(vset.qubits)))) for vset in sets]
+    cuts = [cones.cut(vset.qubits) for vset in sets]
     order = sorted(range(len(sets)), key=cuts.__getitem__)
-    # shared[p]: the gates the p-th cut in sorted order shares with the one before it
-    shared = [0] + [_shared_prefix(cuts[a], cuts[b]) for a, b in zip(order, order[1:])]
+    # split[p]: the bit above which the p-th cut in sorted order matches the one before
+    split = [top + 1] + [(cuts[a] ^ cuts[b]).bit_length() for a, b in zip(order, order[1:])]
+    shared = [(cuts[s] >> split[p]).bit_count() for p, s in enumerate(order)]  # gates above it
     # branches[p]: the depths past shared[p] at which a later cut leaves the
     # p-th cut's path, i.e. the prefix minima of shared[p+1:] above shared[p]
     branches, minima = {}, []
@@ -228,11 +227,14 @@ def audit_invariant(
     for p, s in enumerate(order):
         while saved[-1][0] > shared[p]:
             saved.pop()
-        depth, values = saved[-1]
-        cut, keep = cuts[s], branches.get(p)
-        for j in range(depth, len(cut)):
-            values = _apply_gate(values, *fused[cut[j]], wires)
-            if keep and keep[-1] == j + 1:
+        depth, values = saved[-1]  # depth == shared[p]: a branch point of an earlier cut
+        rest, keep = cuts[s] & ((1 << split[p]) - 1), branches.get(p)
+        while rest:
+            bit = rest.bit_length() - 1
+            rest ^= 1 << bit
+            values = _apply_gate(values, *fused[cones.gates[top - bit]], wires)
+            depth += 1
+            if keep and keep[-1] == depth:
                 saved.append((keep.pop(), values))
         vset = sets[s]
         reduced = restrict_coeffs(CoeffVector(circ.n, values), [q.wire for q in vset.qubits])

@@ -19,9 +19,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -192,60 +191,57 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class LightCones:
-    """Bitmasks over the (wire, time) grid of an n-wire, T-level circuit;
-    bit ``time*n + wire`` stands for ``QubitRef(wire, time)``.
-
-    ``consumed[b]`` marks the refs consumed by the gates in the light cone
-    of ref ``b``, i.e. by the gates that must run to produce it.  ``gates``
-    maps each gate (level, placement index) to its (input, output) masks.
-    """
+    """Light cones as gate bitmasks.  ``gates`` lists the (level, placement
+    index) keys in order, and gate r is bit ``len(gates) - 1 - r``, so the
+    earliest gate is the most significant bit.  ``cone[time*n + wire]`` is
+    the minimal cut of ``QubitRef(wire, time)``, the gates that must run to
+    produce it; its lowest bit is its latest gate, the one producing it."""
 
     n: int
     T: int
-    consumed: tuple[int, ...]
-    gates: Mapping[tuple[int, int], tuple[int, int]]
+    gates: tuple[tuple[int, int], ...]
+    cone: tuple[int, ...]
 
     @classmethod
     def of(cls, circ: Circuit) -> "LightCones":
-        n = circ.n
-        consumed = [0] * (n * (circ.T + 1))
-        gates = {}
+        n, gates = circ.n, []
+        cone = [0] * (n * (circ.T + 1))
+        bit = 1 << sum(map(len, circ.levels))
         for level, placements in enumerate(circ.levels, start=1):
-            base = (level - 1) * n
+            base = level * n
             for i, pl in enumerate(placements):
-                in_mask = cone = 0
+                gates.append((level, i))
+                bit >>= 1
+                mask = bit | reduce(operator.or_, (cone[base - n + w] for w in pl.wires))
                 for w in pl.wires:
-                    in_mask |= 1 << (base + w)
-                    cone |= consumed[base + w]
-                cone |= in_mask
-                for w in pl.wires:
-                    consumed[base + n + w] = cone
-                gates[(level, i)] = (in_mask, in_mask << n)
-        return cls(n, circ.T, tuple(consumed), MappingProxyType(gates))
+                    cone[base + w] = mask
+        return cls(n, circ.T, tuple(gates), tuple(cone))
 
-    def mask(self, refs: Iterable[QubitRef]) -> int:
+    def _index(self, refs: Iterable[QubitRef]) -> list[int]:
         refs = frozenset(refs)
         _check_refs(refs, self.n, self.T)
-        return sum(1 << (q.time * self.n + q.wire) for q in refs)
+        return [q.time * self.n + q.wire for q in refs]
+
+    def consumer(self, b: int) -> int:
+        """The bit of the gate consuming ref ``b``, or 0 at time T."""
+        later = self.cone[b + self.n] if b + self.n < len(self.cone) else 0
+        return later & -later
+
+    def cut(self, refs: Iterable[QubitRef]) -> int:
+        """The minimal cut producing every ref: the OR of their cones."""
+        return reduce(operator.or_, (self.cone[b] for b in self._index(refs)), 0)
 
     def consistent(self, refs: Iterable[QubitRef]) -> bool:
-        """Whether no member's light cone consumes a member; see
-        :func:`is_consistent`."""
-        m = self.mask(refs)
-        return not self.consumed_by(m) & m
+        """Whether no member's cone holds a member's consumer; see :func:`is_consistent`."""
+        cut = consumers = 0
+        for b in self._index(refs):
+            cut |= self.cone[b]
+            consumers |= self.consumer(b)
+        return not cut & consumers
 
-    def consumed_by(self, mask: int) -> int:
-        """The refs consumed by the gates in the light cones of ``mask``."""
-        out = 0
-        for b in _bits(mask):
-            out |= self.consumed[b]
-        return out
-
-    def cut_gates(self, mask: int) -> frozenset[tuple[int, int]]:
-        """The gates that must run to produce every ref in ``mask``: those
-        with an output in the mask or in its light cones."""
-        reach = mask | self.consumed_by(mask)
-        return frozenset(key for key, (_, out) in self.gates.items() if out & reach)
+    def keys(self, cut: int) -> frozenset[tuple[int, int]]:
+        """The (level, index) keys of the gates in a gate mask."""
+        return frozenset(self.gates[len(self.gates) - 1 - b] for b in _bits(cut))
 
 
 def is_consistent(refs: Iterable[QubitRef], circ: Circuit) -> bool:
@@ -277,20 +273,19 @@ def enumerate_consistent_sets(
     """Yield every consistent set of size <= max_size exactly once.
 
     The sets are the cliques of the graph joining two refs when neither
-    one's light cone consumes the other, grown in bit order.
+    one's cone holds the gate consuming the other, grown in bit order.
     Order: increasing (latest, number of members at latest, sorted refs).
     Raises RuntimeError when more than ``max_sets`` sets would be yielded.
     """
     cones = circ.cones
-    n, size = circ.n, len(cones.consumed)
+    n, size = circ.n, len(cones.cone)
     grid = [QubitRef(b % n, b // n) for b in range(size)]
-    # later[b]: the refs after b in bit order that can coexist with b.  A
-    # ref's cone consumes only earlier times, so b's cone never consumes them.
-    later = [0] * size
-    for c in range(size):
-        for b in range(c):
-            if not cones.consumed[c] >> b & 1:
-                later[b] |= 1 << c
+    # later[b]: the refs after b in bit order whose cone lacks b's consumer.
+    # b's cone holds only gates up to its time, so never their consumers.
+    later = []
+    for b in range(size):
+        used = cones.consumer(b)
+        later.append(sum(1 << c for c in range(b + 1, size) if not cones.cone[c] & used))
     found: list[ConsistentSet] = []
 
     def grow(members: int, candidates: int, room: int) -> None:

@@ -79,20 +79,22 @@ def full_cut(circ: Circuit) -> frozenset[tuple[int, int]]:
 
 def min_cut(circ: Circuit, refs: Iterable[QubitRef]) -> frozenset[tuple[int, int]]:
     """The smallest cut producing every qubit in ``refs``."""
-    return circ.cones.cut_gates(circ.cones.mask(refs))
+    return circ.cones.keys(circ.cones.cut(refs))
 
 
 def check_cut(circ: Circuit, cut: frozenset[tuple[int, int]]) -> None:
     """Raise unless every gate exists and the cut is downward-closed."""
     cones = circ.cones
-    produced = 0
+    have = need = 0
     for level, i in sorted(cut):
-        if (level, i) not in cones.gates:
+        if not (1 <= level <= circ.T and 0 <= i < len(circ.levels[level - 1])):
             raise ValueError(f"cut names a nonexistent gate (level {level}, index {i})")
-        produced |= cones.gates[(level, i)][1]
-    missing = cones.cut_gates(produced) - cut
+        cone = cones.cone[level * circ.n + circ.levels[level - 1][i].wires[0]]
+        have |= cone & -cone  # the gate, its output's latest gate
+        need |= cone
+    missing = need & ~have
     if missing:
-        level, i = min(missing)
+        level, i = min(cones.keys(missing))
         raise ValueError(f"cut is not downward-closed: it lacks gate (level {level}, index {i})")
 
 
@@ -174,7 +176,7 @@ class BasisPair:
         the (I, Z) halves, is written.
         """
         wires = range(self.n) if wires is None else sorted(wires)
-        if not set(wires) <= set(range(self.n)):
+        if not all(0 <= w < self.n for w in wires):
             raise ValueError(f"wires {list(wires)} are not all among the pair's {self.n}")
         n = len(wires)
         if n > MAX_COEFF_QUBITS:

@@ -40,6 +40,21 @@ def producing_gate(circ: Circuit, level: int, wire: int) -> int:
     return next(i for i, pl in enumerate(circ.levels[level - 1]) if wire in pl.wires)
 
 
+def minimal_cut_by_scan(circ: Circuit, refs) -> frozenset[tuple[int, int]]:
+    """The gates that must run to produce ``refs``: each ref's producing gate,
+    closed backward over the producing gates of its inputs, by scan."""
+    cut: set[tuple[int, int]] = set()
+    stack = [(q.time, q.wire) for q in refs if q.time > 0]
+    while stack:
+        level, wire = stack.pop()
+        gate = (level, producing_gate(circ, level, wire))
+        if gate not in cut:
+            cut.add(gate)
+            if level > 1:
+                stack += [(level - 1, w) for w in circ.levels[level - 1][gate[1]].wires]
+    return frozenset(cut)
+
+
 def inductive_consistent_sets(circ: Circuit) -> set[frozenset[QubitRef]]:
     """All consistent sets, generated by the inductive rules over bitmasks."""
     n = circ.n

@@ -3,6 +3,7 @@ records that auditing each set from scratch gives, it applies one gate per
 distinct prefix, and it keeps vectors only at branch points, not one per
 distinct cut."""
 
+import hashlib
 import tracemalloc
 
 import pytest
@@ -15,7 +16,9 @@ from paulidelta import (
     audit_invariant,
     enumerate_consistent_sets,
     invariant_check,
+    min_cut,
     random_circuit,
+    theta_for,
 )
 
 POOL = ("CNOT", "H", "T", "RESET", "ID", "RANDMIX2")
@@ -53,10 +56,9 @@ def test_audit_walk_matches_per_set_checks(audit):
 
 def _distinct_prefixes(circ, max_size):
     """The distinct non-empty (level, index)-prefixes of the sets' minimal cuts."""
-    cones = circ.cones
     prefixes = set()
     for vset in enumerate_consistent_sets(circ, max_size):
-        cut = tuple(sorted(cones.cut_gates(cones.mask(vset.qubits))))
+        cut = tuple(sorted(min_cut(circ, vset.qubits)))
         prefixes.update(cut[:j] for j in range(1, len(cut) + 1))
     return len(prefixes)
 
@@ -89,3 +91,18 @@ def test_audit_memory_does_not_grow_with_distinct_cuts():
         tracemalloc.stop()
     assert len(report.records) == 986
     assert peak < 200 * vector_bytes
+
+
+def test_audit_values_are_pinned():
+    # The CI audit: 8,342 sets of size <= 2 at n=6, T=40.  The digest pins
+    # every record's set and lhs across versions, not only against
+    # invariant_check of the same version.
+    noise = NoiseModel(0.05, 0.45)
+    circ = random_circuit(6, 40, seed=3, gate_pool=BENCH_POOL, k=2, noise=noise)
+    pair = BasisPair("0" * 6, "1" * 6)
+    records = audit_invariant(circ, pair, theta_for(noise, 2).theta, 2).records
+    text = "".join(f"{r.qubits} {r.lhs:.12g}\n" for r in records)
+    assert len(records) == 8342
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b38c49dc9b73ba3ccad850f187c976568c6b61f2b60ce6e5b36445454319711f"
+    )

@@ -3,6 +3,7 @@ dense transform exactly, and every engine gives the same results for a
 ``BasisPair`` as for the equivalent dense ``InputPair``."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,3 +106,22 @@ def test_basis_pair_is_a_frozen_value():
 def test_delta_coeffs_refuse_widths_past_the_engine_cap():
     with pytest.raises(ValueError, match="n=13 exceeds the coefficient-engine cap 12"):
         BasisPair("0" * 13, "1" * 13).delta_coeffs()
+
+
+def test_delta_coeffs_check_wires_without_allocating_per_bit():
+    n = 10**6
+    pair = BasisPair("0" * n, "1" * n)
+    tracemalloc.start()
+    try:
+        v = pair.delta_coeffs([0, 5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.values.tolist() == [0, 2, 0, 0, 2] + [0] * 11  # Z on either wire, I on the other
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("wires", [[0, 2], [-1, 1]])
+def test_delta_coeffs_refuse_wires_outside_the_pair(wires):
+    with pytest.raises(ValueError, match=r"wires \[.*\] are not all among the pair's 2"):
+        BasisPair("01", "10").delta_coeffs(wires)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -33,6 +34,14 @@ def test_epsk_threshold_values():
     assert epsk_threshold(3) == pytest.approx(0.490175, abs=1e-6)
     with pytest.raises(ValueError):
         epsk_threshold(0)
+
+
+@pytest.mark.parametrize("k", [10**9, 10**16, 10**400])
+def test_epsk_threshold_keeps_precision_at_large_k(k):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = 1 - (Decimal(2) ** (Decimal(1) / k) - 1).sqrt()
+    assert abs(epsk_threshold(k) - float(want)) <= 1e-15
 
 
 def test_cnot_threshold_value():

@@ -54,6 +54,12 @@ def test_threshold_k1(capsys):
     assert "0.000000" in capsys.readouterr().out
 
 
+def test_threshold_takes_a_400_digit_k(capsys):
+    k = "1" + "0" * 400
+    assert main(["threshold", "--k", k]) == 0
+    assert capsys.readouterr().out == f"epsk_threshold(k={k}) 1.000000\n"
+
+
 def test_threshold_bad_k():
     assert main(["threshold", "--k", "0"]) == 2
 

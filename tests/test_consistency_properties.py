@@ -1,16 +1,19 @@
-"""Property tests for the lemma behind the light-cone machinery: a set of
-qubits is consistent iff each of its pairs is, so consistent sets are the
-cliques of a pairwise-compatibility graph."""
+"""Property tests for the light-cone machinery: a set of qubits is
+consistent iff each of its pairs is, so consistent sets are the cliques of a
+pairwise-compatibility graph, and minimal cuts equal the backward closure
+over producing gates."""
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, strategies as st
 
 from paulidelta import Circuit, GatePlacement, NoiseModel, QubitRef
 from paulidelta.channels import BuiltinGate
 from paulidelta.circuit import enumerate_consistent_sets, is_consistent
+from paulidelta.simulate import check_cut, min_cut
 
-from oracles import inductive_consistent_sets
+from oracles import inductive_consistent_sets, minimal_cut_by_scan
 
 ONE_QUBIT = ("ID", "H", "S", "RESET")
 TWO_QUBIT = ("CNOT", "CZ", "SWAP")
@@ -48,3 +51,33 @@ def test_consistency_is_pairwise(circ, data):
     refs = data.draw(st.sets(st.sampled_from(grid), max_size=6))
     pairwise = all(is_consistent({a, b}, circ) for a, b in combinations(refs, 2))
     assert is_consistent(refs, circ) == pairwise
+
+
+def _refs(circ, gates):
+    """The outputs of ``gates``."""
+    return [QubitRef(w, level) for level, i in gates for w in circ.levels[level - 1][i].wires]
+
+
+@given(circuits(), st.data())
+def test_min_cut_is_the_backward_closure_and_check_cut_agrees(circ, data):
+    grid = [QubitRef(w, t) for t in range(circ.T + 1) for w in range(circ.n)]
+    refs = data.draw(st.sets(st.sampled_from(grid), max_size=4))
+    cut = min_cut(circ, refs)
+    assert cut == minimal_cut_by_scan(circ, refs)
+    check_cut(circ, cut)
+    drops = [{gate} for gate in cut]
+    if cut:
+        drops.append(data.draw(st.sets(st.sampled_from(sorted(cut)))))
+    for dropped in drops:
+        rest = cut - dropped
+        missing = minimal_cut_by_scan(circ, _refs(circ, rest)) - rest
+        if not missing:  # no gate left in the cut consumes a dropped gate's output
+            check_cut(circ, rest)
+            continue
+        level, i = min(missing)
+        with pytest.raises(ValueError, match=rf"lacks gate \(level {level}, index {i}\)"):
+            check_cut(circ, rest)
+    bad = [(circ.T + 1, 0)] + ([(1, len(circ.levels[0])), (1, -1)] if circ.T else [])
+    for level, i in bad:
+        with pytest.raises(ValueError, match=rf"nonexistent gate \(level {level}, index {i}\)"):
+            check_cut(circ, cut | {(level, i)})
