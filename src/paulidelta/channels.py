@@ -271,8 +271,10 @@ def gate_arity(g: GateSpec) -> int:
     raise TypeError(f"not a gate spec: {g!r}")
 
 
-def lower_builtin(g: BuiltinGate) -> GateSpec:
-    """Resolve a builtin name to its mixture / canonical-form representation."""
+def lower_builtin(g: GateSpec) -> GateSpec:
+    """A builtin's mixture / canonical-form representation; other specs pass through."""
+    if not isinstance(g, BuiltinGate):
+        return g
     if g.name == "RESET":
         return OneQubitGate([(1.0, RESET_CHANNEL)])
     if g.name == "DEPOL":

@@ -4,10 +4,11 @@ The Pauli engine tracks the 4^n coefficient vector of delta = rho - tau.
 Each circuit carries one fused transfer matrix per gate (``circ.fused``,
 built once), with the gate's depolarizing noise (which multiplies every
 coefficient supported on the noisy wire by 1 - p) folded in, so each gate
-costs one tensor contraction.
+costs one matrix product on the coefficient tensor.
 The density engine evolves the dense 2^n x 2^n matrix with embedded
 unitary conjugations, Kraus pairs, and partial traces; it exists as an
-independent cross-check of the Pauli engine.
+independent cross-check of the Pauli engine.  Both engines and the
+trajectory sampler apply every operator through one kernel, :func:`_apply`.
 
 Both engines apply a *cut*: a frozenset of (level, placement index) gate
 identities, downward-closed, so that whenever a gate is applied, so are all
@@ -27,10 +28,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .channels import (
-    BuiltinGate,
     GateSpec,
     OneQubitGate,
-    UnitaryMixture,
     depolarizing_ptm,
     gate_arity,
     gate_ptm,
@@ -53,8 +52,9 @@ def fused_ptms(circ: Circuit) -> Mapping[tuple[int, int], tuple[tuple[int, ...],
     """Per gate (level, placement index), in that order: its wires and its
     transfer matrix with the gate's noise folded in, ``M @ (D (x) ... (x) D)``
     for a multi-qubit gate, D depolarizing with ``epsk``, and ``D @ M`` for a
-    one-qubit gate, D depolarizing with ``eps1``.  Each matrix is a read-only
-    (4,) * 2k tensor.  ``circ.fused`` builds this once per circuit.
+    one-qubit gate, D depolarizing with ``eps1``.  Each matrix is read-only,
+    4^k x 4^k, the gate's last wire its most significant site.
+    ``circ.fused`` builds this once per circuit.
     """
     d_in = depolarizing_ptm(circ.noise.epsk).m.diagonal()
     d_out = depolarizing_ptm(circ.noise.eps1).m.diagonal()
@@ -67,7 +67,6 @@ def fused_ptms(circ: Circuit) -> Mapping[tuple[int, int], tuple[tuple[int, ...],
                 fused = m * reduce(np.kron, [d_in] * k)  # scales the input columns
             else:
                 fused = d_out[:, None] * m  # scales the output rows
-            fused = fused.reshape((4,) * (2 * k))
             fused.setflags(write=False)
             gates[(level, i)] = (pl.wires, fused)
     return MappingProxyType(gates)
@@ -175,9 +174,7 @@ class BasisPair:
         unless every site is I or Z, so only that block, the product of
         the (I, Z) halves, is written.
         """
-        wires = range(self.n) if wires is None else sorted(wires)
-        if not all(0 <= w < self.n for w in wires):
-            raise ValueError(f"wires {list(wires)} are not all among the pair's {self.n}")
+        wires = range(self.n) if wires is None else _distinct_wires(wires, self.n, "pair")
         n = len(wires)
         if n > MAX_COEFF_QUBITS:
             raise ValueError(f"n={n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
@@ -227,21 +224,29 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-# --- dense machinery ------------------------------------------------------
+# --- the gate kernel and the dense machinery -----------------------------
+
+
+def _apply(t: np.ndarray, ops: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """The one gate kernel: ``ops`` on the axes ``axes`` of ``t``, the first
+    the most significant; one matrix, or one per entry of ``t``'s leading axis.
+
+    One ``matmul`` makes each entry its own (d^k x d^k) @ (d^k x rest) BLAS
+    product, the one a single matrix makes, so an entry's rounding does not
+    depend on the other entries; an identity adds exact zeros to its entries.
+    """
+    batch = ops.ndim - 2
+    order = [*range(batch), *axes, *(a for a in range(batch, t.ndim) if a not in axes)]
+    front = t.transpose(order)
+    out = np.matmul(ops, front.reshape(*front.shape[:batch], ops.shape[-1], -1))
+    # the inverse permutation; np.argsort would page in numpy's sort code, ~0.3 MiB of RSS
+    return out.reshape(front.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 def _conjugate_dense(op: np.ndarray, m: np.ndarray, wires: tuple[int, ...], n: int) -> np.ndarray:
     """M op M^dagger with M acting on ``wires`` (first wire = leftmost factor)."""
-    k = len(wires)
-    mt = m.reshape((2,) * (2 * k))
-    t = op.reshape((2,) * (2 * n))
-    row_axes = list(wires)
-    t = np.tensordot(mt, t, axes=(list(range(k, 2 * k)), row_axes))
-    t = np.moveaxis(t, range(k), row_axes)
-    col_axes = [n + w for w in wires]
-    t = np.tensordot(np.conj(mt), t, axes=(list(range(k, 2 * k)), col_axes))
-    t = np.moveaxis(t, range(k), col_axes)
-    return t.reshape(2**n, 2**n)
+    t = _apply(op.reshape((2,) * (2 * n)), m, wires)
+    return _apply(t, m.conj(), [n + w for w in wires]).reshape(2**n, 2**n)
 
 
 def depolarize_dense(op: np.ndarray, wire: int, p: float, n: int) -> np.ndarray:
@@ -261,17 +266,11 @@ def partial_trace(op: np.ndarray, keep: Iterable[int], n: int) -> np.ndarray:
 
 
 def _apply_gate_dense(op: np.ndarray, spec: GateSpec, wires: tuple[int, ...], n: int) -> np.ndarray:
-    if isinstance(spec, BuiltinGate):
-        spec = lower_builtin(spec)
-    if isinstance(spec, UnitaryMixture):
-        return sum(p * _conjugate_dense(op, u, wires, n) for p, u in spec.terms)
+    spec = lower_builtin(spec)
+    terms = spec.terms
     if isinstance(spec, OneQubitGate):
-        out = np.zeros_like(op)
-        for p, ch in spec.terms:
-            for kr in kraus_of_rsw(ch):
-                out = out + p * _conjugate_dense(op, kr, wires, n)
-        return out
-    raise TypeError(f"not a gate spec: {spec!r}")
+        terms = [(p, kr) for p, ch in spec.terms for kr in kraus_of_rsw(ch)]
+    return sum(p * _conjugate_dense(op, m, wires, n) for p, m in terms)
 
 
 def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]]) -> np.ndarray:
@@ -300,13 +299,12 @@ def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]
 def _apply_gate(
     values: np.ndarray, wires: tuple[int, ...], ptm: np.ndarray, live: Sequence[int]
 ) -> np.ndarray:
-    """The contraction kernel: one fused gate on a flat coefficient vector
-    over the wires ``live`` (increasing, wire ``live[j]`` at local site j)."""
-    k, n = len(wires), len(live)
-    # input axis k+j of ptm carries gate site k-1-j, i.e. wire wires[k-1-j]
-    taxes = [n - 1 - live.index(w) for w in reversed(wires)]
-    t = np.tensordot(ptm, values.reshape((4,) * n), axes=(list(range(k, 2 * k)), taxes))
-    return np.moveaxis(t, range(k), taxes).reshape(-1)
+    """One fused gate on a flat coefficient vector over the wires ``live``
+    (increasing, wire ``live[j]`` at local site j, on tensor axis n-1-j)."""
+    n = len(live)
+    axes = [n - 1 - live.index(w) for w in reversed(wires)]  # last wire most significant
+    # matmul takes numpy's non-BLAS loop on a strided vector, as coeffs_from_op returns
+    return _apply(np.ascontiguousarray(values).reshape((4,) * n), ptm, axes).reshape(-1)
 
 
 def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]]) -> CoeffVector:
@@ -322,6 +320,16 @@ def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]])
     return CoeffVector(circ.n, values)
 
 
+def _distinct_wires(wires: Iterable[int], n: int, owner: str) -> list[int]:
+    """``wires`` sorted; ValueError if one repeats or lies outside range(n)."""
+    wires = sorted(wires)
+    if not all(0 <= w < n for w in wires):
+        raise ValueError(f"wires {wires} are not all among the {owner}'s {n}")
+    if len(set(wires)) < len(wires):
+        raise ValueError(f"wires {wires} name a wire twice")
+    return wires
+
+
 def restrict_coeffs(v: CoeffVector, wires: Iterable[int]) -> CoeffVector:
     """Keep the coefficients of strings supported inside ``wires``.
 
@@ -329,13 +337,10 @@ def restrict_coeffs(v: CoeffVector, wires: Iterable[int]) -> CoeffVector:
     equals the full operator's coefficient at S (x) I-elsewhere.  Kept wires
     map to local sites in increasing wire order.
     """
-    wires = sorted(wires)
     n = v.n
-    t = v.values.reshape((4,) * n) if n else v.values
-    sl = tuple(
-        slice(None) if (n - 1 - axis) in wires else 0 for axis in range(n)
-    )
-    return CoeffVector(len(wires), t[sl].reshape(-1).copy())
+    wires = _distinct_wires(wires, n, "vector")
+    sl = tuple(slice(None) if (n - 1 - axis) in wires else 0 for axis in range(n))
+    return CoeffVector(len(wires), v.values.reshape((4,) * n)[sl].reshape(-1).copy())
 
 
 def reduced_delta(circ: Circuit, v0: CoeffVector, vset: ConsistentSet) -> CoeffVector:
@@ -419,18 +424,19 @@ SHOT_BLOCK = 256  # trajectories advanced together; bounds the states and unifor
 
 
 def _trajectory_steps(circ: Circuit) -> list[tuple]:
-    """The draws of one trajectory, in stream order.  Per draw: the wires it
-    acts on, the branch CDF that ``Generator.choice`` would search, and its
-    branch operators stacked, (I, X, Y, Z) for a depolarizing draw and the
-    unitaries for a mixture.  A canonical-form gate stacks its K0s over its
-    K1s, shape (2, terms, 2, 2), and takes one more uniform to pick between
-    them.  A multi-qubit gate depolarizes each input wire first; a one-qubit
-    gate depolarizes its output afterwards."""
+    """The draws of one trajectory, in stream order.  Per draw: the state
+    axes it acts on (wire + 1, as axis 0 holds the shots), the branch CDF
+    that ``Generator.choice`` would search, and its branch operators
+    stacked, (I, X, Y, Z) for a depolarizing draw and the unitaries for a
+    mixture.  A canonical-form gate stacks its K0s over its K1s, shape
+    (2, terms, 2, 2), and takes one more uniform to pick between them.  A
+    multi-qubit gate depolarizes each input wire first; a one-qubit gate
+    depolarizes its output afterwards."""
     paulis = np.stack([PAULI_MATS[c] for c in "IXYZ"])
 
     def draw(wires: tuple[int, ...], probs: np.ndarray, ops: np.ndarray) -> tuple:
         cdf = probs.cumsum()
-        return wires, cdf / cdf[-1], ops
+        return [w + 1 for w in wires], cdf / cdf[-1], ops
 
     def depolarize(wires: tuple[int, ...], p: float) -> list[tuple]:
         return [draw((w,), np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4]), paulis) for w in wires]
@@ -438,7 +444,7 @@ def _trajectory_steps(circ: Circuit) -> list[tuple]:
     steps = []
     for level in circ.levels:
         for pl in level:
-            spec = lower_builtin(pl.gate) if isinstance(pl.gate, BuiltinGate) else pl.gate
+            spec = lower_builtin(pl.gate)
             probs = np.array([q for q, _ in spec.terms])
             if isinstance(spec, OneQubitGate):
                 ops = np.stack([kraus_of_rsw(ch) for _, ch in spec.terms], axis=1)
@@ -450,22 +456,6 @@ def _trajectory_steps(circ: Circuit) -> list[tuple]:
             else:
                 steps += [gate] + depolarize(pl.wires, circ.noise.eps1)
     return steps
-
-
-def _apply(states: np.ndarray, ops: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
-    """``ops[r]`` on ``wires`` of row r of a (rows, 2, ..., 2) state array.
-
-    One ``matmul`` makes each row its own (2^k x 2^k) @ (2^k x rest) BLAS
-    product, the one ``tensordot`` makes for a single state vector, so a
-    row's rounding does not depend on the other rows.  An identity operator
-    multiplies by 1 and adds exact zeros, so it leaves its rows unchanged.
-    """
-    k = len(wires)
-    axes = [w + 1 for w in wires]
-    order = [0, *axes, *(a for a in range(1, states.ndim) if a not in axes)]
-    front = states.transpose(order)
-    out = np.matmul(ops, front.reshape(len(states), 2**k, -1)).reshape(front.shape)
-    return out.transpose(np.argsort(order))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -489,14 +479,14 @@ def _shot_probabilities(
         psi = np.zeros((rows, 2**circ.n), dtype=complex)
         psi[:, index] = 1.0
         psi = psi.reshape((rows,) + (2,) * circ.n)
-        for wires, cdf, ops in steps:
+        for axes, cdf, ops in steps:
             choice = cdf.searchsorted(next(uniforms), side="right")
             if ops.ndim == 3:
-                psi = _apply(psi, ops[choice], wires)
+                psi = _apply(psi, ops[choice], axes)
                 continue
             # Keep K0 psi, renormalised, where the row's uniform is below
             # |K0 psi|^2, and K1 psi, renormalised, elsewhere.
-            k0, k1 = (_apply(psi, kraus[choice], wires).reshape(rows, -1) for kraus in ops)
+            k0, k1 = (_apply(psi, kraus[choice], axes).reshape(rows, -1) for kraus in ops)
             weight = _row_dots(k0.conj(), k0).real
             norm = np.sqrt(_row_dots(k1.real, k1.real) + _row_dots(k1.imag, k1.imag))
             psi = np.where(

@@ -74,7 +74,7 @@ def suite_engine_equivalence(seed: int, cases: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     res = SuiteResult("engine-equivalence", cases)
     for i in range(cases):
-        n = int(rng.integers(2, 4))
+        n = int(rng.integers(2, 6))
         t = int(rng.integers(1, 4))
         circ = random_circuit(
             n, t, seed=int(rng.integers(1 << 31)), gate_pool=ENGINE_POOL, k=2,
@@ -238,13 +238,18 @@ def suite_gate_validation(seed: int, cases: int) -> SuiteResult:
 
 
 def run_all(seed: int, cases: int) -> list[SuiteResult]:
-    return [
-        suite_engine_equivalence(seed, cases),
-        suite_unitary_sum_of_squares(seed + 1, cases),
-        suite_noise_shrink(seed + 2, cases),
-        suite_output_statistic(seed + 3, cases),
-        suite_convexity(seed + 4, cases),
-        suite_one_qubit_beta_bound(seed + 5, cases),
-        suite_cnot_table(seed + 6, cases),
-        suite_gate_validation(seed + 7, cases),
-    ]
+    """Every suite, the i-th seeded with ``seed + i``.  One that raises
+    ValueError, as the engines do on a broken result, fails with the message."""
+    suites = (
+        suite_engine_equivalence, suite_unitary_sum_of_squares, suite_noise_shrink,
+        suite_output_statistic, suite_convexity, suite_one_qubit_beta_bound,
+        suite_cnot_table, suite_gate_validation,
+    )
+    results = []
+    for i, suite in enumerate(suites):
+        try:
+            results.append(suite(seed + i, cases))
+        except ValueError as e:
+            name = suite.__name__.removeprefix("suite_").replace("_", "-")
+            results.append(SuiteResult(name, cases, [f"raised ValueError: {e}"]))
+    return results

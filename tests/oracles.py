@@ -10,7 +10,7 @@ reference trajectory sampler advances one shot at a time.
 import numpy as np
 
 from paulidelta import all_pauli_strings, coeffs_from_op
-from paulidelta.channels import BuiltinGate, OneQubitGate, kraus_of_rsw, lower_builtin
+from paulidelta.channels import OneQubitGate, kraus_of_rsw, lower_builtin
 from paulidelta.circuit import Circuit, QubitRef
 from paulidelta.paulis import PAULI_MATS
 
@@ -130,7 +130,7 @@ def _trajectory_p1(circ: Circuit, psi: np.ndarray, rng: np.random.Generator) -> 
 
     for level in circ.levels:
         for pl in level:
-            spec = lower_builtin(pl.gate) if isinstance(pl.gate, BuiltinGate) else pl.gate
+            spec = lower_builtin(pl.gate)
             probs = np.array([q for q, _ in spec.terms])
             multi = len(pl.wires) >= 2
             if multi:

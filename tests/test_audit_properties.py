@@ -6,18 +6,21 @@ distinct cut."""
 import hashlib
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from paulidelta import bounds
 from paulidelta import (
     BasisPair,
+    InputPair,
     NoiseModel,
     audit_invariant,
     enumerate_consistent_sets,
     invariant_check,
     min_cut,
     random_circuit,
+    random_pure_density,
     theta_for,
 )
 
@@ -52,6 +55,18 @@ def test_audit_walk_matches_per_set_checks(audit):
         assert rec.dist == want.dist
         assert rec.rhs == want.rhs
         assert rec.lhs == want.lhs
+
+
+def test_audit_walk_matches_per_set_checks_for_dense_pairs():
+    # An InputPair's coefficients are a strided view (the real part of a
+    # complex array); the walk must evolve it as evolve_pauli does.
+    rng = np.random.default_rng(4)
+    for n, seed in [(3, 4), (4, 0), (4, 5)]:
+        circ = random_circuit(n, 5, seed=seed, gate_pool=POOL, k=2, noise=NoiseModel(0.05, 0.45))
+        pair = InputPair(random_pure_density(n, rng), random_pure_density(n, rng))
+        got = audit_invariant(circ, pair, THETA, 2).records
+        for rec, vset in zip(got, enumerate_consistent_sets(circ, 2)):
+            assert rec.lhs == invariant_check(circ, pair, vset, THETA).lhs
 
 
 def _distinct_prefixes(circ, max_size):

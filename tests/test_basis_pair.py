@@ -125,3 +125,19 @@ def test_delta_coeffs_check_wires_without_allocating_per_bit():
 def test_delta_coeffs_refuse_wires_outside_the_pair(wires):
     with pytest.raises(ValueError, match=r"wires \[.*\] are not all among the pair's 2"):
         BasisPair("01", "10").delta_coeffs(wires)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [BasisPair("01", "10"), InputPair(basis_density("01"), basis_density("10"))],
+    ids=["BasisPair", "InputPair"],
+)
+def test_delta_coeffs_refuse_a_repeated_wire(pair):
+    with pytest.raises(ValueError, match=r"wires \[0, 0\] name a wire twice"):
+        pair.delta_coeffs([0, 0])
+
+
+def test_input_pair_delta_coeffs_refuse_wires_outside_the_pair():
+    pair = InputPair(basis_density("01"), basis_density("10"))
+    with pytest.raises(ValueError, match=r"wires \[0, 7\] are not all among the vector's 2"):
+        pair.delta_coeffs([0, 7])

@@ -250,6 +250,8 @@ def test_builtin_lowering_shapes():
         assert isinstance(g, UnitaryMixture) and g.k == 1
     assert isinstance(lower_builtin(BuiltinGate("RESET")), OneQubitGate)
     assert lower_builtin(BuiltinGate("CNOT")).k == 2
+    mix = lower_builtin(BuiltinGate("H"))
+    assert lower_builtin(mix) is mix  # a lowered spec comes back unchanged
 
 
 def test_gate_ptm_of_mixture_is_convex_combination():

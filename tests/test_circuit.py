@@ -465,7 +465,7 @@ def test_circuit_stores_levels_as_tuples_and_carries_cones_and_fused_ptms():
     assert c.cones is c.cones and c.fused is c.fused
     assert set(c.fused) == set(c.cones.gates) == {(1, 0), (2, 0), (2, 1)}
     wires, ptm = c.fused[(1, 0)]
-    assert wires == (0, 1) and ptm.shape == (4, 4, 4, 4) and not ptm.flags.writeable
+    assert wires == (0, 1) and ptm.shape == (16, 16) and not ptm.flags.writeable
     assert c.prefix(1).levels == c.levels[:1]
     assert c == Circuit(2, 2, c.levels, NoiseModel(0.05, 0.4), 0)
 

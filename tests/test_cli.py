@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from paulidelta import BasisPair, audit_invariant, random_circuit, simulate, theta_for
@@ -357,6 +358,24 @@ def test_verify_default_passes(capsys):
     assert "engine-equivalence: 5 cases, 0 failures" in out
     assert "gate-validation" in out
     assert out.strip().endswith("PASS")
+
+
+def test_verify_reports_a_raising_suite_as_a_failure(monkeypatch, capsys):
+    # A non-Hermitian "evolved" operator makes coeffs_from_op raise; that is a
+    # detected defect (exit 1, every suite reported), not a usage error.
+    def broken(circ, op, cut):
+        out = np.zeros_like(op)
+        out[0, -1] = 1.0
+        return out
+
+    monkeypatch.setattr("paulidelta.verify.evolve_density", broken)
+    assert main(["verify", "--cases", "3"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert lines[0] == "engine-equivalence: 3 cases, 1 failures"
+    assert lines[-2] == "gate-validation: 3 cases, 0 failures"
+    assert lines[-1] == "FAIL"
+    assert "engine-equivalence: raised ValueError: operator is not Hermitian" in captured.err
 
 
 def test_verify_zero_cases(capsys):

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from paulidelta import (
     BasisPair,
@@ -32,7 +33,7 @@ from paulidelta import (
 )
 from paulidelta import BuiltinGate, GatePlacement, enumerate_consistent_sets
 from paulidelta.circuit import Circuit, ConsistentSet
-from paulidelta.simulate import check_cut
+from paulidelta.simulate import _apply, check_cut
 
 from oracles import producing_gate
 
@@ -223,6 +224,52 @@ def test_restriction_matches_partial_trace_exhaustively():
                 got = restrict_coeffs(v, keep)
                 want = coeffs_from_op(partial_trace(op, keep, n))
                 assert np.max(np.abs(got.values - want.values)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "wires, message", [([0, 0], r"wires \[0, 0\] name a wire twice"),
+                       ([0, 7], r"wires \[0, 7\] are not all among the vector's 2")],
+)
+def test_restriction_refuses_repeated_or_missing_wires(wires, message):
+    v = coeffs_from_op(random_hermitian(2, np.random.default_rng(5)))
+    with pytest.raises(ValueError, match=message):
+        restrict_coeffs(v, wires)
+
+
+# --- the gate kernel ----------------------------------------------------------
+
+
+@st.composite
+def kernel_cases(draw):
+    """A complex tensor of 1-6 axes of size 2 or 4, with or without a leading
+    batch axis of 1-4 rows, and an operator on up to 3 of its axes in any
+    order: one matrix, or one per row when batched."""
+    d = draw(st.sampled_from((2, 4)))
+    m = draw(st.integers(1, 6))
+    targets = draw(st.permutations(range(m)))[: draw(st.integers(1, min(3, m)))]
+    rows = draw(st.none() | st.integers(1, 4))
+    batch = () if rows is None else (rows,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.normal(size=batch + (d,) * m) + 1j * rng.normal(size=batch + (d,) * m)
+    ops = rng.normal(size=batch + (d ** len(targets),) * 2) + 0j
+    return t, ops, [a + len(batch) for a in targets]
+
+
+@given(kernel_cases())
+def test_kernel_matches_einsum(case):
+    t, ops, axes = case
+    before = t.copy()
+    got = _apply(t, ops, axes)
+    # reference: the operator as a tensor, out axis j and in axis j on axes[j]
+    k, batch, d = len(axes), ops.ndim - 2, t.shape[-1]
+    op_t = ops.reshape(ops.shape[:batch] + (d,) * (2 * k))
+    lead = list(range(batch))
+    out_subs = [t.ndim + j for j in range(k)]
+    want_subs = [out_subs[axes.index(a)] if a in axes else a for a in range(t.ndim)]
+    want = np.einsum(op_t, lead + out_subs + list(axes), t, list(range(t.ndim)), want_subs)
+    assert got.shape == t.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.array_equal(t, before)
 
 
 # --- reduced_delta -----------------------------------------------------------
