@@ -23,11 +23,11 @@ from .simulate import (  # noqa: F401 (perfbench/selftest.py reads bounds.evolve
     BasisPair,
     InputPair,
     _apply_gate,
+    _trace_out,
     check_pair,
     distinguishability_by_depth,
     evolve_pauli,
     reduced_delta,
-    restrict_coeffs,
 )
 
 MARGIN_TOL = 1e-9
@@ -197,7 +197,9 @@ def audit_invariant(
     and applies its gates below that bit, highest first, so each distinct
     prefix is evolved once, by the gates :func:`invariant_check` applies in
     the order it applies them: every record equals its from-scratch one
-    exactly.  A vector is kept only where a later cut branches off.
+    exactly.  A tensor is kept only where a later cut branches off.  The
+    walk carries the (4,)*n coefficient tensor from gate to gate and slices
+    each set's reduced block out of it, as :func:`restrict_coeffs` would.
     """
     _check_theta(theta)
     check_pair(circ, pair)
@@ -222,7 +224,7 @@ def audit_invariant(
         minima.append(shared[p])
         if above:
             branches[p] = above
-    saved = [(0, v0.values)]  # (depth, vector) at the branch points
+    saved = [(0, v0.values.reshape((4,) * circ.n))]  # (depth, tensor) at the branch points
     records: list[InvariantRecord | None] = [None] * len(sets)
     for p, s in enumerate(order):
         while saved[-1][0] > shared[p]:
@@ -237,8 +239,11 @@ def audit_invariant(
             if keep and keep[-1] == depth:
                 saved.append((keep.pop(), values))
         vset = sets[s]
-        reduced = restrict_coeffs(CoeffVector(circ.n, values), [q.wire for q in vset.qubits])
-        records[s] = _record(vset, reduced, theta)
+        kept = {q.wire for q in vset.qubits}
+        # the set's reduced block may be a view of the tensor: no name keeps it alive
+        records[s] = _record(
+            vset, CoeffVector(len(kept), values[_trace_out(circ.n, kept)].reshape(-1)), theta
+        )
     return InvariantReport(theta, records)
 
 

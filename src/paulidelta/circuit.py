@@ -36,6 +36,9 @@ from .channels import (
     validate_gate,
 )
 
+# Wire-time qubits n * (T + 1) a circuit may hold; its light cones keep an int for each.
+MAX_QUBIT_REFS = 1 << 24
+
 
 class CircuitParseError(ValueError):
     """Syntax or semantic error in the circuit DSL, with a position."""
@@ -55,6 +58,16 @@ class LevelError(ValueError):
         super().__init__(f"{where}: {message}")
         self.level = level
         self.placement = placement
+
+
+def _check_size(n: int, T: int) -> None:
+    """Raise, before anything is allocated, if n wires over T levels make
+    more than ``MAX_QUBIT_REFS`` wire-time qubits."""
+    if n * (T + 1) > MAX_QUBIT_REFS:
+        raise ValueError(
+            f"n={n} wires over T={T} levels make {n * (T + 1)} wire-time qubits, "
+            f"above the limit {MAX_QUBIT_REFS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,7 @@ class Circuit:
             raise ValueError(f"T={self.T} but {len(self.levels)} levels given")
         if not 0 <= self.output_wire < self.n:
             raise ValueError(f"output wire {self.output_wire} out of range")
+        _check_size(self.n, self.T)
         for li, level in enumerate(self.levels, start=1):
             seen: set[int] = set()
             for pi, pl in enumerate(level):
@@ -651,6 +665,7 @@ def random_circuit(
         raise ValueError(f"pool arity {max(arities.values())} exceeds k={k}")
     if k > n:
         raise ValueError(f"k={k} gates cannot fit on {n} wires")
+    _check_size(n, T)
     min_arity = min(arities.values())
     rng = np.random.default_rng(seed)
     noise = noise or NoiseModel(0.05, 0.4)

@@ -129,13 +129,15 @@ class CoeffVector:
     """The 4^n real Pauli coefficients Tr(delta * S) of a Hermitian delta.
 
     Treated as an immutable value: operations return fresh vectors.
+    ``values`` is always C-contiguous, so products and sums read it as BLAS
+    does, whatever layout it was built from.
     """
 
     n: int
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.asarray(self.values, dtype=float, order="C")
         if self.values.shape != (4**self.n,):
             raise ValueError(
                 f"expected {4 ** self.n} coefficients for n={self.n}, "

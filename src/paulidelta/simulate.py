@@ -4,7 +4,10 @@ The Pauli engine tracks the 4^n coefficient vector of delta = rho - tau.
 Each circuit carries one fused transfer matrix per gate (``circ.fused``,
 built once), with the gate's depolarizing noise (which multiplies every
 coefficient supported on the noisy wire by 1 - p) folded in, so each gate
-costs one matrix product on the coefficient tensor.
+costs one matrix product on the (4,)*n coefficient tensor.  The tensor
+passes from gate to gate as :func:`_apply` returns it and is flattened
+only into a :class:`CoeffVector`, so a gate copies it at most once; a wire
+is traced out by slicing its I index, a view.
 The density engine evolves the dense 2^n x 2^n matrix with embedded
 unitary conjugations, Kraus pairs, and partial traces; it exists as an
 independent cross-check of the Pauli engine.  Both engines and the
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -238,6 +241,8 @@ def _apply(t: np.ndarray, ops: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     batch = ops.ndim - 2
     order = [*range(batch), *axes, *(a for a in range(batch, t.ndim) if a not in axes)]
     front = t.transpose(order)
+    # copies unless t's memory already holds these axes in front, as the
+    # output of an _apply on the same axes does
     out = np.matmul(ops, front.reshape(*front.shape[:batch], ops.shape[-1], -1))
     # the inverse permutation; np.argsort would page in numpy's sort code, ~0.3 MiB of RSS
     return out.reshape(front.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
@@ -297,14 +302,17 @@ def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]
 
 
 def _apply_gate(
-    values: np.ndarray, wires: tuple[int, ...], ptm: np.ndarray, live: Sequence[int]
+    t: np.ndarray, wires: tuple[int, ...], ptm: np.ndarray, live: Sequence[int]
 ) -> np.ndarray:
-    """One fused gate on a flat coefficient vector over the wires ``live``
-    (increasing, wire ``live[j]`` at local site j, on tensor axis n-1-j)."""
-    n = len(live)
-    axes = [n - 1 - live.index(w) for w in reversed(wires)]  # last wire most significant
-    # matmul takes numpy's non-BLAS loop on a strided vector, as coeffs_from_op returns
-    return _apply(np.ascontiguousarray(values).reshape((4,) * n), ptm, axes).reshape(-1)
+    """One fused gate on the (4,)*m coefficient tensor ``t`` over the wires
+    ``live`` (increasing, wire ``live[j]`` at local site j, on tensor axis
+    m-1-j).  Returns the new tensor, often a transposed view; callers carry
+    it to the next gate and flatten only into a :class:`CoeffVector`, so a
+    gate copies at most once, where :func:`_apply` brings its axes to the
+    front."""
+    m = len(live)
+    axes = [m - 1 - live.index(w) for w in reversed(wires)]  # last wire most significant
+    return _apply(t, ptm, axes)
 
 
 def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]]) -> CoeffVector:
@@ -314,10 +322,16 @@ def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]])
     if v.n != circ.n:
         raise ValueError(f"vector is on {v.n} qubits, circuit on {circ.n}")
     check_cut(circ, cut)
-    values, fused, wires = v.values.copy(), circ.fused, range(circ.n)
+    t, fused, wires = v.values.reshape((4,) * circ.n), circ.fused, range(circ.n)
     for gate in sorted(cut):
-        values = _apply_gate(values, *fused[gate], wires)
-    return CoeffVector(circ.n, values)
+        t = _apply_gate(t, *fused[gate], wires)
+    return CoeffVector(circ.n, t.flatten())
+
+
+def _trace_out(m: int, keep: Collection[int]) -> tuple:
+    """The basic index that keeps the local sites ``keep`` of a (4,)*m
+    coefficient tensor and traces every other site out: its I slice."""
+    return tuple(slice(None) if m - 1 - axis in keep else 0 for axis in range(m))
 
 
 def _distinct_wires(wires: Iterable[int], n: int, owner: str) -> list[int]:
@@ -337,10 +351,8 @@ def restrict_coeffs(v: CoeffVector, wires: Iterable[int]) -> CoeffVector:
     equals the full operator's coefficient at S (x) I-elsewhere.  Kept wires
     map to local sites in increasing wire order.
     """
-    n = v.n
-    wires = _distinct_wires(wires, n, "vector")
-    sl = tuple(slice(None) if (n - 1 - axis) in wires else 0 for axis in range(n))
-    return CoeffVector(len(wires), v.values.reshape((4,) * n)[sl].reshape(-1).copy())
+    wires = _distinct_wires(wires, v.n, "vector")
+    return CoeffVector(len(wires), v.values.reshape((4,) * v.n)[_trace_out(v.n, wires)].flatten())
 
 
 def reduced_delta(circ: Circuit, v0: CoeffVector, vset: ConsistentSet) -> CoeffVector:
@@ -394,20 +406,20 @@ def distinguishability_by_depth(
             f"above the coefficient-engine cap {MAX_COEFF_QUBITS}"
         )
     wires = tuple(sorted(live))
-    values = pair.delta_coeffs(wires).values
+    t = pair.delta_coeffs(wires).values.reshape((4,) * len(wires))
     fused, order = circ.fused, sorted(cut)
     last = {w: level for level, i in order for w in fused[(level, i)][0] if w != out}
     readings, j = [], 0
     for level in range(depth + 1):
         while j < len(order) and order[j][0] == level:
-            values = _apply_gate(values, *fused[order[j]], wires)
+            t = _apply_gate(t, *fused[order[j]], wires)
             j += 1
         if level in last.values():
             kept = tuple(w for w in wires if last.get(w) != level)
-            v = restrict_coeffs(CoeffVector(len(wires), values), [wires.index(w) for w in kept])
-            wires, values = kept, v.values
+            t = t[_trace_out(len(wires), [wires.index(w) for w in kept])]
+            wires = kept
         # Z on the output wire, I elsewhere
-        readings.append(0.5 * abs(values[1 << 2 * wires.index(out)]))
+        readings.append(0.5 * abs(t[_trace_out(len(wires), [wires.index(out)])][1]))
     return readings
 
 

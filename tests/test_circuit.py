@@ -102,6 +102,32 @@ def test_partition_check_memory_does_not_grow_with_the_declared_width():
     )
 
 
+def test_a_circuit_past_the_width_limit_is_refused_before_allocating():
+    # Its light cones would hold 2^24 + 1 ints, ~270 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            Circuit(2**24 + 1, 0, [], NoiseModel(0.05, 0.45), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert str(info.value) == (
+        "n=16777217 wires over T=0 levels make 16777217 wire-time qubits, above the limit 16777216"
+    )
+
+
+def test_a_random_circuit_past_the_width_limit_is_refused_before_sampling():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^n=8388609 wires over T=1 levels make 16777218 "):
+            random_circuit(2**23 + 1, 1, seed=0, gate_pool=("ID",), k=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_partition_error_names_every_wire_of_a_short_gap():
     text = "qubits 4 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: ID(2)\n"
     with pytest.raises(CircuitParseError, match=r"missing wires \[0, 1, 3\]$"):

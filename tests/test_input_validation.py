@@ -208,6 +208,21 @@ def test_cli_exits_2_on_a_placement_without_parameters(tmp_path, capsys):
     assert "line 3, column 9: DEPOL placement missing p=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["decay"], ["check-invariant"]])
+def test_cli_exits_2_on_a_circuit_past_the_width_limit(tmp_path, capsys, command):
+    # Four billion wires and no levels pass the partition check; the light
+    # cones and the default input pair would then need tens of GB.
+    path = tmp_path / "wide.pdc"
+    path.write_text("qubits 4000000000 levels 0 output 0\nnoise eps1=0.05 epsk=0.4\n")
+    assert main(command + ["--circuit", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1, column 1: n=4000000000 wires over T=0 levels make 4000000000 "
+        "wire-time qubits, above the limit 16777216\n"
+    )
+    assert main(command + ["--random", "n=4000000000,T=1,pool=ID", "--seed", "0"]) == 2
+    assert "make 8000000000 wire-time qubits, above the limit" in capsys.readouterr().err
+
+
 # --- DSL text from grammar tokens ---------------------------------------------------
 
 GOOD = ("0", "1", "-1", "+1", "0.5", "0.8")

@@ -33,7 +33,7 @@ from paulidelta import (
 )
 from paulidelta import BuiltinGate, GatePlacement, enumerate_consistent_sets
 from paulidelta.circuit import Circuit, ConsistentSet
-from paulidelta.simulate import _apply, check_cut
+from paulidelta.simulate import _apply, _apply_gate, check_cut
 
 from oracles import producing_gate
 
@@ -243,14 +243,29 @@ def test_restriction_refuses_repeated_or_missing_wires(wires, message):
 def kernel_cases(draw):
     """A complex tensor of 1-6 axes of size 2 or 4, with or without a leading
     batch axis of 1-4 rows, and an operator on up to 3 of its axes in any
-    order: one matrix, or one per row when batched."""
+    order: one matrix, or one per row when batched.  The tensor is
+    contiguous, the permuted view an earlier ``_apply`` returns, or a
+    basic-slice view of a larger tensor."""
     d = draw(st.sampled_from((2, 4)))
     m = draw(st.integers(1, 6))
     targets = draw(st.permutations(range(m)))[: draw(st.integers(1, min(3, m)))]
     rows = draw(st.none() | st.integers(1, 4))
     batch = () if rows is None else (rows,)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    t = rng.normal(size=batch + (d,) * m) + 1j * rng.normal(size=batch + (d,) * m)
+
+    def normal(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    shape = batch + (d,) * m
+    layout = draw(st.sampled_from(("contiguous", "applied", "sliced")))
+    if layout == "sliced":
+        axis = draw(st.integers(0, len(shape)))
+        t = normal(shape[:axis] + (d,) + shape[axis:])[(slice(None),) * axis + (0,)]
+    else:
+        t = normal(shape)
+    if layout == "applied":
+        earlier = draw(st.permutations(range(m)))[: draw(st.integers(1, min(3, m)))]
+        t = _apply(t, normal((d ** len(earlier),) * 2), [a + len(batch) for a in earlier])
     ops = rng.normal(size=batch + (d ** len(targets),) * 2) + 0j
     return t, ops, [a + len(batch) for a in targets]
 
@@ -270,6 +285,23 @@ def test_kernel_matches_einsum(case):
     assert got.shape == t.shape
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.array_equal(t, before)
+
+
+def test_a_gate_on_the_axes_left_in_front_copies_nothing():
+    # The Pauli engine carries the tensor _apply returns, so a gate on the
+    # previous gate's axes allocates only its product: one 4^8 vector.
+    n = 8
+    rng = np.random.default_rng(5)
+    ptm = rng.normal(size=(16, 16))
+    once = _apply_gate(rng.normal(size=(4,) * n), (2, 5), ptm, range(n))
+    tracemalloc.start()
+    try:
+        twice = _apply_gate(once, (2, 5), ptm, range(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * 4**n
+    assert np.max(np.abs(twice - _apply_gate(once.copy(), (2, 5), ptm, range(n)))) <= 1e-12
 
 
 # --- reduced_delta -----------------------------------------------------------
