@@ -661,10 +661,11 @@ def random_circuit(
     if "DEPOL" in gate_pool:
         raise ValueError("pool token 'DEPOL' needs a strength p, which a random pool cannot give")
     arities = {tok: _POOL_ARITY[tok] for tok in gate_pool}
-    if max(arities.values()) > k:
-        raise ValueError(f"pool arity {max(arities.values())} exceeds k={k}")
-    if k > n:
-        raise ValueError(f"k={k} gates cannot fit on {n} wires")
+    widest = max(arities.values())
+    if widest > k:
+        raise ValueError(f"pool arity {widest} exceeds k={k}")
+    if widest > n:
+        raise ValueError(f"pool arity {widest} gates cannot fit on n={n} wires")
     _check_size(n, T)
     min_arity = min(arities.values())
     rng = np.random.default_rng(seed)

@@ -163,22 +163,23 @@ class CoeffVector:
         return cls(n, v)
 
 
-def _qubit_count(op: np.ndarray) -> int:
+def _qubit_count(op: np.ndarray, name: str = "operator") -> int:
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"operator must be square, got shape {op.shape}")
+        raise ValueError(f"{name} must be square, got shape {op.shape}")
     n = op.shape[0].bit_length() - 1
     if 2**n != op.shape[0]:
-        raise ValueError(f"dimension {op.shape[0]} is not a power of 2")
+        raise ValueError(f"{name} dimension {op.shape[0]} is not a power of 2")
     return n
 
 
-def check_hermitian(op: np.ndarray, tol: float = HERMITIAN_TOL) -> int:
-    """Validate Hermiticity and power-of-2 dimension; return the qubit count."""
+def check_hermitian(op: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> int:
+    """Validate Hermiticity and power-of-2 dimension; return the qubit count.
+    Error messages call ``op`` by ``name``."""
     op = np.asarray(op)
-    n = _qubit_count(op)
+    n = _qubit_count(op, name)
     residue = np.max(np.abs(op - op.conj().T)) if op.size else 0.0
     if residue > tol:
-        raise ValueError(f"operator is not Hermitian (residue {residue:.3g})")
+        raise ValueError(f"{name} is not Hermitian (residue {residue:.3g})")
     return n
 
 

@@ -10,8 +10,11 @@ only into a :class:`CoeffVector`, so a gate copies it at most once; a wire
 is traced out by slicing its I index, a view.
 The density engine evolves the dense 2^n x 2^n matrix with embedded
 unitary conjugations, Kraus pairs, and partial traces; it exists as an
-independent cross-check of the Pauli engine.  Both engines and the
-trajectory sampler apply every operator through one kernel, :func:`_apply`.
+independent cross-check of the Pauli engine.  It and the trajectory
+sampler read one lowering of each noisy gate, :func:`_channels`, its
+channels in the order they act; ``circ.fused`` stays the Pauli engine's
+own form.  Both engines and the sampler apply every operator through one
+kernel, :func:`_apply`.
 
 Both engines apply a *cut*: a frozenset of (level, placement index) gate
 identities, downward-closed, so that whenever a gate is applied, so are all
@@ -30,21 +33,14 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .channels import (
-    GateSpec,
-    OneQubitGate,
-    depolarizing_ptm,
-    gate_arity,
-    gate_ptm,
-    kraus_of_rsw,
-    lower_builtin,
-)
-from .circuit import Circuit, ConsistentSet, QubitRef
+from .channels import OneQubitGate, depolarizing_ptm, gate_ptm, kraus_of_rsw, lower_builtin
+from .circuit import Circuit, ConsistentSet, GatePlacement, NoiseModel, QubitRef
 from .paulis import (
     MAX_COEFF_QUBITS,
     MAX_DENSE_QUBITS,
     PAULI_MATS,
     CoeffVector,
+    check_hermitian,
     coeffs_from_op,
 )
 
@@ -118,9 +114,10 @@ class InputPair:
         for name, m in (("rho", self.rho), ("tau", self.tau)):
             if not np.isfinite(m).all():
                 raise ValueError(f"{name} has non-finite entries")
+            check_hermitian(m, name=name)
             if abs(np.trace(m) - 1.0) > PSD_TOL:
                 raise ValueError(f"{name} has trace {np.trace(m)}, expected 1")
-            if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)) < -PSD_TOL:
+            if np.min(np.linalg.eigvalsh(m)) < -PSD_TOL:
                 raise ValueError(f"{name} is not positive semidefinite")
 
     @property
@@ -182,7 +179,7 @@ class BasisPair:
         if n > MAX_COEFF_QUBITS:
             raise ValueError(f"n={n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
         rho, tau = (
-            reduce(np.kron, [_BASIS_SITE[bits[w]] for w in reversed(wires)])
+            reduce(np.kron, [_BASIS_SITE[bits[w]] for w in reversed(wires)], np.ones(1))
             for bits in (self.rho_bits, self.tau_bits)
         )
         values = np.zeros((4,) * n)
@@ -254,13 +251,6 @@ def _conjugate_dense(op: np.ndarray, m: np.ndarray, wires: tuple[int, ...], n: i
     return _apply(t, m.conj(), [n + w for w in wires]).reshape(2**n, 2**n)
 
 
-def depolarize_dense(op: np.ndarray, wire: int, p: float, n: int) -> np.ndarray:
-    out = (1 - 3 * p / 4) * op
-    for letter in "XYZ":
-        out = out + (p / 4) * _conjugate_dense(op, PAULI_MATS[letter], (wire,), n)
-    return out
-
-
 def partial_trace(op: np.ndarray, keep: Iterable[int], n: int) -> np.ndarray:
     """Trace out every wire not in ``keep``; kept wires stay in wire order."""
     keep = sorted(keep)
@@ -270,16 +260,35 @@ def partial_trace(op: np.ndarray, keep: Iterable[int], n: int) -> np.ndarray:
     return np.einsum(t, subs, out).reshape(2 ** len(keep), 2 ** len(keep))
 
 
-def _apply_gate_dense(op: np.ndarray, spec: GateSpec, wires: tuple[int, ...], n: int) -> np.ndarray:
-    spec = lower_builtin(spec)
-    terms = spec.terms
+_PAULIS = np.stack([PAULI_MATS[c] for c in "IXYZ"])
+
+
+def _channels(pl: GatePlacement, noise: NoiseModel) -> list[tuple]:
+    """The channels of one noisy gate, in the order they act, each (wires,
+    weights, stacked operators): (I, X, Y, Z) for a depolarizing channel,
+    the unitaries for a mixture, and for a canonical-form gate its K0s
+    stacked over its K1s, shape (2, terms, 2, 2).  A multi-qubit gate
+    depolarizes each input wire with ``epsk`` first; a one-qubit gate
+    depolarizes its output with ``eps1`` afterwards.  The gate's weights
+    are normalised and the noise weights are not; the sampler's stream
+    depends on both to the last bit.  :func:`fused_ptms` encodes the same
+    rule on its own, so the engines' cross-check compares two encodings."""
+    spec = lower_builtin(pl.gate)
+    probs = np.array([q for q, _ in spec.terms])
     if isinstance(spec, OneQubitGate):
-        terms = [(p, kr) for p, ch in spec.terms for kr in kraus_of_rsw(ch)]
-    return sum(p * _conjugate_dense(op, m, wires, n) for p, m in terms)
+        ops = np.stack([kraus_of_rsw(ch) for _, ch in spec.terms], axis=1)
+    else:
+        ops = np.stack([u for _, u in spec.terms])
+    gate = (pl.wires, probs / probs.sum(), ops)
+    p = noise.epsk if len(pl.wires) >= 2 else noise.eps1
+    depolarize = np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4])
+    noisy = [((w,), depolarize, _PAULIS) for w in pl.wires]
+    return noisy + [gate] if len(pl.wires) >= 2 else [gate] + noisy
 
 
 def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]]) -> np.ndarray:
-    """Dense-matrix evolution through the gates of a cut, in (level, index) order."""
+    """Dense-matrix evolution through the gates of a cut, in (level, index)
+    order; each channel maps op to sum_j w_j K_j op K_j^dagger."""
     op = np.asarray(op, dtype=complex)
     if circ.n > MAX_DENSE_QUBITS:
         raise ValueError(f"n={circ.n} exceeds the dense-engine cap {MAX_DENSE_QUBITS}")
@@ -287,14 +296,10 @@ def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]
         raise ValueError(f"operator shape {op.shape} does not match n={circ.n}")
     check_cut(circ, cut)
     for level, i in sorted(cut):
-        pl = circ.levels[level - 1][i]
-        if gate_arity(pl.gate) >= 2:
-            for w in pl.wires:
-                op = depolarize_dense(op, w, circ.noise.epsk, circ.n)
-            op = _apply_gate_dense(op, pl.gate, pl.wires, circ.n)
-        else:
-            op = _apply_gate_dense(op, pl.gate, pl.wires, circ.n)
-            op = depolarize_dense(op, pl.wires[0], circ.noise.eps1, circ.n)
+        for wires, weights, ops in _channels(circ.levels[level - 1][i], circ.noise):
+            if ops.ndim == 4:  # a Kraus pair per term: every term weighs its K0 and its K1
+                weights, ops = np.tile(weights, 2), ops.reshape(-1, 2, 2)
+            op = sum(w * _conjugate_dense(op, k, wires, circ.n) for w, k in zip(weights, ops))
     return op
 
 
@@ -436,37 +441,17 @@ SHOT_BLOCK = 256  # trajectories advanced together; bounds the states and unifor
 
 
 def _trajectory_steps(circ: Circuit) -> list[tuple]:
-    """The draws of one trajectory, in stream order.  Per draw: the state
-    axes it acts on (wire + 1, as axis 0 holds the shots), the branch CDF
-    that ``Generator.choice`` would search, and its branch operators
-    stacked, (I, X, Y, Z) for a depolarizing draw and the unitaries for a
-    mixture.  A canonical-form gate stacks its K0s over its K1s, shape
-    (2, terms, 2, 2), and takes one more uniform to pick between them.  A
-    multi-qubit gate depolarizes each input wire first; a one-qubit gate
-    depolarizes its output afterwards."""
-    paulis = np.stack([PAULI_MATS[c] for c in "IXYZ"])
-
-    def draw(wires: tuple[int, ...], probs: np.ndarray, ops: np.ndarray) -> tuple:
-        cdf = probs.cumsum()
-        return [w + 1 for w in wires], cdf / cdf[-1], ops
-
-    def depolarize(wires: tuple[int, ...], p: float) -> list[tuple]:
-        return [draw((w,), np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4]), paulis) for w in wires]
-
+    """The draws of one trajectory, in stream order: per channel of
+    :func:`_channels`, the state axes it acts on (wire + 1, as axis 0 holds
+    the shots), the branch CDF that ``Generator.choice`` would search, and
+    its stacked operators.  A canonical-form gate takes one more uniform to
+    pick between its K0 and its K1."""
     steps = []
     for level in circ.levels:
         for pl in level:
-            spec = lower_builtin(pl.gate)
-            probs = np.array([q for q, _ in spec.terms])
-            if isinstance(spec, OneQubitGate):
-                ops = np.stack([kraus_of_rsw(ch) for _, ch in spec.terms], axis=1)
-            else:
-                ops = np.stack([u for _, u in spec.terms])
-            gate = draw(pl.wires, probs / probs.sum(), ops)
-            if len(pl.wires) >= 2:
-                steps += depolarize(pl.wires, circ.noise.epsk) + [gate]
-            else:
-                steps += [gate] + depolarize(pl.wires, circ.noise.eps1)
+            for wires, weights, ops in _channels(pl, circ.noise):
+                cdf = weights.cumsum()
+                steps.append(([w + 1 for w in wires], cdf / cdf[-1], ops))
     return steps
 
 

@@ -8,7 +8,7 @@ bound machinery relies on hold numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,6 +70,16 @@ def _random_one_qubit_gate(rng: np.random.Generator) -> OneQubitGate:
     return OneQubitGate(terms)
 
 
+def _mix_one_qubit_gate(pl: GatePlacement, rng: np.random.Generator) -> GatePlacement:
+    """``pl``, or for a one-qubit gate, a third of the time each, a DEPOL or
+    a random canonical-form gate, which the builtin pools never draw."""
+    kind = int(rng.integers(3)) if len(pl.wires) == 1 else 0
+    if kind == 0:
+        return pl
+    gate = BuiltinGate("DEPOL", float(rng.random())) if kind == 1 else _random_one_qubit_gate(rng)
+    return GatePlacement(pl.wires, gate)
+
+
 def suite_engine_equivalence(seed: int, cases: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     res = SuiteResult("engine-equivalence", cases)
@@ -80,6 +90,8 @@ def suite_engine_equivalence(seed: int, cases: int) -> SuiteResult:
             n, t, seed=int(rng.integers(1 << 31)), gate_pool=ENGINE_POOL, k=2,
             noise=NoiseModel(0.05 + 0.1 * rng.random(), 0.4 + 0.1 * rng.random()),
         )
+        levels = [[_mix_one_qubit_gate(pl, rng) for pl in level] for level in circ.levels]
+        circ = replace(circ, levels=levels)
         delta = random_hermitian(n, rng)
         dense = coeffs_from_op(evolve_density(circ, delta, full_cut(circ)))
         pauli = evolve_pauli(circ, coeffs_from_op(delta), full_cut(circ))

@@ -22,6 +22,7 @@ from paulidelta import (
     enumerate_consistent_sets,
     invariant_check,
     random_circuit,
+    restrict_coeffs,
 )
 
 POOL = ("CNOT", "H", "S", "T", "RESET", "ID", "RANDMIX2")
@@ -35,12 +36,18 @@ def bit_pairs(draw):
 
 
 @settings(max_examples=150)
-@given(bit_pairs())
-def test_delta_coeffs_equal_the_dense_transform_exactly(bits):
+@given(bit_pairs(), st.data())
+def test_delta_coeffs_equal_the_dense_transform_exactly(bits, data):
     rho, tau = bits
-    got = BasisPair(rho, tau).delta_coeffs()
+    pair = BasisPair(rho, tau)
+    got = pair.delta_coeffs()
     want = coeffs_from_op(basis_density(rho) - basis_density(tau))
     assert got.n == want.n == len(rho)
+    assert np.array_equal(got.values, want.values)
+    wires = data.draw(st.sets(st.integers(0, len(rho) - 1)))  # possibly empty
+    got = pair.delta_coeffs(wires)
+    want = restrict_coeffs(want, wires)
+    assert got.n == want.n == len(wires)
     assert np.array_equal(got.values, want.values)
 
 

@@ -425,8 +425,13 @@ def test_random_circuit_partitions_every_level():
 def test_random_circuit_infeasible_pool():
     with pytest.raises(ValueError):
         random_circuit(3, 1, seed=0, gate_pool=("CNOT",), k=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pool arity 2 gates cannot fit on n=1 wires"):
         random_circuit(1, 1, seed=0, gate_pool=("CNOT",), k=2)
+
+
+def test_random_circuit_fits_the_pool_not_k():
+    c = random_circuit(1, 3, seed=1, gate_pool=("H", "S"), k=2)
+    assert [[pl.wires for pl in level] for level in c.levels] == [[(0,)]] * 3
 
 
 def test_random_circuit_empty_pool():

@@ -147,6 +147,13 @@ def test_random_pool_rejects_depol_up_front(capsys):
     assert "placement" not in err
 
 
+def test_random_pool_of_one_qubit_gates_runs_on_one_wire(capsys):
+    assert main(["decay", "--random", "n=1,T=3,pool=H|S", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "T,measured,bound"
+    assert main(["decay", "--random", "n=1,T=3,pool=CNOT", "--seed", "1"]) == 2
+    assert "pool arity 2 gates cannot fit on n=1 wires" in capsys.readouterr().err
+
+
 def test_circuit_and_random_mutually_exclusive(all_id_file, capsys):
     assert main(["decay", "--circuit", all_id_file, "--random", "n=2,T=2,pool=ID"]) == 2
     capsys.readouterr()

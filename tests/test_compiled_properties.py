@@ -1,10 +1,12 @@
 """Cross-checks of the Pauli engine's fast paths against the dense
 density-matrix engine and against per-prefix evaluation, on seeded random
-circuits with n <= 5 and T <= 6."""
+circuits with n <= 5 and T <= 6, some of whose one-qubit gates become DEPOL
+or multi-term canonical-form gates."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from strategies import mix_one_qubit_gates
 
 from paulidelta import (
     InputPair,
@@ -35,7 +37,8 @@ def circuits(draw):
     noise = NoiseModel(draw(st.floats(0.01, 0.3)), draw(st.floats(0.0, 0.6)))
     seed = draw(st.integers(0, 2**31 - 1))
     out = draw(st.integers(0, n - 1))
-    return random_circuit(n, T, seed=seed, gate_pool=POOL, k=2, noise=noise, output_wire=out)
+    circ = random_circuit(n, T, seed=seed, gate_pool=POOL, k=2, noise=noise, output_wire=out)
+    return mix_one_qubit_gates(draw, circ)
 
 
 def _pair(n: int, seed: int) -> InputPair:

@@ -4,42 +4,16 @@ some of whose one-qubit gates become DEPOL or multi-term canonical-form
 gates with pre/post unitaries: the same seed gives the same estimate,
 whatever the block size."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import sample_by_trajectory
+from strategies import mix_one_qubit_gates
 
-from paulidelta import BasisPair, Circuit, GatePlacement, NoiseModel, random_circuit, sample_output_difference
+from paulidelta import BasisPair, NoiseModel, random_circuit, sample_output_difference
 from paulidelta import simulate
-from paulidelta.channels import BuiltinGate, OneQubitGate, RswChannel
-from paulidelta.circuit import haar_unitary
 
 POOL = ("CNOT", "H", "T", "RESET", "ID", "RANDMIX2")
 TOL = 1e-12
-
-
-def _one_qubit(draw, rng: np.random.Generator, pl: GatePlacement) -> GatePlacement:
-    """``pl``, or for a one-qubit placement maybe a DEPOL or a canonical-form
-    gate of one to three terms, each with Haar pre and post unitaries."""
-    kind = draw(st.sampled_from(("keep", "DEPOL", "RSW"))) if len(pl.wires) == 1 else "keep"
-    if kind == "keep":
-        return pl
-    if kind == "DEPOL":
-        return GatePlacement(pl.wires, BuiltinGate("DEPOL", draw(st.floats(0.0, 1.0))))
-    terms = [
-        (
-            float(weight),
-            RswChannel(
-                draw(st.floats(-1.0, 1.0)),
-                draw(st.floats(-1.0, 1.0)),
-                draw(st.sampled_from((-1, 1))),
-                haar_unitary(2, rng),
-                haar_unitary(2, rng),
-            ),
-        )
-        for weight in rng.dirichlet(np.ones(draw(st.integers(1, 3))))
-    ]
-    return GatePlacement(pl.wires, OneQubitGate(terms))
 
 
 @st.composite
@@ -56,9 +30,7 @@ def cases(draw):
         noise=noise,
         output_wire=draw(st.integers(0, n - 1)),
     )
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    levels = [[_one_qubit(draw, rng, pl) for pl in level] for level in circ.levels]
-    circ = Circuit(n, T, levels, circ.noise, circ.output_wire)
+    circ = mix_one_qubit_gates(draw, circ)
     bits = st.text("01", min_size=n, max_size=n)
     return circ, draw(bits), draw(bits), draw(st.integers(1, 20)), draw(st.integers(0, 2**31 - 1))
 

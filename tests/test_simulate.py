@@ -420,6 +420,17 @@ def test_input_pair_validation():
     not_psd = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
     with pytest.raises(ValueError, match="positive semidefinite"):
         InputPair(not_psd, basis_density("0"))
+    # its Hermitian part is a state, so only a Hermiticity check refuses it
+    not_hermitian = np.array([[0.5, 0.1], [-0.1, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match=r"rho is not Hermitian \(residue 0.2\)"):
+        InputPair(not_hermitian, basis_density("0"))
+    with pytest.raises(ValueError, match="tau is not Hermitian"):
+        InputPair(basis_density("0"), not_hermitian)
+    not_square = np.full((2, 3), 0.5)
+    with pytest.raises(ValueError, match=r"rho must be square, got shape \(2, 3\)"):
+        InputPair(not_square, not_square)
+    with pytest.raises(ValueError, match="rho dimension 3 is not a power of 2"):
+        InputPair(np.eye(3) / 3, np.eye(3) / 3)
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
