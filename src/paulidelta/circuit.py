@@ -38,6 +38,8 @@ from .channels import (
 
 # Wire-time qubits n * (T + 1) a circuit may hold; its light cones keep an int for each.
 MAX_QUBIT_REFS = 1 << 24
+# Bound on the light cones' mask bits, n * (T + 1) * gates: each int holds up to a bit per gate.
+MAX_CONE_BITS = 1 << 33
 
 
 class CircuitParseError(ValueError):
@@ -60,13 +62,19 @@ class LevelError(ValueError):
         self.placement = placement
 
 
-def _check_size(n: int, T: int) -> None:
+def _check_size(n: int, T: int, gates: int) -> None:
     """Raise, before anything is allocated, if n wires over T levels make
-    more than ``MAX_QUBIT_REFS`` wire-time qubits."""
+    more than ``MAX_QUBIT_REFS`` wire-time qubits, or if with ``gates``
+    gates their light cones could hold more than ``MAX_CONE_BITS`` bits."""
     if n * (T + 1) > MAX_QUBIT_REFS:
         raise ValueError(
             f"n={n} wires over T={T} levels make {n * (T + 1)} wire-time qubits, "
             f"above the limit {MAX_QUBIT_REFS}"
+        )
+    if n * (T + 1) * gates > MAX_CONE_BITS:
+        raise ValueError(
+            f"n={n} wires over T={T} levels with {gates} gates make light cones of up to "
+            f"{n * (T + 1) * gates} bits, above the limit {MAX_CONE_BITS}"
         )
 
 
@@ -115,7 +123,7 @@ class Circuit:
             raise ValueError(f"T={self.T} but {len(self.levels)} levels given")
         if not 0 <= self.output_wire < self.n:
             raise ValueError(f"output wire {self.output_wire} out of range")
-        _check_size(self.n, self.T)
+        _check_size(self.n, self.T, sum(map(len, self.levels)))
         for li, level in enumerate(self.levels, start=1):
             seen: set[int] = set()
             for pi, pl in enumerate(level):
@@ -361,12 +369,18 @@ def _parse_placement(text: str, line: int, col: int) -> GatePlacement:
         raise CircuitParseError("placement lists no wires", line, col)
 
     kv: dict[str, str] = {}
+
+    def put(key: str, val: str) -> None:
+        if key in kv:
+            raise CircuitParseError(f"{name} placement repeats {key}=", line, col)
+        kv[key] = val
+
     for sec in sections[1:]:
         if not sec:
             continue
         if "[" in sec:
             key, _, val = sec.partition("=")
-            kv[key.strip()] = val.strip().strip("[]")
+            put(key.strip(), val.strip().strip("[]"))
         else:
             for piece in sec.split(","):
                 if not piece.strip():
@@ -374,11 +388,13 @@ def _parse_placement(text: str, line: int, col: int) -> GatePlacement:
                 key, eq, val = piece.partition("=")
                 if not eq:
                     raise CircuitParseError(f"expected key=value, got {piece!r}", line, col)
-                kv[key.strip()] = val.strip()
+                put(key.strip(), val.strip())
+    read: set[str] = set()
 
     def need(key: str) -> str:
         if key not in kv:
             raise CircuitParseError(f"{name} placement missing {key}=", line, col)
+        read.add(key)
         return kv[key]
 
     def number(key: str, text: str) -> float:
@@ -388,24 +404,26 @@ def _parse_placement(text: str, line: int, col: int) -> GatePlacement:
             raise CircuitParseError(f"bad {name} value {key}={text.strip()!r}", line, col) from None
 
     if name in _BUILTIN_SIMPLE:
-        if kv:
-            raise CircuitParseError(f"{name} takes no parameters", line, col)
-        return GatePlacement(wires, BuiltinGate(name))
-    if name == "DEPOL":
-        return GatePlacement(wires, BuiltinGate("DEPOL", number("p", need("p"))))
-    if name == "U":
-        u = _parse_matrix(need("m"), len(wires), line, col)
-        return GatePlacement(wires, UnitaryMixture(len(wires), [(1.0, u)]))
-    if name == "MIX":
+        gate = BuiltinGate(name)
+    elif name == "DEPOL":
+        gate = BuiltinGate("DEPOL", number("p", need("p")))
+    elif name == "U":
+        gate = UnitaryMixture(len(wires), [(1.0, _parse_matrix(need("m"), len(wires), line, col))])
+    elif name == "MIX":
         probs = [number("p", t) for t in need("p").split(",") if t.strip()]
         mats = [_parse_matrix(need(f"m{i}"), len(wires), line, col) for i in range(1, len(probs) + 1)]
-        return GatePlacement(wires, UnitaryMixture(len(wires), list(zip(probs, mats))))
-    if name == "RSW":
+        gate = UnitaryMixture(len(wires), list(zip(probs, mats)))
+    elif name == "RSW":
         lam1, lam2, sign = (number(key, need(key)) for key in ("l1", "l2", "sign"))
         if sign not in (-1, 1):
             raise CircuitParseError(f"RSW sign must be +-1, got {need('sign')}", line, col)
-        return GatePlacement(wires, OneQubitGate([(1.0, RswChannel(lam1, lam2, int(sign)))]))
-    raise CircuitParseError(f"unknown gate name {name!r}", line, col)
+        gate = OneQubitGate([(1.0, RswChannel(lam1, lam2, int(sign)))])
+    else:
+        raise CircuitParseError(f"unknown gate name {name!r}", line, col)
+    unread = [key for key in kv if key not in read]
+    if unread:
+        raise CircuitParseError(f"{name} takes no parameter {unread[0]}=", line, col)
+    return GatePlacement(wires, gate)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -558,6 +576,8 @@ def _gate_from_json(d: dict, arity: int) -> GateSpec:
     if name == "MIX":
         mats = [_mat_from_json(m, arity) for m in d["matrices"]]
         probs = [_float_from_json(q, "probability") for q in d["probs"]]
+        if len(probs) != len(mats):
+            raise ValueError(f"MIX has {len(probs)} probabilities and {len(mats)} matrices")
         return UnitaryMixture(arity, list(zip(probs, mats)))
     if name == "RSWMIX":
         terms = []
@@ -666,7 +686,7 @@ def random_circuit(
         raise ValueError(f"pool arity {widest} exceeds k={k}")
     if widest > n:
         raise ValueError(f"pool arity {widest} gates cannot fit on n={n} wires")
-    _check_size(n, T)
+    _check_size(n, T, n * T)  # at most n gates per level
     min_arity = min(arities.values())
     rng = np.random.default_rng(seed)
     noise = noise or NoiseModel(0.05, 0.4)

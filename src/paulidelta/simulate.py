@@ -8,8 +8,9 @@ costs one matrix product on the (4,)*n coefficient tensor.  The tensor
 passes from gate to gate as :func:`_apply` returns it and is flattened
 only into a :class:`CoeffVector`, so a gate copies it at most once; a wire
 is traced out by slicing its I index, a view.
-The density engine evolves the dense 2^n x 2^n matrix with embedded
-unitary conjugations, Kraus pairs, and partial traces; it exists as an
+The density engine evolves the dense 2^n x 2^n matrix, as a (2,)*2n
+tensor, by one superoperator per channel, sum w K (x) conj(K) built in the
+computational basis on the channel's row and column axes; it exists as an
 independent cross-check of the Pauli engine.  It and the trajectory
 sampler read one lowering of each noisy gate, :func:`_channels`, its
 channels in the order they act; ``circ.fused`` stays the Pauli engine's
@@ -245,12 +246,6 @@ def _apply(t: np.ndarray, ops: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return out.reshape(front.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
-def _conjugate_dense(op: np.ndarray, m: np.ndarray, wires: tuple[int, ...], n: int) -> np.ndarray:
-    """M op M^dagger with M acting on ``wires`` (first wire = leftmost factor)."""
-    t = _apply(op.reshape((2,) * (2 * n)), m, wires)
-    return _apply(t, m.conj(), [n + w for w in wires]).reshape(2**n, 2**n)
-
-
 def partial_trace(op: np.ndarray, keep: Iterable[int], n: int) -> np.ndarray:
     """Trace out every wire not in ``keep``; kept wires stay in wire order."""
     keep = sorted(keep)
@@ -288,19 +283,22 @@ def _channels(pl: GatePlacement, noise: NoiseModel) -> list[tuple]:
 
 def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]]) -> np.ndarray:
     """Dense-matrix evolution through the gates of a cut, in (level, index)
-    order; each channel maps op to sum_j w_j K_j op K_j^dagger."""
+    order; each channel, op -> sum_t w_t sum_k K_kt op K_kt^dagger, is one
+    superoperator sum w K (x) conj(K) on its wires' row and column axes."""
     op = np.asarray(op, dtype=complex)
     if circ.n > MAX_DENSE_QUBITS:
         raise ValueError(f"n={circ.n} exceeds the dense-engine cap {MAX_DENSE_QUBITS}")
     if op.shape != (2**circ.n, 2**circ.n):
         raise ValueError(f"operator shape {op.shape} does not match n={circ.n}")
     check_cut(circ, cut)
+    t = op.reshape((2,) * (2 * circ.n))
     for level, i in sorted(cut):
         for wires, weights, ops in _channels(circ.levels[level - 1][i], circ.noise):
-            if ops.ndim == 4:  # a Kraus pair per term: every term weighs its K0 and its K1
-                weights, ops = np.tile(weights, 2), ops.reshape(-1, 2, 2)
-            op = sum(w * _conjugate_dense(op, k, wires, circ.n) for w, k in zip(weights, ops))
-    return op
+            d = 2 ** len(wires)
+            kraus = ops.reshape(-1, len(weights), d, d)
+            sup = np.einsum("t,ktij,ktab->iajb", weights, kraus, kraus.conj()).reshape(d * d, d * d)
+            t = _apply(t, sup, [*wires, *(circ.n + w for w in wires)])
+    return t.reshape(op.shape)
 
 
 # --- Pauli-coefficient machinery ------------------------------------------

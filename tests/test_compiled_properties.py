@@ -1,7 +1,9 @@
 """Cross-checks of the Pauli engine's fast paths against the dense
 density-matrix engine and against per-prefix evaluation, on seeded random
-circuits with n <= 5 and T <= 6, some of whose one-qubit gates become DEPOL
-or multi-term canonical-form gates."""
+circuits with n <= 5 and T <= 6, and at the dense engine's cap, some of
+whose one-qubit gates become DEPOL or multi-term canonical-form gates."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,19 +23,22 @@ from paulidelta import (
     min_cut,
     output_distinguishability,
     random_circuit,
+    random_hermitian,
     random_product_density,
     random_pure_density,
 )
 from paulidelta.circuit import Circuit
+from paulidelta.paulis import MAX_DENSE_QUBITS
+from paulidelta.simulate import _apply, _channels
 
 POOL = ("CNOT", "H", "T", "RESET", "ID", "RANDMIX2")
 TOL = 1e-12
 
 
 @st.composite
-def circuits(draw):
-    n = draw(st.integers(2, 5))
-    T = draw(st.integers(1, 6))
+def circuits(draw, widths=st.integers(2, 5), depths=st.integers(1, 6)):
+    n = draw(widths)
+    T = draw(depths)
     noise = NoiseModel(draw(st.floats(0.01, 0.3)), draw(st.floats(0.0, 0.6)))
     seed = draw(st.integers(0, 2**31 - 1))
     out = draw(st.integers(0, n - 1))
@@ -82,6 +87,31 @@ def test_compiled_evolution_matches_dense_on_random_cuts(circ, seed, data):
     delta = _pair(circ.n, seed).delta()
     pauli = evolve_pauli(circ, coeffs_from_op(delta), cut).values
     dense = coeffs_from_op(evolve_density(circ, delta, cut)).values
+    assert np.max(np.abs(pauli - dense)) < TOL
+
+
+@settings(max_examples=20)
+@given(circuits())
+def test_dense_engine_applies_one_superoperator_per_channel(circ):
+    calls = []
+
+    def counting(t, ops, axes):
+        calls.append(ops.shape)
+        return _apply(t, ops, axes)
+
+    with mock.patch("paulidelta.simulate._apply", counting):
+        evolve_density(circ, _pair(circ.n, 0).delta(), full_cut(circ))
+    gates = [circ.levels[level - 1][i] for level, i in sorted(full_cut(circ))]
+    channels = [wires for pl in gates for wires, *_ in _channels(pl, circ.noise)]
+    assert calls == [(4 ** len(wires),) * 2 for wires in channels]
+
+
+@settings(max_examples=2, deadline=None)
+@given(circuits(st.just(MAX_DENSE_QUBITS), st.integers(1, 2)), st.integers(0, 2**31 - 1))
+def test_dense_engine_at_its_cap_matches_the_pauli_engine(circ, seed):
+    op = random_hermitian(circ.n, np.random.default_rng(seed))  # no 2^n InputPair checks
+    pauli = evolve_pauli(circ, coeffs_from_op(op), full_cut(circ)).values
+    dense = coeffs_from_op(evolve_density(circ, op, full_cut(circ))).values
     assert np.max(np.abs(pauli - dense)) < TOL
 
 

@@ -26,6 +26,7 @@ from paulidelta import (
     parse_circuit,
     validate_gate,
 )
+from paulidelta.circuit import MAX_CONE_BITS, LightCones
 from paulidelta.cli import main
 from paulidelta.paulis import check_unitary
 
@@ -147,6 +148,12 @@ def test_library_checks_reject_nan():
         ("RSW(0; l1=0.5, l2=0.5, sign=1.7); ID(1)", "RSW sign must be"),
         ("RSW(0; l1=0.5, l2=0.5); ID(1)", "RSW placement missing sign="),
         ("RSW(0; l1=0.5, l2=y, sign=1); ID(1)", r"bad RSW value l2='y'"),
+        ("DEPOL(0; p=0.2, q=0.9); ID(1)", "DEPOL takes no parameter q="),
+        ("RSW(0; l1=0.8, l2=0.5, sign=1, l3=7); ID(1)", "RSW takes no parameter l3="),
+        ("MIX(0; p=[1.0]; m1=[1,0,0,1]; m2=[0,1,1,0]); ID(1)", "MIX takes no parameter m2="),
+        ("U(0; m=[1,0,0,1]; m=[0,1,1,0]); ID(1)", "U placement repeats m="),
+        ("DEPOL(0; p=0.2, p=0.3); ID(1)", "DEPOL placement repeats p="),
+        ("H(0; p=0.2); ID(1)", "H takes no parameter p="),
     ],
 )
 def test_dsl_parameter_errors_are_located(level, problem):
@@ -174,6 +181,8 @@ def test_dsl_accepts_signed_unit_rsw_signs():
          "level 1, placement 1: wire 5 out of range"),
         (_json_doc([{"gate": "ID", "wires": [0]}, {"gate": "CNOT", "wires": [1]}]),
          "level 1, placement 1: gate needs 2 wires"),
+        (_json_doc([{"gate": "MIX", "probs": [1.0], "matrices": [[[1, 0], [0, 0], [0, 0], [1, 0]]] * 2,
+                     "wires": [0]}, ID_1]), "level 1, placement 0: MIX has 1 probabilities and 2 matrices"),
     ],
 )
 def test_json_errors_are_located_and_nothing_is_truncated(doc, problem):
@@ -221,6 +230,34 @@ def test_cli_exits_2_on_a_circuit_past_the_width_limit(tmp_path, capsys, command
     )
     assert main(command + ["--random", "n=4000000000,T=1,pool=ID", "--seed", "0"]) == 2
     assert "make 8000000000 wire-time qubits, above the limit" in capsys.readouterr().err
+
+
+def test_light_cones_past_their_bit_limit_are_refused_before_they_are_built(monkeypatch):
+    # n=1000 wires over T=100 levels of ID gates: 101,000 wire-time qubits,
+    # under MAX_QUBIT_REFS, but cones of up to 10^10 bits, above MAX_CONE_BITS.
+    def unbuilt(circ):
+        raise AssertionError("light cones built")
+
+    monkeypatch.setattr(LightCones, "of", unbuilt)
+    level = [GatePlacement((w,), BuiltinGate("ID")) for w in range(1000)]
+    with pytest.raises(ValueError, match=re.escape(
+        "n=1000 wires over T=100 levels with 100000 gates make light cones of up to "
+        f"10100000000 bits, above the limit {MAX_CONE_BITS}"
+    )):
+        Circuit(1000, 100, [level] * 100, NoiseModel(0.05, 0.4), 0)
+
+
+def test_cli_exits_2_on_a_random_circuit_past_the_light_cone_bit_limit(monkeypatch, capsys):
+    # Refused before a gate is drawn; its light cones would need ~116 GiB.
+    def undrawn(token, rng):
+        raise AssertionError("gate drawn")
+
+    monkeypatch.setattr("paulidelta.circuit._instantiate", undrawn)
+    assert main(["decay", "--random", "n=1000,T=1000,pool=H", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: n=1000 wires over T=1000 levels with 1000000 gates make light cones of up to "
+        f"1001000000000 bits, above the limit {MAX_CONE_BITS}\n"
+    )
 
 
 # --- DSL text from grammar tokens ---------------------------------------------------

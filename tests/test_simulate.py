@@ -33,6 +33,7 @@ from paulidelta import (
 )
 from paulidelta import BuiltinGate, GatePlacement, enumerate_consistent_sets
 from paulidelta.circuit import Circuit, ConsistentSet
+from paulidelta.paulis import MAX_DENSE_QUBITS
 from paulidelta.simulate import _apply, _apply_gate, check_cut
 
 from oracles import producing_gate
@@ -103,6 +104,12 @@ def test_trace_preserved_and_psd_kept():
             assert abs(np.trace(out).real - 1.0) < 1e-10
             assert abs(np.trace(out).imag) < 1e-12
             assert np.min(np.linalg.eigvalsh(out)) > -1e-9
+
+
+def test_dense_engine_refuses_a_circuit_past_its_cap():
+    c = random_circuit(MAX_DENSE_QUBITS + 1, 1, seed=0, gate_pool=("ID",), k=1)
+    with pytest.raises(ValueError, match=f"n=11 exceeds the dense-engine cap {MAX_DENSE_QUBITS}"):
+        evolve_density(c, np.zeros((2, 2)), full_cut(c))
 
 
 def test_partial_trace_of_product():
