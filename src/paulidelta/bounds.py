@@ -15,6 +15,7 @@ experiments.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .circuit import Circuit, ConsistentSet, NoiseModel, enumerate_consistent_sets
@@ -188,18 +189,16 @@ def audit_invariant(
     enumeration order.
 
     Each set's minimal cut is a gate mask of ``circ.cones``, the earliest
-    gate its most significant bit; read from the top bit down, its gates are
-    a path in the trie of (level, index) prefixes.  Every such prefix of a
-    downward-closed cut is itself downward-closed (a gate's predecessors sit
-    at lower levels).  Sorted as integers, the masks visit the trie depth
-    first, and a cut shares with the one before it the gates above their
-    highest differing bit.  Each set starts from the vector of that prefix
-    and applies its gates below that bit, highest first, so each distinct
+    gate its top bit.  The walk bisects the ascending masks with one stack:
+    an entry ``(lo, hi, bit, values)`` holds the cuts ``ordered[lo:hi]``,
+    which agree above ``bit`` and all hold gate ``bit`` (``top + 1`` names
+    none), and ``values``, the tensor of their shared prefix.  Popping it
+    applies gate ``bit``.  While the range's largest cut has a lower gate,
+    the cuts holding the highest one are pushed, and the walk goes on with
+    those before them.  The equal cuts left slice their sets' reduced blocks
+    out of ``values``, as :func:`restrict_coeffs` would.  Each distinct cut
     prefix is evolved once, by the gates :func:`invariant_check` applies in
-    the order it applies them: every record equals its from-scratch one
-    exactly.  A tensor is kept only where a later cut branches off.  The
-    walk carries the (4,)*n coefficient tensor from gate to gate and slices
-    each set's reduced block out of it, as :func:`restrict_coeffs` would.
+    the order it applies them, so every record equals its from-scratch one.
     """
     _check_theta(theta)
     check_pair(circ, pair)
@@ -209,41 +208,24 @@ def audit_invariant(
     sets = list(enumerate_consistent_sets(circ, max_size, max_sets))
     cuts = [cones.cut(vset.qubits) for vset in sets]
     order = sorted(range(len(sets)), key=cuts.__getitem__)
-    # split[p]: the bit above which the p-th cut in sorted order matches the one before
-    split = [top + 1] + [(cuts[a] ^ cuts[b]).bit_length() for a, b in zip(order, order[1:])]
-    shared = [(cuts[s] >> split[p]).bit_count() for p, s in enumerate(order)]  # gates above it
-    # branches[p]: the depths past shared[p] at which a later cut leaves the
-    # p-th cut's path, i.e. the prefix minima of shared[p+1:] above shared[p]
-    branches, minima = {}, []
-    for p in reversed(range(len(order))):
-        above = []
-        while minima and minima[-1] >= shared[p]:
-            depth = minima.pop()
-            if depth > shared[p]:
-                above.append(depth)
-        minima.append(shared[p])
-        if above:
-            branches[p] = above
-    saved = [(0, v0.values.reshape((4,) * circ.n))]  # (depth, tensor) at the branch points
+    ordered = [cuts[s] for s in order]
     records: list[InvariantRecord | None] = [None] * len(sets)
-    for p, s in enumerate(order):
-        while saved[-1][0] > shared[p]:
-            saved.pop()
-        depth, values = saved[-1]  # depth == shared[p]: a branch point of an earlier cut
-        rest, keep = cuts[s] & ((1 << split[p]) - 1), branches.get(p)
-        while rest:
-            bit = rest.bit_length() - 1
-            rest ^= 1 << bit
+    stack = [(0, len(ordered), top + 1, v0.values.reshape((4,) * circ.n))]
+    while stack:
+        lo, hi, bit, values = stack.pop()
+        if bit <= top:
             values = _apply_gate(values, *fused[cones.gates[top - bit]], wires)
-            depth += 1
-            if keep and keep[-1] == depth:
-                saved.append((keep.pop(), values))
-        vset = sets[s]
-        kept = {q.wire for q in vset.qubits}
-        # the set's reduced block may be a view of the tensor: no name keeps it alive
-        records[s] = _record(
-            vset, CoeffVector(len(kept), values[_trace_out(circ.n, kept)].reshape(-1)), theta
-        )
+        while lo < hi and (rest := ordered[hi - 1] & ((1 << bit) - 1)):
+            bit = rest.bit_length() - 1
+            mid = bisect_left(ordered, ordered[hi - 1] >> bit << bit, lo, hi)
+            stack.append((mid, hi, bit, values))  # the cuts that also hold gate bit
+            hi = mid
+        for s in order[lo:hi]:
+            kept = {q.wire for q in sets[s].qubits}
+            # the set's reduced block may be a view of the tensor: no name keeps it alive
+            records[s] = _record(
+                sets[s], CoeffVector(len(kept), values[_trace_out(circ.n, kept)].reshape(-1)), theta
+            )
     return InvariantReport(theta, records)
 
 

@@ -127,6 +127,8 @@ class Circuit:
         for li, level in enumerate(self.levels, start=1):
             seen: set[int] = set()
             for pi, pl in enumerate(level):
+                if not pl.wires:
+                    raise LevelError(li, "placement lists no wires", pi)
                 if len(set(pl.wires)) != len(pl.wires):
                     raise LevelError(li, "duplicate wire within a placement", pi)
                 arity = gate_arity(pl.gate)
@@ -332,6 +334,10 @@ def enumerate_consistent_sets(
 # --- DSL ----------------------------------------------------------------
 
 _BUILTIN_SIMPLE = ("ID", "H", "X", "Y", "Z", "S", "T", "RESET", "CNOT", "CZ", "SWAP")
+# The keys circuit_to_json writes for each gate kind besides "gate" and "wires".
+_GATE_KEYS = dict.fromkeys(_BUILTIN_SIMPLE, ()) | {
+    "DEPOL": ("p",), "U": ("matrix",), "MIX": ("probs", "matrices"), "RSWMIX": ("terms",)
+}
 
 
 def _parse_complex(tok: str, line: int, col: int) -> complex:
@@ -565,8 +571,17 @@ def _gate_to_json(g: GateSpec) -> dict:
     raise TypeError(f"not a gate spec: {g!r}")
 
 
+def _check_keys(d: dict, keys: tuple[str, ...], what: str) -> None:
+    unread = [key for key in d if key not in keys]
+    if unread:
+        raise ValueError(f"{what} takes no key {json.dumps(unread[0])}")
+
+
 def _gate_from_json(d: dict, arity: int) -> GateSpec:
     name = d.get("gate")
+    if not isinstance(name, str) or name not in _GATE_KEYS:
+        raise ValueError(f"unknown gate kind {name!r}")
+    _check_keys(d, ("gate", "wires", *_GATE_KEYS[name]), name)
     if name in _BUILTIN_SIMPLE:
         return BuiltinGate(name)
     if name == "DEPOL":
@@ -579,19 +594,18 @@ def _gate_from_json(d: dict, arity: int) -> GateSpec:
         if len(probs) != len(mats):
             raise ValueError(f"MIX has {len(probs)} probabilities and {len(mats)} matrices")
         return UnitaryMixture(arity, list(zip(probs, mats)))
-    if name == "RSWMIX":
-        terms = []
-        for term in d["terms"]:
-            ch = RswChannel(
-                _float_from_json(term["l1"], "l1"),
-                _float_from_json(term["l2"], "l2"),
-                _int_from_json(term["sign"], "sign"),
-                pre_unitary=_mat_from_json(term["u2"], 1) if "u2" in term else np.eye(2, dtype=complex),
-                post_unitary=_mat_from_json(term["u1"], 1) if "u1" in term else np.eye(2, dtype=complex),
-            )
-            terms.append((_float_from_json(term["prob"], "prob"), ch))
-        return OneQubitGate(terms)
-    raise ValueError(f"unknown gate kind {name!r}")
+    terms = []  # RSWMIX
+    for term in d["terms"]:
+        ch = RswChannel(
+            _float_from_json(term["l1"], "l1"),
+            _float_from_json(term["l2"], "l2"),
+            _int_from_json(term["sign"], "sign"),
+            pre_unitary=_mat_from_json(term["u2"], 1) if "u2" in term else np.eye(2, dtype=complex),
+            post_unitary=_mat_from_json(term["u1"], 1) if "u1" in term else np.eye(2, dtype=complex),
+        )
+        terms.append((_float_from_json(term["prob"], "prob"), ch))
+        _check_keys(term, ("prob", "l1", "l2", "sign", "u2", "u1"), "an RSWMIX term")
+    return OneQubitGate(terms)
 
 
 def circuit_to_json(circ: Circuit) -> str:
@@ -620,6 +634,8 @@ def circuit_from_json(text: str) -> Circuit:
         noise = NoiseModel(*(_float_from_json(doc["noise"][key], key) for key in ("eps1", "epsk")))
         n, output = _int_from_json(doc["qubits"], "qubits"), _int_from_json(doc["output"], "output")
         all_levels = doc["levels"]
+        _check_keys(doc["noise"], ("eps1", "epsk"), "noise")
+        _check_keys(doc, ("qubits", "levels", "noise", "output"), "a circuit")
         where, levels = "levels", []
         for li, level in enumerate(all_levels, start=1):
             where, placements = f"level {li}", []

@@ -1,10 +1,11 @@
 """The audit's walk over the trie of cut prefixes: it gives exactly the
 records that auditing each set from scratch gives, it applies one gate per
-distinct prefix, and it keeps vectors only at branch points, not one per
-distinct cut."""
+distinct prefix, and it keeps vectors only for pending branches, not one
+per distinct cut."""
 
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,7 +47,16 @@ def audits(draw):
 @given(audits())
 def test_audit_walk_matches_per_set_checks(audit):
     circ, pair, max_size = audit
-    got = audit_invariant(circ, pair, THETA, max_size).records
+    calls, apply_gate = 0, bounds._apply_gate
+
+    def count(*args):
+        nonlocal calls
+        calls += 1
+        return apply_gate(*args)
+
+    with mock.patch.object(bounds, "_apply_gate", count):
+        got = audit_invariant(circ, pair, THETA, max_size).records
+    assert calls == _distinct_prefixes(circ, max_size)
     sets = list(enumerate_consistent_sets(circ, max_size))
     assert len(got) == len(sets)
     for rec, vset in zip(got, sets):

@@ -47,6 +47,8 @@ def _json_doc(placements, qubits=2, output=0, eps1=0.1) -> str:
 
 
 ID_1 = {"gate": "ID", "wires": [1]}
+U_ID = [[1, 0], [0, 0], [0, 0], [1, 0]]
+RSW_TERM = {"prob": 1.0, "l1": 0.5, "l2": 0.5, "sign": 1}
 NOT_NUMBERS = [
     pytest.param(
         _json_doc([{"gate": "RSWMIX", "terms": [{"prob": True, "l1": 0.5, "l2": 0.5, "sign": 1}], "wires": [0]}, ID_1]),
@@ -183,6 +185,20 @@ def test_dsl_accepts_signed_unit_rsw_signs():
          "level 1, placement 1: gate needs 2 wires"),
         (_json_doc([{"gate": "MIX", "probs": [1.0], "matrices": [[[1, 0], [0, 0], [0, 0], [1, 0]]] * 2,
                      "wires": [0]}, ID_1]), "level 1, placement 0: MIX has 1 probabilities and 2 matrices"),
+        (_json_doc([{"gate": "U", "matrix": U_ID, "probs": [1.0], "wires": [0]}, ID_1]),
+         'level 1, placement 0: U takes no key "probs"'),
+        (_json_doc([{"gate": "H", "p": 0.2, "wires": [0]}, ID_1]), 'level 1, placement 0: H takes no key "p"'),
+        (_json_doc([{"gate": "RSWMIX", "p": 0.2, "terms": [RSW_TERM], "wires": [0]}, ID_1]),
+         'level 1, placement 0: RSWMIX takes no key "p"'),
+        (_json_doc([{"gate": "RSWMIX", "terms": [dict(RSW_TERM, l3=7)], "wires": [0]}, ID_1]),
+         'level 1, placement 0: an RSWMIX term takes no key "l3"'),
+        (json.dumps({"qubits": 1, "levels": [[{"gate": "H", "wires": [0]}]],
+                     "noise": {"eps1": 0.1, "epsk": 0.4, "eps2": 0.3}, "output": 0}),
+         'circuit: noise takes no key "eps2"'),
+        (json.dumps({"qubits": 1, "levels": [], "noise": {"eps1": 0.1, "epsk": 0.4}, "output": 0, "extra": 1}),
+         'circuit: a circuit takes no key "extra"'),
+        (_json_doc([ID_1, {"gate": "U", "matrix": [[1, 0]], "wires": []}, {"gate": "ID", "wires": [0]}]),
+         "level 1, placement 1: placement lists no wires"),
     ],
 )
 def test_json_errors_are_located_and_nothing_is_truncated(doc, problem):
@@ -202,6 +218,15 @@ def test_cli_exits_2_on_a_json_float_that_is_not_a_number(tmp_path, capsys, doc,
     path.write_text(doc)
     assert main(["simulate", "--circuit", str(path)]) == 2
     assert problem in capsys.readouterr().err
+
+
+def test_cli_exits_2_on_a_placement_without_wires(tmp_path, capsys):
+    # A zero-wire U with a 1x1 matrix passes the arity check; the light cones
+    # would then reduce over no wires.
+    path = tmp_path / "nowires.json"
+    path.write_text(_json_doc([{"gate": "U", "matrix": [[1, 0]], "wires": []}, {"gate": "ID", "wires": [0]}, ID_1]))
+    assert main(["simulate", "--circuit", str(path)]) == 2
+    assert capsys.readouterr().err == "error: level 1, placement 0: placement lists no wires\n"
 
 
 def test_json_floats_accept_integers():
