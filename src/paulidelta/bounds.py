@@ -17,9 +17,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
+
+import numpy as np
 
 from .circuit import Circuit, ConsistentSet, NoiseModel, enumerate_consistent_sets
-from .paulis import CoeffVector, sum_of_squares
 from .simulate import (  # noqa: F401 (perfbench/selftest.py reads bounds.evolve_pauli)
     BasisPair,
     InputPair,
@@ -156,11 +158,10 @@ class InvariantReport:
         return math.inf if worst is None else worst.margin
 
 
-def _record(vset: ConsistentSet, reduced: CoeffVector, theta: float) -> InvariantRecord:
-    lhs = sum_of_squares(reduced) / 2 ** len(vset.qubits)
-    rhs = 2.0 * theta**vset.dist
-    refs = tuple(sorted((q.wire, q.time) for q in vset.qubits))
-    return InvariantRecord(refs, vset.dist, lhs, rhs)
+def _record(vset: ConsistentSet, block: np.ndarray, theta: float) -> InvariantRecord:
+    block = block.flatten()  # a C-contiguous copy, summed as sum_of_squares sums a CoeffVector
+    lhs = float(np.dot(block, block)) / 2 ** len(vset.refs)
+    return InvariantRecord(vset.refs, vset.dist, lhs, 2.0 * theta**vset.dist)
 
 
 def _check_theta(theta: float) -> None:
@@ -175,7 +176,7 @@ def invariant_check(
     _check_theta(theta)
     check_pair(circ, pair)
     reduced = reduced_delta(circ, pair.delta_coeffs(), vset)
-    return _record(vset, reduced, theta)
+    return _record(vset, reduced.values, theta)
 
 
 def audit_invariant(
@@ -188,27 +189,31 @@ def audit_invariant(
     """Audit every consistent set of size <= max_size; the records come in
     enumeration order.
 
-    Each set's minimal cut is a gate mask of ``circ.cones``, the earliest
-    gate its top bit.  The walk bisects the ascending masks with one stack:
+    Each set from :func:`enumerate_consistent_sets` carries its minimal cut
+    as ``vset.cut``, a gate mask of ``circ.cones`` whose top bit is the
+    earliest gate.  The walk bisects the ascending masks with one stack:
     an entry ``(lo, hi, bit, values)`` holds the cuts ``ordered[lo:hi]``,
     which agree above ``bit`` and all hold gate ``bit`` (``top + 1`` names
     none), and ``values``, the tensor of their shared prefix.  Popping it
     applies gate ``bit``.  While the range's largest cut has a lower gate,
     the cuts holding the highest one are pushed, and the walk goes on with
     those before them.  The equal cuts left slice their sets' reduced blocks
-    out of ``values``, as :func:`restrict_coeffs` would.  Each distinct cut
-    prefix is evolved once, by the gates :func:`invariant_check` applies in
-    the order it applies them, so every record equals its from-scratch one.
+    out of ``values``, as :func:`restrict_coeffs` would, and build their
+    records from ``vset.refs``, with the slice made once per kept-wire set.
+    Each distinct cut prefix is evolved once, by the gates
+    :func:`invariant_check` applies in the order it applies them, so every
+    record equals its from-scratch one.
     """
     _check_theta(theta)
     check_pair(circ, pair)
     v0 = pair.delta_coeffs()  # refuses a circuit past the engine cap before enumerating
+    sets = list(enumerate_consistent_sets(circ, max_size, max_sets))  # refuses before the PTM builds
     cones, fused, wires = circ.cones, circ.fused, range(circ.n)
     top = len(cones.gates) - 1
-    sets = list(enumerate_consistent_sets(circ, max_size, max_sets))
-    cuts = [cones.cut(vset.qubits) for vset in sets]
+    cuts = [vset.cut for vset in sets]
     order = sorted(range(len(sets)), key=cuts.__getitem__)
     ordered = [cuts[s] for s in order]
+    index = cache(lambda kept: _trace_out(circ.n, kept))
     records: list[InvariantRecord | None] = [None] * len(sets)
     stack = [(0, len(ordered), top + 1, v0.values.reshape((4,) * circ.n))]
     while stack:
@@ -221,11 +226,9 @@ def audit_invariant(
             stack.append((mid, hi, bit, values))  # the cuts that also hold gate bit
             hi = mid
         for s in order[lo:hi]:
-            kept = {q.wire for q in sets[s].qubits}
-            # the set's reduced block may be a view of the tensor: no name keeps it alive
-            records[s] = _record(
-                sets[s], CoeffVector(len(kept), values[_trace_out(circ.n, kept)].reshape(-1)), theta
-            )
+            vset = sets[s]
+            kept = tuple([w for w, _ in vset.refs])
+            records[s] = _record(vset, values[index(kept)], theta)
     return InvariantReport(theta, records)
 
 

@@ -19,7 +19,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -184,19 +184,29 @@ class QubitRef:
 
 @dataclass
 class ConsistentSet:
-    """A validated consistent set with its dist/latest summary."""
+    """A validated consistent set: ``refs``, its (wire, time) pairs sorted;
+    ``members``, its mask with bit ``time*n + wire`` per ref; ``cut``, its
+    minimal cut as a gate mask of ``circ.cones``; and ``dist``/``latest``,
+    its least and greatest time (infinity and 0 when it is empty)."""
 
-    qubits: frozenset[QubitRef]
+    refs: tuple[tuple[int, int], ...]
+    members: int
+    cut: int
     dist: float
     latest: int
+
+    @property
+    def qubits(self) -> frozenset[QubitRef]:
+        return frozenset(QubitRef(w, t) for w, t in self.refs)
 
     @classmethod
     def build(cls, circ: Circuit, refs: Iterable[QubitRef]) -> "ConsistentSet":
         refs = frozenset(refs)
         if not is_consistent(refs, circ):
             raise ValueError(f"set is not consistent: {sorted(refs)}")
-        d, l = dist_latest(refs, circ)
-        return cls(refs, d, l)
+        members = sum(1 << q.time * circ.n + q.wire for q in refs)
+        pairs = tuple(sorted((q.wire, q.time) for q in refs))
+        return cls(pairs, members, circ.cones.cut(refs), *dist_latest(refs, circ))
 
 
 def _check_refs(refs: Iterable[QubitRef], n: int, T: int) -> None:
@@ -297,38 +307,49 @@ def enumerate_consistent_sets(
     """Yield every consistent set of size <= max_size exactly once.
 
     The sets are the cliques of the graph joining two refs when neither
-    one's cone holds the gate consuming the other, grown in bit order.
-    Order: increasing (latest, number of members at latest, sorted refs).
-    Raises RuntimeError when more than ``max_sets`` sets would be yielded.
+    one's cone holds the gate consuming the other, grown in bit order as two
+    ints: adding ref b sets bit b of the member mask and ORs b's cone into
+    the cut.  Order: increasing (latest, number of members at latest,
+    ``refs``), computed once per set from its member mask.
+    Raises RuntimeError, before yielding, when more than ``max_sets`` sets
+    would be yielded; it stops growing at the first set past the budget.
     """
     cones = circ.cones
-    n, size = circ.n, len(cones.cone)
-    grid = [QubitRef(b % n, b // n) for b in range(size)]
-    # later[b]: the refs after b in bit order whose cone lacks b's consumer.
-    # b's cone holds only gates up to its time, so never their consumers.
-    later = []
-    for b in range(size):
-        used = cones.consumer(b)
-        later.append(sum(1 << c for c in range(b + 1, size) if not cones.cone[c] & used))
-    found: list[ConsistentSet] = []
+    n, T, cone = circ.n, circ.T, cones.cone
+    column = ((1 << len(cone)) - 1) // ((1 << n) - 1)  # bit time*n at every time
 
-    def grow(members: int, candidates: int, room: int) -> None:
-        refs = frozenset(grid[b] for b in _bits(members))
-        found.append(ConsistentSet(refs, *dist_latest(refs, circ)))
+    @cache
+    def later(b: int) -> int:
+        # The refs after b in bit order whose cone lacks b's consumer: the rest
+        # of b's time slice, then on each wire the times before the first whose
+        # cone holds it, as a wire's cone only grows with time.  b's cone holds
+        # only gates up to its time, so never their consumers.
+        t, used = b // n + 1, cones.consumer(b)
+        mask = (1 << t * n) - (2 << b)
+        for w in range(n):
+            end = next((s for s in range(t, T + 1) if cone[s * n + w] & used), T + 1)
+            mask |= column << w & (1 << end * n) - (1 << t * n)
+        return mask
+
+    found: list[tuple[int, int, tuple[tuple[int, int], ...], int, int]] = []
+
+    def grow(members: int, cut: int, refs: tuple, candidates: int, room: int) -> None:
+        latest = max(members.bit_length() - 1, 0) // n
+        found.append((latest, (members >> latest * n).bit_count(), refs, members, cut))
         if max_sets is not None and len(found) > max_sets:
             raise RuntimeError(f"enumeration budget exceeded ({max_sets} sets)")
         if room:
             for b in _bits(candidates):
-                grow(members | 1 << b, candidates & later[b], room - 1)
+                grown = tuple(sorted((*refs, (b % n, b // n))))
+                below = candidates & later(b) if room > 1 else 0  # a last member grows nothing
+                grow(members | 1 << b, cut | cone[b], grown, below, room - 1)
 
     if max_size >= 0:
-        grow(0, (1 << size) - 1, max_size)
-
-    def order_key(cs: ConsistentSet):
-        at_latest = sum(1 for q in cs.qubits if q.time == cs.latest)
-        return (cs.latest, at_latest, tuple(sorted((q.wire, q.time) for q in cs.qubits)))
-    found.sort(key=order_key)
-    yield from found
+        grow(0, 0, (), (1 << len(cone)) - 1, max_size)
+    found.sort()  # the refs differ between sets, so the masks are never compared
+    for latest, _, refs, members, cut in found:
+        dist = float(((members & -members).bit_length() - 1) // n) if members else math.inf
+        yield ConsistentSet(refs, members, cut, dist, latest)
 
 
 # --- DSL ----------------------------------------------------------------

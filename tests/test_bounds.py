@@ -15,6 +15,7 @@ from paulidelta import (
     decay_bound,
     decay_table,
     epsk_threshold,
+    enumerate_consistent_sets,
     invariant_check,
     random_circuit,
     random_product_density,
@@ -177,6 +178,20 @@ def test_audit_refuses_widths_past_the_engine_cap_before_enumerating(monkeypatch
     c = random_circuit(13, 1, seed=0, gate_pool=("ID",), k=2)
     with pytest.raises(ValueError, match="^n=13 exceeds the coefficient-engine cap 12$"):
         audit_invariant(c, BasisPair("0" * 13, "1" * 13), 0.9, 2)
+
+
+def test_audit_budget_refuses_at_the_enumerations_count():
+    c = random_circuit(3, 3, seed=2, gate_pool=POOL, k=2)
+    pair = BasisPair("000", "111")
+    total = len(list(enumerate_consistent_sets(c, 2)))
+    assert len(list(enumerate_consistent_sets(c, 2, max_sets=total))) == total
+    assert len(audit_invariant(c, pair, 0.9, 2, max_sets=total).records) == total
+    for run in (
+        lambda: list(enumerate_consistent_sets(c, 2, max_sets=total - 1)),
+        lambda: audit_invariant(c, pair, 0.9, 2, max_sets=total - 1),
+    ):
+        with pytest.raises(RuntimeError, match=rf"^enumeration budget exceeded \({total - 1} sets\)$"):
+            run()
 
 
 def _pairs_for(n, rng):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from paulidelta import BasisPair, audit_invariant, random_circuit, simulate, theta_for
+from paulidelta.circuit import LightCones
 from paulidelta.cli import main
 
 ALL_ID = "\n".join(
@@ -233,6 +235,38 @@ def test_flags_a_command_would_ignore_are_rejected(cnot_file, argv, flag, capsys
 def test_check_invariant_budget(cnot_file, capsys):
     assert main(["check-invariant", "--circuit", cnot_file, "--max-sets", "2"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_check_invariant_output_bytes_are_pinned(tmp_path):
+    # 1,896 sets of size <= 4; the digest pins every byte of the --out file
+    # (records, their order and their floats) across versions.
+    out = tmp_path / "audit.json"
+    spec = "n=4,T=6,pool=CNOT|H|S|T|RESET|ID|RANDMIX2"
+    argv = ["check-invariant", "--random", spec, "--seed", "3", "--epsk", "0.45",
+            "--max-set-size", "4", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3a12ed19655f26121c72d2f4cfcac1179f890a23753e072310eadfef40a5d81e"
+    )
+
+
+def test_check_invariant_budget_refuses_a_deep_circuit_before_its_table(capsys, monkeypatch):
+    # 804 wire-time qubits: a table of every ref's compatible later refs
+    # would ask for 804 consumers; the budget stops the walk after 4 sets.
+    calls = 0
+    consumer = LightCones.consumer
+
+    def count(self, b):
+        nonlocal calls
+        calls += 1
+        return consumer(self, b)
+
+    monkeypatch.setattr(LightCones, "consumer", count)
+    argv = ["check-invariant", "--random", "n=4,T=200,pool=CNOT|H", "--seed", "1",
+            "--max-set-size", "3", "--max-sets", "3"]
+    assert main(argv) == 2
+    assert "enumeration budget exceeded (3 sets)" in capsys.readouterr().err
+    assert calls <= 3
 
 
 @pytest.mark.parametrize("command", ["decay", "check-invariant"])

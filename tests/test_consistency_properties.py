@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from paulidelta import Circuit, GatePlacement, NoiseModel, QubitRef
 from paulidelta.channels import BuiltinGate
-from paulidelta.circuit import enumerate_consistent_sets, is_consistent
+from paulidelta.circuit import dist_latest, enumerate_consistent_sets, is_consistent
 from paulidelta.simulate import check_cut, min_cut
 
 from oracles import inductive_consistent_sets, minimal_cut_by_scan
@@ -43,6 +43,21 @@ def test_enumeration_matches_inductive_oracle(circ, max_size):
     want = {v for v in inductive_consistent_sets(circ) if len(v) <= max_size}
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+@given(circuits(), st.integers(0, 4))
+def test_enumerated_masks_are_the_sets_bits_and_minimal_cuts(circ, max_size):
+    keys = []
+    for cs in enumerate_consistent_sets(circ, max_size):
+        qubits = cs.qubits
+        assert len(qubits) == len(cs.refs)
+        assert cs.refs == tuple(sorted((q.wire, q.time) for q in qubits))
+        assert cs.members == sum(1 << q.time * circ.n + q.wire for q in qubits)
+        assert cs.cut == circ.cones.cut(qubits)
+        assert circ.cones.keys(cs.cut) == minimal_cut_by_scan(circ, qubits)
+        assert (cs.dist, cs.latest) == dist_latest(qubits, circ)
+        keys.append((cs.latest, sum(q.time == cs.latest for q in qubits), cs.refs))
+    assert keys == sorted(keys)
 
 
 @given(circuits(), st.data())
