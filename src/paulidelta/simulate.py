@@ -13,9 +13,11 @@ tensor, by one superoperator per channel, sum w K (x) conj(K) built in the
 computational basis on the channel's row and column axes; it exists as an
 independent cross-check of the Pauli engine.  It and the trajectory
 sampler read one lowering of each noisy gate, :func:`_channels`, its
-channels in the order they act; ``circ.fused`` stays the Pauli engine's
-own form.  Both engines and the sampler apply every operator through one
-kernel, :func:`_apply`.
+channels in the order they act, built once per builtin gate and noise
+strength; ``circ.fused`` stays the Pauli engine's own form.  The sampler
+advances rho's and tau's trajectories as one row sequence and applies a
+draw only to the rows it changes.  Both engines and the sampler apply
+every operator through one kernel, :func:`_apply`.
 
 Both engines apply a *cut*: a frozenset of (level, placement index) gate
 identities, downward-closed, so that whenever a gate is applied, so are all
@@ -28,13 +30,15 @@ then depolarize the output with ``eps1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import islice
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .channels import OneQubitGate, depolarizing_ptm, gate_ptm, kraus_of_rsw, lower_builtin
+from .channels import BuiltinGate, GateSpec, OneQubitGate, depolarizing_ptm, gate_arity, gate_ptm
+from .channels import kraus_of_rsw, lower_builtin
 from .circuit import Circuit, ConsistentSet, GatePlacement, NoiseModel, QubitRef
 from .paulis import (
     MAX_COEFF_QUBITS,
@@ -258,27 +262,48 @@ def partial_trace(op: np.ndarray, keep: Iterable[int], n: int) -> np.ndarray:
 _PAULIS = np.stack([PAULI_MATS[c] for c in "IXYZ"])
 
 
-def _channels(pl: GatePlacement, noise: NoiseModel) -> list[tuple]:
-    """The channels of one noisy gate, in the order they act, each (wires,
-    weights, stacked operators): (I, X, Y, Z) for a depolarizing channel,
-    the unitaries for a mixture, and for a canonical-form gate its K0s
-    stacked over its K1s, shape (2, terms, 2, 2).  A multi-qubit gate
-    depolarizes each input wire with ``epsk`` first; a one-qubit gate
-    depolarizes its output with ``eps1`` afterwards.  The gate's weights
-    are normalised and the noise weights are not; the sampler's stream
-    depends on both to the last bit.  :func:`fused_ptms` encodes the same
-    rule on its own, so the engines' cross-check compares two encodings."""
-    spec = lower_builtin(pl.gate)
+def _lowering(gate: GateSpec, p: float) -> tuple[tuple, ...]:
+    """The channels of one gate under noise strength ``p``, in the order
+    they act, each (sites, weights, operators, branch CDF, moves) with sites
+    indexing the gate's wires and read-only arrays.  The operators are (I,
+    X, Y, Z) for a depolarizing channel, a mixture's unitaries, and a
+    canonical-form gate's K0s over its K1s, shape (2, terms, 2, 2); moves is
+    False for a branch that is exactly the identity.  A multi-qubit gate
+    depolarizes each input first, a one-qubit gate its output afterwards.
+    The gate's weights are normalised and the noise weights are not; the
+    sampler's stream depends on both to the last bit.  :func:`fused_ptms`
+    encodes the same rule on its own, so the engines' cross-check compares
+    two encodings."""
+    spec = lower_builtin(gate)
     probs = np.array([q for q, _ in spec.terms])
     if isinstance(spec, OneQubitGate):
         ops = np.stack([kraus_of_rsw(ch) for _, ch in spec.terms], axis=1)
     else:
         ops = np.stack([u for _, u in spec.terms])
-    gate = (pl.wires, probs / probs.sum(), ops)
-    p = noise.epsk if len(pl.wires) >= 2 else noise.eps1
+    k = gate_arity(spec)
     depolarize = np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4])
-    noisy = [((w,), depolarize, _PAULIS) for w in pl.wires]
-    return noisy + [gate] if len(pl.wires) >= 2 else [gate] + noisy
+    noisy = [((j,), depolarize, _PAULIS) for j in range(k)]
+    gate = (tuple(range(k)), probs / probs.sum(), ops)
+    channels = []
+    for sites, weights, stack in noisy + [gate] if k >= 2 else [gate] + noisy:
+        cdf = weights.cumsum()
+        arrays = weights, stack, cdf / cdf[-1], (stack != np.eye(stack.shape[-1])).any(axis=(-2, -1))
+        for a in arrays:
+            a.setflags(write=False)
+        channels.append((sites, *arrays))
+    return tuple(channels)
+
+
+_builtin_lowering = lru_cache(maxsize=1024)(_lowering)
+
+
+def _channels(pl: GatePlacement, noise: NoiseModel) -> list[tuple]:
+    """The channels of one noisy gate, as :func:`_lowering` gives them, on
+    the placement's wires.  A builtin's lowering is built once per noise
+    strength and shared by every placement of it."""
+    p = noise.epsk if len(pl.wires) >= 2 else noise.eps1
+    lower = _builtin_lowering if isinstance(pl.gate, BuiltinGate) else _lowering
+    return [(tuple(pl.wires[j] for j in sites), *arrays) for sites, *arrays in lower(pl.gate, p)]
 
 
 def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]]) -> np.ndarray:
@@ -293,7 +318,7 @@ def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]
     check_cut(circ, cut)
     t = op.reshape((2,) * (2 * circ.n))
     for level, i in sorted(cut):
-        for wires, weights, ops in _channels(circ.levels[level - 1][i], circ.noise):
+        for wires, weights, ops, *_ in _channels(circ.levels[level - 1][i], circ.noise):
             d = 2 ** len(wires)
             kraus = ops.reshape(-1, len(weights), d, d)
             sup = np.einsum("t,ktij,ktab->iajb", weights, kraus, kraus.conj()).reshape(d * d, d * d)
@@ -440,17 +465,15 @@ SHOT_BLOCK = 256  # trajectories advanced together; bounds the states and unifor
 
 def _trajectory_steps(circ: Circuit) -> list[tuple]:
     """The draws of one trajectory, in stream order: per channel of
-    :func:`_channels`, the state axes it acts on (wire + 1, as axis 0 holds
-    the shots), the branch CDF that ``Generator.choice`` would search, and
-    its stacked operators.  A canonical-form gate takes one more uniform to
-    pick between its K0 and its K1."""
-    steps = []
-    for level in circ.levels:
-        for pl in level:
-            for wires, weights, ops in _channels(pl, circ.noise):
-                cdf = weights.cumsum()
-                steps.append(([w + 1 for w in wires], cdf / cdf[-1], ops))
-    return steps
+    :func:`_channels`, its state axes (wire + 1, as axis 0 holds the rows),
+    CDF, operators and moves.  A canonical-form draw takes one more uniform
+    to pick between its K0 and its K1."""
+    return [
+        ([w + 1 for w in wires], cdf, ops, moves)
+        for level in circ.levels
+        for pl in level
+        for wires, _, ops, cdf, moves in _channels(pl, circ.noise)
+    ]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,35 +483,42 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _shot_probabilities(
-    circ: Circuit, steps: list[tuple], index: int, shots: int, rng: np.random.Generator
+    circ: Circuit, steps: list[tuple], pair: BasisPair, shots: int, rng: np.random.Generator
 ) -> Iterator[float]:
-    """Each shot's outcome-1 probability at the output, in shot order, for
-    trajectories from basis state ``index``.  Blocks of up to ``SHOT_BLOCK``
-    shots advance together, one batched product per draw; each shot takes
-    the next fixed-length run of uniforms from the stream, so blocking does
-    not change any draw."""
-    draws = sum(ops.ndim - 2 for *_, ops in steps)  # one uniform per draw, two per Kraus draw
-    for start in range(0, shots, SHOT_BLOCK):
-        rows = min(SHOT_BLOCK, shots - start)
+    """Each trajectory's outcome-1 probability at the output, rho's shots
+    then tau's, as one row sequence advanced in blocks of up to
+    ``SHOT_BLOCK`` rows; each row takes the next fixed-length run of
+    uniforms from the stream, so blocking does not change any draw.  A draw
+    touches only the rows it changes, each with its own product from
+    :func:`_apply`, so a row rounds as a lone state vector would."""
+    draws = sum(ops.ndim - 2 for _, _, ops, _ in steps)  # one uniform per draw, two per Kraus draw
+    shape = (2,) * circ.n
+    for start in range(0, 2 * shots, SHOT_BLOCK):
+        rows = min(SHOT_BLOCK, 2 * shots - start)
         uniforms = iter(rng.random((rows, draws)).T)
         psi = np.zeros((rows, 2**circ.n), dtype=complex)
-        psi[:, index] = 1.0
-        psi = psi.reshape((rows,) + (2,) * circ.n)
-        for axes, cdf, ops in steps:
+        split = min(max(shots - start, 0), rows)  # rows before it are rho's
+        psi[:split, int(pair.rho_bits, 2)] = psi[split:, int(pair.tau_bits, 2)] = 1.0
+        psi = psi.reshape((rows, *shape))
+        for axes, cdf, ops, moves in steps:
             choice = cdf.searchsorted(next(uniforms), side="right")
             if ops.ndim == 3:
-                psi = _apply(psi, ops[choice], axes)
+                moved = np.flatnonzero(moves[choice])
+                if len(moved) == rows:
+                    psi = _apply(psi, ops[choice], axes)
+                elif len(moved):
+                    psi[moved] = _apply(psi[moved], ops[choice[moved]], axes)
                 continue
-            # Keep K0 psi, renormalised, where the row's uniform is below
-            # |K0 psi|^2, and K1 psi, renormalised, elsewhere.
-            k0, k1 = (_apply(psi, kraus[choice], axes).reshape(rows, -1) for kraus in ops)
+            # Keep K0 psi where the row's uniform is below |K0 psi|^2, else K1 psi, renormalised
+            k0 = _apply(psi, ops[0][choice], axes).reshape(rows, -1)
             weight = _row_dots(k0.conj(), k0).real
-            norm = np.sqrt(_row_dots(k1.real, k1.real) + _row_dots(k1.imag, k1.imag))
-            psi = np.where(
-                (next(uniforms) < weight)[:, None],
-                k0 / np.maximum(np.sqrt(weight), 1e-300)[:, None],
-                k1 / np.maximum(norm, 1e-300)[:, None],
-            ).reshape(psi.shape)
+            jumped = np.flatnonzero(next(uniforms) >= weight)
+            kept = k0 / np.maximum(np.sqrt(weight), 1e-300)[:, None]
+            if len(jumped):
+                k1 = _apply(psi[jumped], ops[1][choice[jumped]], axes).reshape(len(jumped), -1)
+                norm = np.sqrt(_row_dots(k1.real, k1.real) + _row_dots(k1.imag, k1.imag))
+                kept[jumped] = k1 / np.maximum(norm, 1e-300)[:, None]
+            psi = kept.reshape((rows, *shape))
         ones = np.take(psi, 1, axis=circ.output_wire + 1).reshape(rows, -1)
         yield from np.sum(np.abs(ones) ** 2, axis=1).tolist()
 
@@ -497,20 +527,22 @@ def sample_output_difference(circ: Circuit, pair: BasisPair, shots: int, seed: i
     """Monte-Carlo estimate of the output-probability difference.
 
     Samples mixture branches, Kraus branches, and depolarizing events on
-    pure-state trajectories, all shots of one input together and rho's
-    before tau's; the exact engines remain the reference.  Raises
-    ValueError, before allocating any state, above ``MAX_COEFF_QUBITS``
-    qubits: each shot holds a 2^n state vector.
+    pure-state trajectories, rho's and tau's as one row sequence, and sums
+    each input's probabilities in shot order; the exact engines remain the
+    reference.  Raises ValueError, before allocating any state, unless
+    ``pair`` is a :class:`BasisPair` and ``shots`` an int >= 1, and above
+    ``MAX_COEFF_QUBITS`` qubits: each shot holds a 2^n state vector.
     """
+    if not isinstance(pair, BasisPair):
+        raise ValueError(f"the sampler takes a BasisPair, got {type(pair).__name__}")
     check_pair(circ, pair)
     if circ.n > MAX_COEFF_QUBITS:
         raise ValueError(f"n={circ.n} exceeds the sampler cap {MAX_COEFF_QUBITS}")
-    if not shots >= 1:
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an int, got {shots!r}")
+    if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
-    steps = _trajectory_steps(circ)
-    est = [
-        sum(_shot_probabilities(circ, steps, int(bits, 2), shots, rng)) / shots
-        for bits in (pair.rho_bits, pair.tau_bits)
-    ]
-    return abs(est[0] - est[1])
+    probabilities = _shot_probabilities(circ, _trajectory_steps(circ), pair, shots, rng)
+    rho = sum(islice(probabilities, shots)) / shots
+    return abs(rho - sum(probabilities) / shots)  # the rest are tau's shots

@@ -1,8 +1,8 @@
 """The batched trajectory sampler against the one-shot-at-a-time reference
 sampler in tests/oracles.py, on seeded random circuits with n <= 4 and T <= 6,
 some of whose one-qubit gates become DEPOL or multi-term canonical-form
-gates with pre/post unitaries: the same seed gives the same estimate,
-whatever the block size."""
+gates with pre/post unitaries: the same seed gives the same estimate, to
+the last bit, whatever the block size."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,12 +43,14 @@ def test_batched_sampler_matches_the_reference(case):
     want = sample_by_trajectory(circ, rho, tau, shots, seed)
     assert abs(got - want) <= TOL
     assert f"{got:.12g}" == f"{want:.12g}"
+    assert got == want
 
 
-@pytest.mark.parametrize("block", [1, 3])
+# 20 shots make 40 rows, rho's then tau's: blocks of 7 and 25 straddle the two
+@pytest.mark.parametrize("block", [1, 3, 7, 20, 25])
 def test_block_size_does_not_change_the_estimate(monkeypatch, block):
     circ = random_circuit(3, 6, seed=11, gate_pool=POOL, k=2, output_wire=1)
-    assert simulate.SHOT_BLOCK > 20
+    assert simulate.SHOT_BLOCK > 40
     pair = BasisPair("010", "111")
     one_block = sample_output_difference(circ, pair, 20, 7)
     monkeypatch.setattr(simulate, "SHOT_BLOCK", block)

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from paulidelta import (
     sample_output_difference,
     sum_of_squares,
 )
-from paulidelta import BuiltinGate, GatePlacement, enumerate_consistent_sets
+from paulidelta import BuiltinGate, GatePlacement, enumerate_consistent_sets, simulate
 from paulidelta.circuit import Circuit, ConsistentSet
 from paulidelta.paulis import MAX_DENSE_QUBITS
 from paulidelta.simulate import _apply, _apply_gate, check_cut
@@ -490,6 +491,77 @@ def test_trajectory_sampler_needs_a_shot(shots):
     c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: CNOT(0,1)\n")
     with pytest.raises(ValueError, match="shots must be >= 1"):
         sample_output_difference(c, BasisPair("00", "11"), shots, 0)
+
+
+@pytest.mark.parametrize(
+    "pair, shots, message",
+    [
+        pytest.param(
+            InputPair(basis_density("00"), basis_density("11")), 10,
+            "the sampler takes a BasisPair, got InputPair", id="input-pair",
+        ),
+        pytest.param(BasisPair("00", "11"), True, "shots must be an int, got True", id="bool"),
+        pytest.param(BasisPair("00", "11"), 2.5, "shots must be an int, got 2.5", id="float"),
+    ],
+)
+def test_trajectory_sampler_rejects_bad_arguments_before_allocating(pair, shots, message):
+    c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: CNOT(0,1)\n")
+    with mock.patch.object(simulate, "_shot_probabilities") as sampler:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_output_difference(c, pair, shots, 0)
+    sampler.assert_not_called()
+
+
+def test_trajectory_sampler_takes_numpy_int_shots():
+    c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: CNOT(0,1)\n")
+    pair = BasisPair("00", "11")
+    assert sample_output_difference(c, pair, np.int64(30), 4) == sample_output_difference(c, pair, 30, 4)
+
+
+# eps1 = 1e-300 leaves 1 - 3 * eps1 / 4 == 1.0, so every depolarizing draw picks I
+NOISELESS = "noise eps1=1e-300 epsk=0\n"
+
+
+def test_sampler_leaves_identity_draws_alone():
+    c = parse_circuit("qubits 2 levels 2 output 1\n" + NOISELESS + "level 1: ID(0); ID(1)\nlevel 2: ID(1); ID(0)\n")
+    with mock.patch.object(simulate, "_apply", wraps=simulate._apply) as apply:
+        assert sample_output_difference(c, BasisPair("01", "10"), 30, 5) == 1.0
+    apply.assert_not_called()
+
+
+def test_sampler_applies_k1_only_to_the_rows_that_jump():
+    # From H|b>, |K0 psi|^2 of RESET is 1/2, so about half the rows jump.
+    c = parse_circuit("qubits 1 levels 2 output 0\n" + NOISELESS + "level 1: H(0)\nlevel 2: RESET(0)\n")
+    shots = 40
+    # Per row: H's term and its noise, RESET's term, its Kraus uniform and its noise.
+    uniforms = np.random.default_rng(9).random((2 * shots, 5))[:, 3]
+    jumped = np.flatnonzero(uniforms >= 0.5)
+    assert 0 < len(jumped) < 2 * shots
+    with mock.patch.object(simulate, "_apply", wraps=simulate._apply) as apply:
+        sample_output_difference(c, BasisPair("0", "1"), shots, 9)
+    rows = [call.args[0].reshape(-1, 2) for call in apply.call_args_list]
+    assert [len(r) for r in rows] == [2 * shots, 2 * shots, len(jumped)]  # H, K0, K1
+    h_states = np.where((np.arange(2 * shots) < shots)[:, None], [1, 1], [1, -1]) / np.sqrt(2)
+    assert np.allclose(rows[2], h_states[jumped])
+
+
+def test_builtin_lowering_is_shared_by_placements_and_read_only():
+    noise = NoiseModel(eps1=0.05, epsk=0.4)
+    first, second = (simulate._channels(GatePlacement(w, BuiltinGate("CNOT")), noise) for w in [(0, 1), (3, 2)])
+    assert [wires for wires, *_ in second] == [(3,), (2,), (3, 2)]
+    for (_, *arrays), (_, *again) in zip(first, second):
+        assert all(a is b and not a.flags.writeable for a, b in zip(arrays, again))
+
+
+def test_sampler_holds_no_per_shot_list():
+    c = parse_circuit("qubits 1 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: H(0)\n")
+    tracemalloc.start()
+    try:
+        sample_output_difference(c, BasisPair("0", "1"), 200_000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_trajectory_sampler_refuses_widths_past_its_cap_before_allocating():
