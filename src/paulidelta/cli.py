@@ -31,6 +31,7 @@ from .simulate import (  # noqa: F401 (perfbench/selftest.py reads cli.InputPair
     BasisPair,
     InputPair,
     check_pair,
+    check_sampler_inputs,
     output_distinguishability,
     sample_output_difference,
 )
@@ -300,6 +301,8 @@ def cmd_cnot_table(args) -> int:
 def cmd_simulate(args) -> int:
     circ = _load_circuit(args)
     pair = _input_pair(args, circ)
+    if args.shots:
+        check_sampler_inputs(circ, pair, args.shots)  # before the exact pass, which can take seconds
     measured = output_distinguishability(circ, pair)
     lines = [f"distinguishability {_fmt(measured)}"]
     if args.shots:

@@ -15,9 +15,12 @@ independent cross-check of the Pauli engine.  It and the trajectory
 sampler read one lowering of each noisy gate, :func:`_channels`, its
 channels in the order they act, built once per builtin gate and noise
 strength; ``circ.fused`` stays the Pauli engine's own form.  The sampler
-advances rho's and tau's trajectories as one row sequence and applies a
-draw only to the rows it changes.  Both engines and the sampler apply
-every operator through one kernel, :func:`_apply`.
+advances rho's and tau's trajectories as one row sequence and applies each
+draw in its cheapest form that rounds as a lone state vector would: a
+depolarizing Pauli as row flips and phases, with no matrix product; a
+one-term channel as one matrix over all rows; another mixture only on the
+rows it changes, each row with its own operator.  Both engines and the
+sampler apply every matrix through one kernel, :func:`_apply`.
 
 Both engines apply a *cut*: a frozenset of (level, placement index) gate
 identities, downward-closed, so that whenever a gate is applied, so are all
@@ -260,6 +263,11 @@ def partial_trace(op: np.ndarray, keep: Iterable[int], n: int) -> np.ndarray:
 
 
 _PAULIS = np.stack([PAULI_MATS[c] for c in "IXYZ"])
+_PAULIS.setflags(write=False)
+# Per Pauli: whether it swaps a wire's 0 and 1 entries, then the phases it
+# puts on them, exactly; Y = [[0, -i], [i, 0]] maps (a, b) to (-i b, i a)
+_PAULI_FLIPS = np.array([False, True, True, False])
+_PAULI_PHASES = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]])
 
 
 def _lowering(gate: GateSpec, p: float) -> tuple[tuple, ...]:
@@ -268,7 +276,10 @@ def _lowering(gate: GateSpec, p: float) -> tuple[tuple, ...]:
     indexing the gate's wires and read-only arrays.  The operators are (I,
     X, Y, Z) for a depolarizing channel, a mixture's unitaries, and a
     canonical-form gate's K0s over its K1s, shape (2, terms, 2, 2); moves is
-    False for a branch that is exactly the identity.  A multi-qubit gate
+    False for a branch that is exactly the identity.  A stack that is
+    exactly (I, X, Y, Z), a depolarizing channel's or a DEPOL gate's, is
+    the shared ``_PAULIS`` itself: that marks it for the sampler's exact
+    Pauli draw, :func:`_apply_paulis`.  A multi-qubit gate
     depolarizes each input first, a one-qubit gate its output afterwards.
     The gate's weights are normalised and the noise weights are not; the
     sampler's stream depends on both to the last bit.  :func:`fused_ptms`
@@ -280,6 +291,8 @@ def _lowering(gate: GateSpec, p: float) -> tuple[tuple, ...]:
         ops = np.stack([kraus_of_rsw(ch) for _, ch in spec.terms], axis=1)
     else:
         ops = np.stack([u for _, u in spec.terms])
+        if ops.shape == _PAULIS.shape and (ops == _PAULIS).all():
+            ops = _PAULIS
     k = gate_arity(spec)
     depolarize = np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4])
     noisy = [((j,), depolarize, _PAULIS) for j in range(k)]
@@ -482,15 +495,52 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _apply_paulis(psi: np.ndarray, choice: np.ndarray, axis: int) -> None:
+    """Each row's Pauli ``_PAULIS[choice]`` on the axis ``axis`` of ``psi``,
+    in place, with no matrix product: the rows that move swap the axis's
+    two entries for X and Y, then take the Pauli's phases.  A Pauli's
+    entries are 0, +-1 and +-i, so its product is exact, and this gives the
+    same values but perhaps the sign of a zero, which no later value reads."""
+    moved = choice.nonzero()[0]
+    if len(moved):
+        picked = choice[moved]
+        sub = psi[moved]
+        shape = [len(moved)] + [1] * (psi.ndim - 1)
+        flipped = sub[(slice(None),) * axis + (slice(None, None, -1),)]
+        sub = np.where(_PAULI_FLIPS[picked].reshape(shape), flipped, sub)
+        shape[axis] = 2
+        sub *= _PAULI_PHASES[picked].reshape(shape)
+        psi[moved] = sub
+
+
+def _row_ops(ops: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    """The operators for the rows that drew ``choice``: a one-term
+    channel's one matrix for all of them, else each row's own.  Applied by
+    :func:`_apply`, one matrix gives each column its own d-term product,
+    the one a lone state gets."""
+    return ops[0] if len(ops) == 1 else ops[choice]
+
+
+def _rescaled(k: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Each row of the (rows, dim) array ``k`` over its ``norm``, floored
+    at 1e-300, as numpy's complex / float rounds it: by Smith's method with
+    a zero imaginary part, that multiplies by the reciprocal, as this does
+    on the float64 view.  A real division would round differently."""
+    k = np.ascontiguousarray(k)
+    return (k.view(float) * (1.0 / np.maximum(norm, 1e-300))[:, None]).view(complex)
+
+
 def _shot_probabilities(
     circ: Circuit, steps: list[tuple], pair: BasisPair, shots: int, rng: np.random.Generator
 ) -> Iterator[float]:
     """Each trajectory's outcome-1 probability at the output, rho's shots
     then tau's, as one row sequence advanced in blocks of up to
     ``SHOT_BLOCK`` rows; each row takes the next fixed-length run of
-    uniforms from the stream, so blocking does not change any draw.  A draw
-    touches only the rows it changes, each with its own product from
-    :func:`_apply`, so a row rounds as a lone state vector would."""
+    uniforms from the stream, so blocking does not change any draw.  Each
+    draw takes its cheapest form that rounds as a lone state vector would:
+    Pauli draws flip and phase the rows that move (:func:`_apply_paulis`),
+    a one-term channel is one matrix over all rows, and another mixture
+    touches only the rows it changes, each with its own operator."""
     draws = sum(ops.ndim - 2 for _, _, ops, _ in steps)  # one uniform per draw, two per Kraus draw
     shape = (2,) * circ.n
     for start in range(0, 2 * shots, SHOT_BLOCK):
@@ -502,37 +552,35 @@ def _shot_probabilities(
         psi = psi.reshape((rows, *shape))
         for axes, cdf, ops, moves in steps:
             choice = cdf.searchsorted(next(uniforms), side="right")
-            if ops.ndim == 3:
-                moved = np.flatnonzero(moves[choice])
+            if ops is _PAULIS:
+                _apply_paulis(psi, choice, axes[0])
+            elif ops.ndim == 3:
+                moved = moves[choice].nonzero()[0]
                 if len(moved) == rows:
-                    psi = _apply(psi, ops[choice], axes)
+                    psi = _apply(psi, _row_ops(ops, choice), axes)
                 elif len(moved):
-                    psi[moved] = _apply(psi[moved], ops[choice[moved]], axes)
-                continue
-            # Keep K0 psi where the row's uniform is below |K0 psi|^2, else K1 psi, renormalised
-            k0 = _apply(psi, ops[0][choice], axes).reshape(rows, -1)
-            weight = _row_dots(k0.conj(), k0).real
-            jumped = np.flatnonzero(next(uniforms) >= weight)
-            kept = k0 / np.maximum(np.sqrt(weight), 1e-300)[:, None]
-            if len(jumped):
-                k1 = _apply(psi[jumped], ops[1][choice[jumped]], axes).reshape(len(jumped), -1)
-                norm = np.sqrt(_row_dots(k1.real, k1.real) + _row_dots(k1.imag, k1.imag))
-                kept[jumped] = k1 / np.maximum(norm, 1e-300)[:, None]
-            psi = kept.reshape((rows, *shape))
+                    psi[moved] = _apply(psi[moved], _row_ops(ops, choice[moved]), axes)
+            else:
+                # Keep K0 psi where the row's uniform is below |K0 psi|^2, else K1 psi, renormalised
+                k0 = _apply(psi, _row_ops(ops[0], choice), axes).reshape(rows, -1)
+                weight = _row_dots(k0.conj(), k0).real
+                jumped = (next(uniforms) >= weight).nonzero()[0]
+                kept = _rescaled(k0, np.sqrt(weight))
+                if len(jumped):
+                    k1 = _apply(psi[jumped], _row_ops(ops[1], choice[jumped]), axes)
+                    k1 = k1.reshape(len(jumped), -1)
+                    norm = np.sqrt(_row_dots(k1.real, k1.real) + _row_dots(k1.imag, k1.imag))
+                    kept[jumped] = _rescaled(k1, norm)
+                psi = kept.reshape((rows, *shape))
         ones = np.take(psi, 1, axis=circ.output_wire + 1).reshape(rows, -1)
         yield from np.sum(np.abs(ones) ** 2, axis=1).tolist()
 
 
-def sample_output_difference(circ: Circuit, pair: BasisPair, shots: int, seed: int) -> float:
-    """Monte-Carlo estimate of the output-probability difference.
-
-    Samples mixture branches, Kraus branches, and depolarizing events on
-    pure-state trajectories, rho's and tau's as one row sequence, and sums
-    each input's probabilities in shot order; the exact engines remain the
-    reference.  Raises ValueError, before allocating any state, unless
-    ``pair`` is a :class:`BasisPair` and ``shots`` an int >= 1, and above
-    ``MAX_COEFF_QUBITS`` qubits: each shot holds a 2^n state vector.
-    """
+def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int) -> None:
+    """Raise ValueError unless the trajectory sampler can run: ``pair`` a
+    :class:`BasisPair` that fits ``circ``, ``shots`` an int >= 1, and at
+    most ``MAX_COEFF_QUBITS`` qubits, as each shot holds a 2^n state vector.
+    Allocates nothing, so a caller can check before any other work."""
     if not isinstance(pair, BasisPair):
         raise ValueError(f"the sampler takes a BasisPair, got {type(pair).__name__}")
     check_pair(circ, pair)
@@ -542,6 +590,18 @@ def sample_output_difference(circ: Circuit, pair: BasisPair, shots: int, seed: i
         raise ValueError(f"shots must be an int, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+
+
+def sample_output_difference(circ: Circuit, pair: BasisPair, shots: int, seed: int) -> float:
+    """Monte-Carlo estimate of the output-probability difference.
+
+    Samples mixture branches, Kraus branches, and depolarizing events on
+    pure-state trajectories, rho's and tau's as one row sequence, and sums
+    each input's probabilities in shot order; the exact engines remain the
+    reference.  Raises ValueError, before allocating any state, where
+    :func:`check_sampler_inputs` does.
+    """
+    check_sampler_inputs(circ, pair, shots)
     rng = np.random.default_rng(seed)
     probabilities = _shot_probabilities(circ, _trajectory_steps(circ), pair, shots, rng)
     rho = sum(islice(probabilities, shots)) / shots

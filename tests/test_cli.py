@@ -329,6 +329,18 @@ def test_engine_cap_checked_before_inputs_are_built(argv, spec, message, capsys)
     assert captured.out == ""
 
 
+def test_simulate_checks_the_sampler_before_the_exact_pass(monkeypatch, capsys):
+    def exact_pass(*_):
+        raise AssertionError("the exact pass ran before the sampler's checks")
+
+    monkeypatch.setattr("paulidelta.cli.output_distinguishability", exact_pass)
+    argv = ["simulate", "--random", "n=16,T=3,pool=RANDU1|H", "--seed", "1", "--shots", "5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: n=16 exceeds the sampler cap 12\n"
+    assert captured.out == ""
+
+
 def test_simulate_past_the_cap_runs_on_the_output_light_cone(capsys):
     source = ["--random", "n=20,T=4,pool=CNOT|H|S|T|ID|RANDMIX2", "--seed", "1"]
     assert main(["decay"] + source) == 0

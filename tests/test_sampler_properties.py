@@ -2,8 +2,10 @@
 sampler in tests/oracles.py, on seeded random circuits with n <= 4 and T <= 6,
 some of whose one-qubit gates become DEPOL or multi-term canonical-form
 gates with pre/post unitaries: the same seed gives the same estimate, to
-the last bit, whatever the block size."""
+the last bit, whatever the block size.  The sampler's Pauli draw, which
+flips and phases rows with no matrix product, against the product itself."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import sample_by_trajectory
@@ -56,3 +58,31 @@ def test_block_size_does_not_change_the_estimate(monkeypatch, block):
     monkeypatch.setattr(simulate, "SHOT_BLOCK", block)
     assert sample_output_difference(circ, pair, 20, 7) == one_block
     assert one_block == sample_by_trajectory(circ, "010", "111", 20, 7)
+
+
+@st.composite
+def pauli_draws(draw):
+    """A random complex (rows, 2, ..., 2) state with some exact zeros, laid
+    out C-contiguous or as a transposed view, an axis, and per-row Paulis
+    that include each of I, X, Y and Z."""
+    n = draw(st.integers(1, 5))
+    choice = draw(st.permutations([0, 1, 2, 3] + draw(st.lists(st.integers(0, 3), max_size=6))))
+    shape = (len(choice),) + (2,) * n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.normal(size=(2, *shape)) * (rng.random((2, *shape)) < 0.8)
+    layout = draw(st.permutations(range(n + 1)))
+    psi = np.ascontiguousarray((parts[0] + 1j * parts[1]).transpose(layout))
+    psi = psi.transpose(sorted(range(n + 1), key=layout.__getitem__))
+    return psi, np.array(choice), draw(st.integers(1, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pauli_draws())
+def test_pauli_draw_equals_its_matrix_product(case):
+    psi, choice, axis = case
+    want = simulate._apply(psi, simulate._PAULIS[choice], [axis])
+    got = psi.copy(order="K")
+    simulate._apply_paulis(got, choice, axis)
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(getattr(got, part) == 0, getattr(want, part) == 0)

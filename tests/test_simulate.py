@@ -529,6 +529,26 @@ def test_sampler_leaves_identity_draws_alone():
     apply.assert_not_called()
 
 
+def test_sampler_applies_depolarizing_draws_with_no_product():
+    c = parse_circuit(
+        "qubits 2 levels 2 output 0\nnoise eps1=0.9 epsk=0.9\n"
+        "level 1: ID(0); DEPOL(1; p=0.9)\nlevel 2: ID(0); ID(1)\n"
+    )
+    with mock.patch.object(simulate, "_apply", wraps=simulate._apply) as apply:
+        assert sample_output_difference(c, BasisPair("01", "10"), 30, 5) < 1.0  # Paulis moved rows
+    apply.assert_not_called()
+
+
+def test_sampler_applies_a_one_operator_draw_as_one_matrix():
+    c = parse_circuit("qubits 3 levels 1 output 1\n" + NOISELESS + "level 1: ID(0); H(1); ID(2)\n")
+    shots = 30
+    with mock.patch.object(simulate, "_apply", wraps=simulate._apply) as apply:
+        sample_output_difference(c, BasisPair("000", "111"), shots, 5)
+    (call,) = apply.call_args_list
+    t, ops, axes = call.args
+    assert ops.ndim == 2 and t.shape == (2 * shots, 2, 2, 2) and list(axes) == [2]
+
+
 def test_sampler_applies_k1_only_to_the_rows_that_jump():
     # From H|b>, |K0 psi|^2 of RESET is 1/2, so about half the rows jump.
     c = parse_circuit("qubits 1 levels 2 output 0\n" + NOISELESS + "level 1: H(0)\nlevel 2: RESET(0)\n")
