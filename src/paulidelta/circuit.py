@@ -154,8 +154,8 @@ class Circuit:
     @cached_property
     def fused(self) -> Mapping[tuple[int, int], tuple[tuple[int, ...], np.ndarray]]:
         """Per gate (level, placement index), in that order: its wires and its
-        read-only transfer matrix with the gate's noise folded in; see
-        :func:`paulidelta.simulate.fused_ptms`."""
+        read-only transfer matrix with the gate's noise folded in, built on
+        the gate's first lookup; see :func:`paulidelta.simulate.fused_ptms`."""
         from .simulate import fused_ptms  # simulate imports this module
 
         return fused_ptms(self)
@@ -561,6 +561,11 @@ def _mat_from_json(entries, arity: int) -> np.ndarray:
     dim = 2**arity
     if len(entries) != dim * dim:
         raise ValueError(f"matrix needs {dim * dim} entries, got {len(entries)}")
+    try:  # every entry a pair of JSON numbers: converted at once, as complex() rounds an int
+        if {type(x) for entry in entries for x in entry} <= {int, float}:
+            return np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
+    except (TypeError, ValueError, OverflowError):
+        pass  # the checks below name the fault
     values = [[_float_from_json(x, "matrix entry") for x in entry] for entry in entries]
     return np.array([complex(re, im) for re, im in values]).reshape(dim, dim)
 

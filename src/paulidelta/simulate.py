@@ -2,7 +2,8 @@
 
 The Pauli engine tracks the 4^n coefficient vector of delta = rho - tau.
 Each circuit carries one fused transfer matrix per gate (``circ.fused``,
-built once), with the gate's depolarizing noise (which multiplies every
+each built on its first lookup, so only the gates a cut applies are ever
+built), with the gate's depolarizing noise (which multiplies every
 coefficient supported on the noisy wire by 1 - p) folded in, so each gate
 costs one matrix product on the (4,)*n coefficient tensor.  The tensor
 passes from gate to gate as :func:`_apply` returns it and is flattened
@@ -32,11 +33,12 @@ then depolarize the output with ``eps1``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import islice
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,28 +57,57 @@ from .paulis import (
 PSD_TOL = 1e-10
 
 
+class _FusedTable(dict):
+    """The table behind ``circ.fused``, filled as it is read: a gate's entry
+    is built by ``__missing__`` on its first lookup and kept, so a hit is a
+    dict lookup.  Iteration, ``len`` and ``in`` cover every gate of
+    ``circ.cones.gates``, built or not, and ``get``, ``keys``, ``items`` and
+    ``values`` read through the lookup, as a Mapping's do; ``copy``, ``==``
+    and ``|`` stay dict's and see only the entries built so far."""
+
+    get, keys, items, values = Mapping.get, Mapping.keys, Mapping.items, Mapping.values
+
+    def __init__(self, circ: Circuit):
+        super().__init__()
+        self._placements = dict(zip(circ.cones.gates, (pl for level in circ.levels for pl in level)))
+        self._d_in = depolarizing_ptm(circ.noise.epsk).m.diagonal()
+        self._d_out = depolarizing_ptm(circ.noise.eps1).m.diagonal()
+        self._inputs: dict[int, np.ndarray] = {}  # per arity k >= 2, D (x) ... (x) D
+
+    def __missing__(self, gate):
+        pl = self._placements[gate]  # KeyError for a gate the circuit lacks
+        m, k = gate_ptm(pl.gate).m, len(pl.wires)
+        if k >= 2:
+            if k not in self._inputs:
+                self._inputs[k] = reduce(np.kron, [self._d_in] * k)
+            fused = m * self._inputs[k]  # scales the input columns
+        else:
+            fused = self._d_out[:, None] * m  # scales the output rows
+        fused.setflags(write=False)
+        self[gate] = entry = (pl.wires, fused)
+        return entry
+
+    def __iter__(self):
+        return iter(self._placements)
+
+    def __len__(self):
+        return len(self._placements)
+
+    def __contains__(self, gate):
+        return gate in self._placements
+
+
 def fused_ptms(circ: Circuit) -> Mapping[tuple[int, int], tuple[tuple[int, ...], np.ndarray]]:
     """Per gate (level, placement index), in that order: its wires and its
     transfer matrix with the gate's noise folded in, ``M @ (D (x) ... (x) D)``
     for a multi-qubit gate, D depolarizing with ``epsk``, and ``D @ M`` for a
     one-qubit gate, D depolarizing with ``eps1``.  Each matrix is read-only,
-    4^k x 4^k, the gate's last wire its most significant site.
-    ``circ.fused`` builds this once per circuit.
+    4^k x 4^k, the gate's last wire its most significant site.  The table is
+    read-only, and each entry is built on its first lookup, so an engine
+    builds matrices only for the gates it applies; ``circ.fused`` keeps one
+    table per circuit.
     """
-    d_in = depolarizing_ptm(circ.noise.epsk).m.diagonal()
-    d_out = depolarizing_ptm(circ.noise.eps1).m.diagonal()
-    gates = {}
-    for level, placements in enumerate(circ.levels, start=1):
-        for i, pl in enumerate(placements):
-            m = gate_ptm(pl.gate).m
-            k = len(pl.wires)
-            if k >= 2:
-                fused = m * reduce(np.kron, [d_in] * k)  # scales the input columns
-            else:
-                fused = d_out[:, None] * m  # scales the output rows
-            fused.setflags(write=False)
-            gates[(level, i)] = (pl.wires, fused)
-    return MappingProxyType(gates)
+    return MappingProxyType(_FusedTable(circ))
 
 
 def full_cut(circ: Circuit) -> frozenset[tuple[int, int]]:
@@ -576,6 +607,14 @@ def _shot_probabilities(
         yield from np.sum(np.abs(ones) ** 2, axis=1).tolist()
 
 
+def check_sampler_width(n: int) -> None:
+    """Raise ValueError if ``n`` qubits pass the sampler cap,
+    ``MAX_COEFF_QUBITS``; a caller can check a circuit's width before it
+    draws or builds the circuit."""
+    if n > MAX_COEFF_QUBITS:
+        raise ValueError(f"n={n} exceeds the sampler cap {MAX_COEFF_QUBITS}")
+
+
 def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int) -> None:
     """Raise ValueError unless the trajectory sampler can run: ``pair`` a
     :class:`BasisPair` that fits ``circ``, ``shots`` an int >= 1, and at
@@ -584,8 +623,7 @@ def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int)
     if not isinstance(pair, BasisPair):
         raise ValueError(f"the sampler takes a BasisPair, got {type(pair).__name__}")
     check_pair(circ, pair)
-    if circ.n > MAX_COEFF_QUBITS:
-        raise ValueError(f"n={circ.n} exceeds the sampler cap {MAX_COEFF_QUBITS}")
+    check_sampler_width(circ.n)
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an int, got {shots!r}")
     if shots < 1:

@@ -341,6 +341,18 @@ def test_simulate_checks_the_sampler_before_the_exact_pass(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_simulate_checks_the_sampler_cap_before_drawing_the_circuit(monkeypatch, capsys):
+    def draw(*_, **__):
+        raise AssertionError("the circuit was drawn before the sampler's cap was checked")
+
+    monkeypatch.setattr("paulidelta.cli.random_circuit", draw)
+    argv = ["simulate", "--random", "n=16,T=3000,pool=RANDU1|H", "--seed", "1", "--shots", "5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: n=16 exceeds the sampler cap 12\n"
+    assert captured.out == ""
+
+
 def test_simulate_past_the_cap_runs_on_the_output_light_cone(capsys):
     source = ["--random", "n=20,T=4,pool=CNOT|H|S|T|ID|RANDMIX2", "--seed", "1"]
     assert main(["decay"] + source) == 0

@@ -26,7 +26,7 @@ from paulidelta import (
     parse_circuit,
     validate_gate,
 )
-from paulidelta.circuit import MAX_CONE_BITS, LightCones
+from paulidelta.circuit import MAX_CONE_BITS, LightCones, _mat_from_json
 from paulidelta.cli import main
 from paulidelta.paulis import check_unitary
 
@@ -233,6 +233,40 @@ def test_json_floats_accept_integers():
     doc = _json_doc([{"gate": "DEPOL", "p": 0, "wires": [0]}, ID_1], eps1=1)
     c = circuit_from_json(doc)
     assert c.noise.eps1 == 1.0 and c.levels[0][0].gate.p == 0.0
+
+
+@pytest.mark.parametrize(
+    "entry, problem",
+    [
+        pytest.param([True, 0], "matrix entry must be a number, got true", id="bool-part"),
+        pytest.param(True, "'bool' object is not iterable", id="bool-entry"),
+        pytest.param(["1", 0], 'matrix entry must be a number, got "1"', id="string-part"),
+        pytest.param("10", 'matrix entry must be a number, got "1"', id="string-entry"),
+        pytest.param([1, 0, 0], "too many values to unpack (expected 2)", id="three-parts"),
+        pytest.param([10**400, 0], "matrix entry is out of range, got 1" + "0" * 400, id="overflow"),
+    ],
+)
+def test_json_matrix_entries_are_refused_word_for_word(entry, problem):
+    matrix = [[1, 0], [0, 0], entry, [1, 0]]
+    with pytest.raises(ValueError) as info:
+        circuit_from_json(_json_doc([{"gate": "U", "matrix": matrix, "wires": [0]}, ID_1]))
+    assert str(info.value) == "level 1, placement 0: " + problem
+
+
+def test_json_matrix_entry_count_is_refused_word_for_word():
+    with pytest.raises(ValueError) as info:
+        circuit_from_json(_json_doc([{"gate": "U", "matrix": U_ID[:3], "wires": [0]}, ID_1]))
+    assert str(info.value) == "level 1, placement 0: matrix needs 4 entries, got 3"
+
+
+def test_json_matrix_entries_keep_their_exact_values():
+    matrix = [[1, -0.0], [1e-300, 0.0], [0.0, 1e-300], [1.0, -0.0]]
+    c = circuit_from_json(_json_doc([{"gate": "U", "matrix": matrix, "wires": [0]}, ID_1]))
+    u = c.levels[0][0].gate.terms[0][1]
+    assert u.tobytes() == np.array([1, -0.0, 1e-300, 0, 0, 1e-300, 1, -0.0]).tobytes()
+    # an integer rounds as float() rounds it
+    big = _mat_from_json([[2**60 + 1, -(2**70) - 1], [0, 0], [0, 0], [1, 0]], 1)
+    assert (big[0, 0].real, big[0, 0].imag) == (float(2**60 + 1), float(-(2**70) - 1))
 
 
 def test_cli_exits_2_on_a_placement_without_parameters(tmp_path, capsys):
