@@ -22,10 +22,12 @@ from functools import cache
 import numpy as np
 
 from .circuit import Circuit, ConsistentSet, NoiseModel, enumerate_consistent_sets
+from .paulis import sum_of_squares
 from .simulate import (  # noqa: F401 (perfbench/selftest.py reads bounds.evolve_pauli)
     BasisPair,
     InputPair,
-    _apply_gate,
+    _pauli_step,
+    _run_step,
     _trace_out,
     check_pair,
     distinguishability_by_depth,
@@ -158,12 +160,6 @@ class InvariantReport:
         return math.inf if worst is None else worst.margin
 
 
-def _record(vset: ConsistentSet, block: np.ndarray, theta: float) -> InvariantRecord:
-    block = block.flatten()  # a C-contiguous copy, summed as sum_of_squares sums a CoeffVector
-    lhs = float(np.dot(block, block)) / 2 ** len(vset.refs)
-    return InvariantRecord(vset.refs, vset.dist, lhs, 2.0 * theta**vset.dist)
-
-
 def _check_theta(theta: float) -> None:
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
@@ -175,8 +171,8 @@ def invariant_check(
     """Audit one consistent set against Tr(delta_V^2) <= 2*theta^dist(V)."""
     _check_theta(theta)
     check_pair(circ, pair)
-    reduced = reduced_delta(circ, pair.delta_coeffs(), vset)
-    return _record(vset, reduced.values, theta)
+    lhs = sum_of_squares(reduced_delta(circ, pair.delta_coeffs(), vset)) / 2 ** len(vset.refs)
+    return InvariantRecord(vset.refs, vset.dist, lhs, 2.0 * theta**vset.dist)
 
 
 def audit_invariant(
@@ -195,11 +191,11 @@ def audit_invariant(
     an entry ``(lo, hi, bit, values)`` holds the cuts ``ordered[lo:hi]``,
     which agree above ``bit`` and all hold gate ``bit`` (``top + 1`` names
     none), and ``values``, the tensor of their shared prefix.  Popping it
-    applies gate ``bit``.  While the range's largest cut has a lower gate,
-    the cuts holding the highest one are pushed, and the walk goes on with
-    those before them.  The equal cuts left slice their sets' reduced blocks
-    out of ``values``, as :func:`restrict_coeffs` would, and build their
-    records from ``vset.refs``, with the slice made once per kept-wire set.
+    runs gate ``bit``'s step, compiled on first use.  While the range's
+    largest cut has a lower gate, the cuts holding the highest one are
+    pushed, and the walk goes on with those before them.  The equal cuts
+    left build their records in place from their reduced blocks, sliced out
+    of ``values`` as :func:`restrict_coeffs` would, once per kept-wire set.
     Each distinct cut prefix is evolved once, by the gates
     :func:`invariant_check` applies in the order it applies them, so every
     record equals its from-scratch one.
@@ -211,15 +207,17 @@ def audit_invariant(
     cones, fused, wires = circ.cones, circ.fused, range(circ.n)
     top = len(cones.gates) - 1
     cuts = [vset.cut for vset in sets]
+    step = cache(lambda bit: _pauli_step(*fused[cones.gates[top - bit]], wires))
     order = sorted(range(len(sets)), key=cuts.__getitem__)
     ordered = [cuts[s] for s in order]
     index = cache(lambda kept: _trace_out(circ.n, kept))
+    rhs = {dist: 2.0 * theta**dist for dist in {vset.dist for vset in sets}}
     records: list[InvariantRecord | None] = [None] * len(sets)
     stack = [(0, len(ordered), top + 1, v0.values.reshape((4,) * circ.n))]
     while stack:
         lo, hi, bit, values = stack.pop()
         if bit <= top:
-            values = _apply_gate(values, *fused[cones.gates[top - bit]], wires)
+            values = _run_step(values, *step(bit))
         while lo < hi and (rest := ordered[hi - 1] & ((1 << bit) - 1)):
             bit = rest.bit_length() - 1
             mid = bisect_left(ordered, ordered[hi - 1] >> bit << bit, lo, hi)
@@ -228,7 +226,9 @@ def audit_invariant(
         for s in order[lo:hi]:
             vset = sets[s]
             kept = tuple([w for w, _ in vset.refs])
-            records[s] = _record(vset, values[index(kept)], theta)
+            block = values[index(kept)].flatten()  # C-contiguous, summed as invariant_check sums it
+            lhs = float(np.dot(block, block)) / 2 ** len(vset.refs)
+            records[s] = InvariantRecord(vset.refs, vset.dist, lhs, rhs[vset.dist])
     return InvariantReport(theta, records)
 
 

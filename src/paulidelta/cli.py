@@ -241,17 +241,17 @@ def cmd_check_invariant(args) -> int:
         report = audit_invariant(circ, pair, theta, args.max_set_size, max_sets=args.max_sets)
     except RuntimeError as e:
         raise UsageError(str(e)) from None
-    worst = report.worst
+    worst, failures = report.worst, report.failures
     doc = {
         "theta": theta,
         "binding_constraint": binding,
         "forced": forced,
         "max_set_size": args.max_set_size,
         "sets_checked": len(report.records),
-        "failures": len(report.failures),
+        "failures": len(failures),
         "min_margin": None if worst is None else worst.margin,
         "worst": None if worst is None else _record_doc(worst),
-        "failing": [_record_doc(r) for r in report.failures],
+        "failing": [_record_doc(r) for r in failures],
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     if forced:
@@ -261,7 +261,7 @@ def cmd_check_invariant(args) -> int:
             file=sys.stderr,
         )
         return 0
-    return 0 if report.all_pass else 1
+    return 1 if failures else 0
 
 
 def cmd_verify(args) -> int:

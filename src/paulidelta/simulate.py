@@ -5,10 +5,10 @@ Each circuit carries one fused transfer matrix per gate (``circ.fused``,
 each built on its first lookup, so only the gates a cut applies are ever
 built), with the gate's depolarizing noise (which multiplies every
 coefficient supported on the noisy wire by 1 - p) folded in, so each gate
-costs one matrix product on the (4,)*n coefficient tensor.  The tensor
-passes from gate to gate as :func:`_apply` returns it and is flattened
-only into a :class:`CoeffVector`, so a gate copies it at most once; a wire
-is traced out by slicing its I index, a view.
+costs one matrix product on the (4,)*n coefficient tensor, by a step
+compiled once per gate per run.  The tensor passes from step to step and
+is flattened only into a :class:`CoeffVector`, so a gate copies it at
+most once; a wire is traced out by slicing its I index, a view.
 The density engine evolves the dense 2^n x 2^n matrix, as a (2,)*2n
 tensor, by one superoperator per channel, sum w K (x) conj(K) built in the
 computational basis on the channel's row and column axes; it exists as an
@@ -21,7 +21,7 @@ draw in its cheapest form that rounds as a lone state vector would: a
 depolarizing Pauli as row flips and phases, with no matrix product; a
 one-term channel as one matrix over all rows; another mixture only on the
 rows it changes, each row with its own operator.  Both engines and the
-sampler apply every matrix through one kernel, :func:`_apply`.
+sampler apply every matrix through one kernel, :func:`_run_step`.
 
 Both engines apply a *cut*: a frozenset of (level, placement index) gate
 identities, downward-closed, so that whenever a gate is applied, so are all
@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import islice
+from itertools import groupby, islice
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -73,18 +73,22 @@ class _FusedTable(dict):
         self._d_in = depolarizing_ptm(circ.noise.epsk).m.diagonal()
         self._d_out = depolarizing_ptm(circ.noise.eps1).m.diagonal()
         self._inputs: dict[int, np.ndarray] = {}  # per arity k >= 2, D (x) ... (x) D
+        self._matrices: dict = {}  # per builtin and arity, else per gate
 
     def __missing__(self, gate):
         pl = self._placements[gate]  # KeyError for a gate the circuit lacks
-        m, k = gate_ptm(pl.gate).m, len(pl.wires)
-        if k >= 2:
-            if k not in self._inputs:
-                self._inputs[k] = reduce(np.kron, [self._d_in] * k)
-            fused = m * self._inputs[k]  # scales the input columns
-        else:
-            fused = self._d_out[:, None] * m  # scales the output rows
-        fused.setflags(write=False)
-        self[gate] = entry = (pl.wires, fused)
+        k = len(pl.wires)
+        key = (pl.gate, k) if isinstance(pl.gate, BuiltinGate) else gate  # a builtin's is shared
+        if key not in self._matrices:
+            if k >= 2:
+                if k not in self._inputs:
+                    self._inputs[k] = reduce(np.kron, [self._d_in] * k)
+                fused = gate_ptm(pl.gate).m * self._inputs[k]  # scales the input columns
+            else:
+                fused = self._d_out[:, None] * gate_ptm(pl.gate).m  # scales the output rows
+            fused.setflags(write=False)
+            self._matrices[key] = fused
+        self[gate] = entry = (pl.wires, self._matrices[key])
         return entry
 
     def __iter__(self):
@@ -266,22 +270,29 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 # --- the gate kernel and the dense machinery -----------------------------
 
 
-def _apply(t: np.ndarray, ops: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """The one gate kernel: ``ops`` on the axes ``axes`` of ``t``, the first
-    the most significant; one matrix, or one per entry of ``t``'s leading axis.
-
-    One ``matmul`` makes each entry its own (d^k x d^k) @ (d^k x rest) BLAS
-    product, the one a single matrix makes, so an entry's rounding does not
-    depend on the other entries; an identity adds exact zeros to its entries.
-    """
+def _compile_step(ops: np.ndarray, axes: Sequence[int], ndim: int, lead: tuple = ()) -> tuple:
+    """The arguments of :func:`_run_step` for ``ops`` on the axes ``axes`` of
+    an ``ndim``-axis tensor, the first the most significant: one matrix, or
+    one per entry of a leading axis of shape ``lead``; made once per gate."""
     batch = ops.ndim - 2
-    order = [*range(batch), *axes, *(a for a in range(batch, t.ndim) if a not in axes)]
+    order = [*range(batch), *axes, *(a for a in range(batch, ndim) if a not in axes)]
+    # the inverse permutation; np.argsort would page in numpy's sort code, ~0.3 MiB of RSS
+    return ops, order, sorted(range(ndim), key=order.__getitem__), (*lead, ops.shape[-1], -1)
+
+
+def _run_step(t: np.ndarray, ops: np.ndarray, order: list, inverse: list, shape: tuple) -> np.ndarray:
+    """The one gate kernel: one ``matmul`` gives each entry the BLAS product
+    a single matrix gives it, so an entry's rounding does not depend on the
+    other entries; an identity adds exact zeros to its entries."""
     front = t.transpose(order)
     # copies unless t's memory already holds these axes in front, as the
-    # output of an _apply on the same axes does
-    out = np.matmul(ops, front.reshape(*front.shape[:batch], ops.shape[-1], -1))
-    # the inverse permutation; np.argsort would page in numpy's sort code, ~0.3 MiB of RSS
-    return out.reshape(front.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
+    # output of a step on the same axes does
+    return np.matmul(ops, front.reshape(shape)).reshape(front.shape).transpose(inverse)
+
+
+def _apply(t: np.ndarray, ops: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``ops`` on the axes ``axes`` of ``t``, compiled and run at once."""
+    return _run_step(t, *_compile_step(ops, axes, t.ndim, t.shape[: ops.ndim - 2]))
 
 
 def partial_trace(op: np.ndarray, keep: Iterable[int], n: int) -> np.ndarray:
@@ -373,18 +384,13 @@ def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]
 # --- Pauli-coefficient machinery ------------------------------------------
 
 
-def _apply_gate(
-    t: np.ndarray, wires: tuple[int, ...], ptm: np.ndarray, live: Sequence[int]
-) -> np.ndarray:
-    """One fused gate on the (4,)*m coefficient tensor ``t`` over the wires
-    ``live`` (increasing, wire ``live[j]`` at local site j, on tensor axis
-    m-1-j).  Returns the new tensor, often a transposed view; callers carry
-    it to the next gate and flatten only into a :class:`CoeffVector`, so a
-    gate copies at most once, where :func:`_apply` brings its axes to the
-    front."""
+def _pauli_step(wires: tuple[int, ...], ptm: np.ndarray, live: Sequence[int]) -> tuple:
+    """The step of one fused gate on the (4,)*m coefficient tensor over the
+    wires ``live`` (increasing, wire ``live[j]`` at local site j, on tensor
+    axis m-1-j).  Callers carry the tensor :func:`_run_step` returns, often a
+    transposed view, and flatten it only into a :class:`CoeffVector`."""
     m = len(live)
-    axes = [m - 1 - live.index(w) for w in reversed(wires)]  # last wire most significant
-    return _apply(t, ptm, axes)
+    return _compile_step(ptm, [m - 1 - live.index(w) for w in reversed(wires)], m)
 
 
 def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]]) -> CoeffVector:
@@ -396,7 +402,7 @@ def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]])
     check_cut(circ, cut)
     t, fused, wires = v.values.reshape((4,) * circ.n), circ.fused, range(circ.n)
     for gate in sorted(cut):
-        t = _apply_gate(t, *fused[gate], wires)
+        t = _run_step(t, *_pauli_step(*fused[gate], wires))
     return CoeffVector(circ.n, t.flatten())
 
 
@@ -481,17 +487,19 @@ def distinguishability_by_depth(
     t = pair.delta_coeffs(wires).values.reshape((4,) * len(wires))
     fused, order = circ.fused, sorted(cut)
     last = {w: level for level, i in order for w in fused[(level, i)][0] if w != out}
-    readings, j = [], 0
+    by_level = {level: list(gates) for level, gates in groupby(order, lambda gate: gate[0])}
+    plan = []  # per level: its gates' steps, the index retiring wires, Z's index
     for level in range(depth + 1):
-        while j < len(order) and order[j][0] == level:
-            t = _apply_gate(t, *fused[order[j]], wires)
-            j += 1
-        if level in last.values():
-            kept = tuple(w for w in wires if last.get(w) != level)
-            t = t[_trace_out(len(wires), [wires.index(w) for w in kept])]
-            wires = kept
-        # Z on the output wire, I elsewhere
-        readings.append(0.5 * abs(t[_trace_out(len(wires), [wires.index(out)])][1]))
+        steps = [_pauli_step(*fused[gate], wires) for gate in by_level.get(level, ())]
+        kept = tuple(w for w in wires if last.get(w) != level)
+        retire, wires = _trace_out(len(wires), [wires.index(w) for w in kept]), kept
+        plan.append((steps, retire, _trace_out(len(wires), [wires.index(out)])))
+    readings = []
+    for steps, retire, read in plan:
+        for step in steps:
+            t = _run_step(t, *step)
+        t = t[retire]
+        readings.append(0.5 * abs(t[read][1]))  # Z on the output wire, I elsewhere
     return readings
 
 

@@ -47,14 +47,14 @@ def audits(draw):
 @given(audits())
 def test_audit_walk_matches_per_set_checks(audit):
     circ, pair, max_size = audit
-    calls, apply_gate = 0, bounds._apply_gate
+    calls, run_step = 0, bounds._run_step
 
     def count(*args):
         nonlocal calls
         calls += 1
-        return apply_gate(*args)
+        return run_step(*args)
 
-    with mock.patch.object(bounds, "_apply_gate", count):
+    with mock.patch.object(bounds, "_run_step", count):
         got = audit_invariant(circ, pair, THETA, max_size).records
     assert calls == _distinct_prefixes(circ, max_size)
     sets = list(enumerate_consistent_sets(circ, max_size))
@@ -93,12 +93,12 @@ def test_audit_applies_one_gate_per_distinct_cut_prefix(n, max_size, prefixes, m
     circ = random_circuit(n, 6, seed=3, gate_pool=BENCH_POOL, k=2, noise=NoiseModel(0.05, 0.45))
     calls = 0
 
-    def count(values, *gate):  # counts only; the property above checks the values
+    def count(values, *step):  # counts only; the property above checks the values
         nonlocal calls
         calls += 1
         return values
 
-    monkeypatch.setattr(bounds, "_apply_gate", count)
+    monkeypatch.setattr(bounds, "_run_step", count)
     audit_invariant(circ, BasisPair("0" * n, "1" * n), THETA, max_size)
     assert calls == _distinct_prefixes(circ, max_size) == prefixes
 

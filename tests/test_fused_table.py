@@ -81,6 +81,20 @@ def test_gates_of_each_arity_get_their_own_input_noise():
         assert circ.fused[gate][1].tobytes() == eager_entry(circ, *gate)[1].tobytes()
 
 
+def test_placements_of_a_builtin_share_one_read_only_matrix():
+    circ = random_circuit(5, 6, seed=1, gate_pool=POOL, k=2)
+    shared = {}
+    for level, i in circ.cones.gates:
+        pl = circ.levels[level - 1][i]
+        wires, ptm = circ.fused[(level, i)]
+        assert wires == pl.wires and not ptm.flags.writeable
+        if isinstance(pl.gate, BuiltinGate):
+            assert shared.setdefault((pl.gate, len(wires)), ptm) is ptm
+        else:
+            assert all(ptm is not other for other in shared.values())
+    assert len(shared) < sum(isinstance(pl.gate, BuiltinGate) for level in circ.levels for pl in level)
+
+
 def test_the_table_covers_every_gate_and_refuses_every_other_key():
     circ = random_circuit(4, 3, seed=2, gate_pool=POOL, k=2)
     fused = circ.fused
@@ -136,8 +150,15 @@ def test_the_audit_builds_only_the_gates_of_its_cuts(monkeypatch):
     built = _counting_gate_ptm(monkeypatch)
     circ = random_circuit(4, 3, seed=5, gate_pool=POOL, k=2)
     audit_invariant(circ, BasisPair("0000", "1111"), 0.9, max_size=1)
-    # every gate is in the cut of some output qubit at time T, and is built once
-    assert len(built) == len(circ.cones.gates)
+    # every gate is in the cut of some output qubit at time T, and is built
+    # once, a builtin once per arity for all its placements
+    specs = {
+        (pl.gate, len(pl.wires)) if isinstance(pl.gate, BuiltinGate) else id(pl.gate)
+        for level in circ.levels
+        for pl in level
+    }
+    assert len(specs) < len(circ.cones.gates)
+    assert len(built) == len(specs)
     built.clear()
     circ = random_circuit(4, 3, seed=5, gate_pool=POOL, k=2)
     audit_invariant(circ, BasisPair("0000", "1111"), 0.9, max_size=0)

@@ -35,7 +35,7 @@ from paulidelta import (
 from paulidelta import BuiltinGate, GatePlacement, enumerate_consistent_sets, simulate
 from paulidelta.circuit import Circuit, ConsistentSet
 from paulidelta.paulis import MAX_DENSE_QUBITS
-from paulidelta.simulate import _apply, _apply_gate, check_cut
+from paulidelta.simulate import _apply, _pauli_step, _run_step, check_cut
 
 from oracles import producing_gate
 
@@ -296,20 +296,20 @@ def test_kernel_matches_einsum(case):
 
 
 def test_a_gate_on_the_axes_left_in_front_copies_nothing():
-    # The Pauli engine carries the tensor _apply returns, so a gate on the
+    # The Pauli engine carries the tensor a step returns, so a gate on the
     # previous gate's axes allocates only its product: one 4^8 vector.
     n = 8
     rng = np.random.default_rng(5)
-    ptm = rng.normal(size=(16, 16))
-    once = _apply_gate(rng.normal(size=(4,) * n), (2, 5), ptm, range(n))
+    step = _pauli_step((2, 5), rng.normal(size=(16, 16)), range(n))
+    once = _run_step(rng.normal(size=(4,) * n), *step)
     tracemalloc.start()
     try:
-        twice = _apply_gate(once, (2, 5), ptm, range(n))
+        twice = _run_step(once, *step)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * 8 * 4**n
-    assert np.max(np.abs(twice - _apply_gate(once.copy(), (2, 5), ptm, range(n)))) <= 1e-12
+    assert np.max(np.abs(twice - _run_step(once.copy(), *step))) <= 1e-12
 
 
 # --- reduced_delta -----------------------------------------------------------
