@@ -20,7 +20,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -273,9 +273,9 @@ class LightCones:
             consumers |= self.consumer(b)
         return not cut & consumers
 
-    def keys(self, cut: int) -> frozenset[tuple[int, int]]:
-        """The (level, index) keys of the gates in a gate mask."""
-        return frozenset(self.gates[len(self.gates) - 1 - b] for b in _bits(cut))
+    def gates_of(self, cut: int) -> list[tuple[int, int]]:
+        """A gate mask's (level, index) gates, earliest first, read off its digits."""
+        return list(compress(self.gates, map(int, format(cut, f"0{len(self.gates)}b"))))
 
 
 def is_consistent(refs: Iterable[QubitRef], circ: Circuit) -> bool:

@@ -23,9 +23,10 @@ one-term channel as one matrix over all rows; another mixture only on the
 rows it changes, each row with its own operator.  Both engines and the
 sampler apply every matrix through one kernel, :func:`_run_step`.
 
-Both engines apply a *cut*: a frozenset of (level, placement index) gate
-identities, downward-closed, so that whenever a gate is applied, so are all
-gates producing its inputs.  Its gates run in (level, index) order.
+Both engines apply a *cut*: a gate mask of ``circ.cones``, an int whose
+top bit is the earliest gate (gate r is bit ``len(gates) - 1 - r``).  It is
+closed under input dependencies: whenever a gate is applied, so are all
+gates producing its inputs.  Its gates run earliest first.
 Gate internals are fixed: multi-qubit gates depolarize each input with
 ``epsk`` and then apply the mixture; one-qubit gates apply the channel and
 then depolarize the output with ``eps1``.
@@ -114,29 +115,33 @@ def fused_ptms(circ: Circuit) -> Mapping[tuple[int, int], tuple[tuple[int, ...],
     return MappingProxyType(_FusedTable(circ))
 
 
-def full_cut(circ: Circuit) -> frozenset[tuple[int, int]]:
-    return frozenset(circ.cones.gates)
+def full_cut(circ: Circuit) -> int:
+    """The gate mask holding every gate of the circuit."""
+    return (1 << len(circ.cones.gates)) - 1
 
 
-def min_cut(circ: Circuit, refs: Iterable[QubitRef]) -> frozenset[tuple[int, int]]:
-    """The smallest cut producing every qubit in ``refs``."""
-    return circ.cones.keys(circ.cones.cut(refs))
+def min_cut(circ: Circuit, refs: Iterable[QubitRef]) -> int:
+    """The smallest cut producing every qubit in ``refs``, as a gate mask."""
+    return circ.cones.cut(refs)
 
 
-def check_cut(circ: Circuit, cut: frozenset[tuple[int, int]]) -> None:
-    """Raise unless every gate exists and the cut is downward-closed."""
-    cones = circ.cones
-    have = need = 0
-    for level, i in sorted(cut):
-        if not (1 <= level <= circ.T and 0 <= i < len(circ.levels[level - 1])):
-            raise ValueError(f"cut names a nonexistent gate (level {level}, index {i})")
-        cone = cones.cone[level * circ.n + circ.levels[level - 1][i].wires[0]]
-        have |= cone & -cone  # the gate, its output's latest gate
-        need |= cone
-    missing = need & ~have
+def check_cut(circ: Circuit, cut: int) -> list[tuple[int, int]]:
+    """The gates of the gate mask ``cut``, earliest first; ValueError unless
+    it is an int in ``range(2**gates)`` closed under input dependencies."""
+    cones, count = circ.cones, len(circ.cones.gates)
+    if isinstance(cut, bool) or not isinstance(cut, int):
+        raise ValueError(f"a cut is the int gate mask min_cut and full_cut return, got {type(cut).__name__}")
+    if cut >> count:  # a negative int, or a bit past the earliest gate
+        fault = "is negative" if cut < 0 else f"sets bit {cut.bit_length() - 1}"
+        raise ValueError(f"cut mask {fault}: a mask of the circuit's {count} gates lies in [0, 2**{count})")
+    gates, need = cones.gates_of(cut), 0
+    for level, i in gates:
+        need |= cones.cone[level * circ.n + circ.levels[level - 1][i].wires[0]]
+    missing = need & ~cut
     if missing:
-        level, i = min(cones.keys(missing))
+        level, i = cones.gates[count - missing.bit_length()]
         raise ValueError(f"cut is not downward-closed: it lacks gate (level {level}, index {i})")
+    return gates
 
 
 # --- input pairs and state constructors ----------------------------------
@@ -244,15 +249,10 @@ def basis_density(bits: str) -> np.ndarray:
     return m
 
 
-def pure_density(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
-
-
 def random_pure_density(n: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return pure_density(psi)
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
 
 
 def random_product_density(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -361,18 +361,18 @@ def _channels(pl: GatePlacement, noise: NoiseModel) -> list[tuple]:
     return [(tuple(pl.wires[j] for j in sites), *arrays) for sites, *arrays in lower(pl.gate, p)]
 
 
-def evolve_density(circ: Circuit, op: np.ndarray, cut: frozenset[tuple[int, int]]) -> np.ndarray:
-    """Dense-matrix evolution through the gates of a cut, in (level, index)
-    order; each channel, op -> sum_t w_t sum_k K_kt op K_kt^dagger, is one
-    superoperator sum w K (x) conj(K) on its wires' row and column axes."""
+def evolve_density(circ: Circuit, op: np.ndarray, cut: int) -> np.ndarray:
+    """Dense-matrix evolution through the gates of the gate mask ``cut``,
+    earliest first; each channel, op -> sum_t w_t sum_k K_kt op K_kt^dagger,
+    is one superoperator sum w K (x) conj(K) on its wires' row and column axes."""
     op = np.asarray(op, dtype=complex)
     if circ.n > MAX_DENSE_QUBITS:
         raise ValueError(f"n={circ.n} exceeds the dense-engine cap {MAX_DENSE_QUBITS}")
     if op.shape != (2**circ.n, 2**circ.n):
         raise ValueError(f"operator shape {op.shape} does not match n={circ.n}")
-    check_cut(circ, cut)
+    gates = check_cut(circ, cut)
     t = op.reshape((2,) * (2 * circ.n))
-    for level, i in sorted(cut):
+    for level, i in gates:
         for wires, weights, ops, *_ in _channels(circ.levels[level - 1][i], circ.noise):
             d = 2 ** len(wires)
             kraus = ops.reshape(-1, len(weights), d, d)
@@ -393,15 +393,15 @@ def _pauli_step(wires: tuple[int, ...], ptm: np.ndarray, live: Sequence[int]) ->
     return _compile_step(ptm, [m - 1 - live.index(w) for w in reversed(wires)], m)
 
 
-def evolve_pauli(circ: Circuit, v: CoeffVector, cut: frozenset[tuple[int, int]]) -> CoeffVector:
+def evolve_pauli(circ: Circuit, v: CoeffVector, cut: int) -> CoeffVector:
     """Coefficient-vector evolution; the same map as :func:`evolve_density`."""
     if circ.n > MAX_COEFF_QUBITS:
         raise ValueError(f"n={circ.n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
     if v.n != circ.n:
         raise ValueError(f"vector is on {v.n} qubits, circuit on {circ.n}")
-    check_cut(circ, cut)
+    gates = check_cut(circ, cut)
     t, fused, wires = v.values.reshape((4,) * circ.n), circ.fused, range(circ.n)
-    for gate in sorted(cut):
+    for gate in gates:
         t = _run_step(t, *_pauli_step(*fused[gate], wires))
     return CoeffVector(circ.n, t.flatten())
 
@@ -476,21 +476,19 @@ def distinguishability_by_depth(
     if not 0 <= depth <= circ.T:
         raise ValueError(f"depth {depth} outside [0, {circ.T}]")
     out = circ.output_wire
-    cut = min_cut(circ, [QubitRef(out, depth)])
-    live = {out}.union(*(circ.levels[level - 1][i].wires for level, i in cut))
-    if len(live) > MAX_COEFF_QUBITS:
+    order = circ.cones.gates_of(circ.cones.cone[depth * circ.n + out])
+    last = {w: level for level, i in order for w in circ.levels[level - 1][i].wires if w != out}
+    wires = tuple(sorted({out, *last}))
+    if len(wires) > MAX_COEFF_QUBITS:
         raise ValueError(
-            f"the output's light cone at depth {depth} touches {len(live)} wires, "
+            f"the output's light cone at depth {depth} touches {len(wires)} wires, "
             f"above the coefficient-engine cap {MAX_COEFF_QUBITS}"
         )
-    wires = tuple(sorted(live))
     t = pair.delta_coeffs(wires).values.reshape((4,) * len(wires))
-    fused, order = circ.fused, sorted(cut)
-    last = {w: level for level, i in order for w in fused[(level, i)][0] if w != out}
     by_level = {level: list(gates) for level, gates in groupby(order, lambda gate: gate[0])}
     plan = []  # per level: its gates' steps, the index retiring wires, Z's index
     for level in range(depth + 1):
-        steps = [_pauli_step(*fused[gate], wires) for gate in by_level.get(level, ())]
+        steps = [_pauli_step(*circ.fused[gate], wires) for gate in by_level.get(level, ())]
         kept = tuple(w for w in wires if last.get(w) != level)
         retire, wires = _trace_out(len(wires), [wires.index(w) for w in kept]), kept
         plan.append((steps, retire, _trace_out(len(wires), [wires.index(out)])))

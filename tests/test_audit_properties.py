@@ -80,10 +80,11 @@ def test_audit_walk_matches_per_set_checks_for_dense_pairs():
 
 
 def _distinct_prefixes(circ, max_size):
-    """The distinct non-empty (level, index)-prefixes of the sets' minimal cuts."""
+    """The distinct non-empty (level, index)-prefixes of the sets' minimal cuts,
+    their gates listed earliest first."""
     prefixes = set()
     for vset in enumerate_consistent_sets(circ, max_size):
-        cut = tuple(sorted(min_cut(circ, vset.qubits)))
+        cut = tuple(circ.cones.gates_of(min_cut(circ, vset.qubits)))
         prefixes.update(cut[:j] for j in range(1, len(cut) + 1))
     return len(prefixes)
 

@@ -289,7 +289,7 @@ def test_out_of_range_refs_rejected():
 
 def test_min_cut_closure():
     c = random_circuit(3, 3, seed=2, gate_pool=POOL, k=2)
-    need = min_cut(c, refs((0, 3)))
+    need = set(c.cones.gates_of(min_cut(c, refs((0, 3)))))
     assert (3, producing_gate(c, 3, 0)) in need
     assert all(1 <= level <= 3 for level, _ in need)
     # every named gate's inputs are produced inside the set

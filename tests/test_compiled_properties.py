@@ -101,7 +101,7 @@ def test_dense_engine_applies_one_superoperator_per_channel(circ):
 
     with mock.patch("paulidelta.simulate._apply", counting):
         evolve_density(circ, _pair(circ.n, 0).delta(), full_cut(circ))
-    gates = [circ.levels[level - 1][i] for level, i in sorted(full_cut(circ))]
+    gates = [circ.levels[level - 1][i] for level, i in circ.cones.gates_of(full_cut(circ))]
     channels = [wires for pl in gates for wires, *_ in _channels(pl, circ.noise)]
     assert calls == [(4 ** len(wires),) * 2 for wires in channels]
 

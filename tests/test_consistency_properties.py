@@ -54,7 +54,7 @@ def test_enumerated_masks_are_the_sets_bits_and_minimal_cuts(circ, max_size):
         assert cs.refs == tuple(sorted((q.wire, q.time) for q in qubits))
         assert cs.members == sum(1 << q.time * circ.n + q.wire for q in qubits)
         assert cs.cut == circ.cones.cut(qubits)
-        assert circ.cones.keys(cs.cut) == minimal_cut_by_scan(circ, qubits)
+        assert circ.cones.gates_of(cs.cut) == sorted(minimal_cut_by_scan(circ, qubits))
         assert (cs.dist, cs.latest) == dist_latest(qubits, circ)
         keys.append((cs.latest, sum(q.time == cs.latest for q in qubits), cs.refs))
     assert keys == sorted(keys)
@@ -78,21 +78,22 @@ def test_min_cut_is_the_backward_closure_and_check_cut_agrees(circ, data):
     grid = [QubitRef(w, t) for t in range(circ.T + 1) for w in range(circ.n)]
     refs = data.draw(st.sets(st.sampled_from(grid), max_size=4))
     cut = min_cut(circ, refs)
-    assert cut == minimal_cut_by_scan(circ, refs)
-    check_cut(circ, cut)
-    drops = [{gate} for gate in cut]
-    if cut:
-        drops.append(data.draw(st.sets(st.sampled_from(sorted(cut)))))
+    gates = circ.cones.gates_of(cut)
+    assert gates == sorted(minimal_cut_by_scan(circ, refs))
+    assert check_cut(circ, cut) == gates
+    bit = {gate: 1 << len(circ.cones.gates) - 1 - r for r, gate in enumerate(circ.cones.gates)}
+    drops = [{gate} for gate in gates]
+    if gates:
+        drops.append(data.draw(st.sets(st.sampled_from(gates))))
     for dropped in drops:
-        rest = cut - dropped
+        rest = set(gates) - dropped
+        mask = cut & ~sum(bit[gate] for gate in dropped)
         missing = minimal_cut_by_scan(circ, _refs(circ, rest)) - rest
         if not missing:  # no gate left in the cut consumes a dropped gate's output
-            check_cut(circ, rest)
+            assert check_cut(circ, mask) == sorted(rest)
             continue
         level, i = min(missing)
         with pytest.raises(ValueError, match=rf"lacks gate \(level {level}, index {i}\)"):
-            check_cut(circ, rest)
-    bad = [(circ.T + 1, 0)] + ([(1, len(circ.levels[0])), (1, -1)] if circ.T else [])
-    for level, i in bad:
-        with pytest.raises(ValueError, match=rf"nonexistent gate \(level {level}, index {i}\)"):
-            check_cut(circ, cut | {(level, i)})
+            check_cut(circ, mask)
+    with pytest.raises(ValueError, match=rf"sets bit {len(circ.cones.gates)}: "):
+        check_cut(circ, cut | 1 << len(circ.cones.gates))

@@ -79,8 +79,8 @@ def test_light_cone_rows_equal_the_full_width_engine(case):
 @pytest.mark.parametrize("kind", ["basis", "product", "entangled"])
 def test_wires_outside_the_cut_and_retired_wires(kind):
     circ = parse_circuit(PARTIAL)
-    cut = min_cut(circ, [QubitRef(0, 3)])
-    touched = {w for level, i in cut for w in circ.levels[level - 1][i].wires}
+    gates = circ.cones.gates_of(min_cut(circ, [QubitRef(0, 3)]))
+    touched = {w for level, i in gates for w in circ.levels[level - 1][i].wires}
     assert touched == {0, 1, 2}
     _assert_rows_match(circ, _pair(kind, circ.n, np.random.default_rng(5)))
 

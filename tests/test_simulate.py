@@ -53,24 +53,56 @@ def cs(circ, *pairs):
 # --- cuts -------------------------------------------------------------------
 
 
+def mask(circ, gates):
+    """The gate mask of the (level, index) gates ``gates``: gate r is bit
+    ``len(circ.cones.gates) - 1 - r``."""
+    top = len(circ.cones.gates) - 1
+    return sum(1 << top - r for r, gate in enumerate(circ.cones.gates) if gate in gates)
+
+
 def test_full_cut_contains_every_gate():
     c = random_circuit(3, 3, seed=1, gate_pool=POOL, k=2)
-    assert len(full_cut(c)) == sum(len(l) for l in c.levels)
+    every = [(level, i) for level in range(1, 4) for i in range(len(c.levels[level - 1]))]
+    assert full_cut(c) == mask(c, every) == (1 << len(every)) - 1
+    assert c.cones.gates_of(full_cut(c)) == every
+
+
+TWO_IDS = "qubits 1 levels 2 output 0\nnoise eps1=0.1 epsk=0.4\nlevel 1: ID(0)\nlevel 2: ID(0)\n"
 
 
 def test_cut_validation_rejects_gaps():
-    c = parse_circuit(
-        "qubits 1 levels 2 output 0\nnoise eps1=0.1 epsk=0.4\nlevel 1: ID(0)\nlevel 2: ID(0)\n"
-    )
-    with pytest.raises(ValueError, match="downward-closed"):
-        check_cut(c, frozenset({(2, 0)}))
-    with pytest.raises(ValueError, match="nonexistent"):
-        check_cut(c, frozenset({(3, 0)}))
+    c = parse_circuit(TWO_IDS)
+    assert check_cut(c, mask(c, {(1, 0), (2, 0)})) == [(1, 0), (2, 0)]
+    assert check_cut(c, mask(c, {(1, 0)})) == [(1, 0)]
+    with pytest.raises(ValueError, match=r"not downward-closed: it lacks gate \(level 1, index 0\)"):
+        check_cut(c, mask(c, {(2, 0)}))
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (True, "a cut is the int gate mask min_cut and full_cut return, got bool"),
+        (-1, "cut mask is negative: a mask of the circuit's 2 gates lies in [0, 2**2)"),
+        (0b100, "cut mask sets bit 2: a mask of the circuit's 2 gates lies in [0, 2**2)"),
+        (frozenset({(1, 0)}), "a cut is the int gate mask min_cut and full_cut return, got frozenset"),
+    ],
+    ids=["bool", "negative", "past-the-gates", "frozenset"],
+)
+def test_a_cut_must_be_a_gate_mask_of_the_circuit(cut, message):
+    c = parse_circuit(TWO_IDS)
+    op = np.diag([1.0, -1.0]).astype(complex)
+    for run in (
+        lambda: check_cut(c, cut),
+        lambda: evolve_pauli(c, coeffs_from_op(op), cut),
+        lambda: evolve_density(c, op, cut),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run()
 
 
 def test_min_cut_of_time_zero_is_empty():
     c = random_circuit(2, 2, seed=2, gate_pool=POOL, k=2)
-    assert len(min_cut(c, refs((0, 0), (1, 0)))) == 0
+    assert min_cut(c, refs((0, 0), (1, 0))) == 0
 
 
 # --- density engine -----------------------------------------------------------
@@ -80,10 +112,10 @@ def test_empty_cut_leaves_operator_unchanged():
     c = random_circuit(2, 2, seed=3, gate_pool=POOL, k=2)
     rng = np.random.default_rng(0)
     op = random_hermitian(2, rng)
-    out = evolve_density(c, op, frozenset())
+    out = evolve_density(c, op, 0)
     assert np.allclose(out, op)
     v = coeffs_from_op(op)
-    assert np.allclose(evolve_pauli(c, v, frozenset()).values, v.values)
+    assert np.allclose(evolve_pauli(c, v, 0).values, v.values)
 
 
 def test_single_identity_level_shrinks_z():
@@ -370,8 +402,8 @@ def test_reduced_delta_independent_of_cut_extension():
         for vset in sets[:: max(1, len(sets) // 8)]:
             wires = [q.wire for q in vset.qubits]
             via_min = restrict_coeffs(evolve_pauli(c, v0, min_cut(c, vset.qubits)), wires)
-            bigger = _greedy_extension(c, vset)
-            assert set(min_cut(c, vset.qubits)) <= set(bigger)
+            bigger = mask(c, _greedy_extension(c, vset))
+            assert min_cut(c, vset.qubits) & ~bigger == 0
             via_big = restrict_coeffs(evolve_pauli(c, v0, bigger), wires)
             assert np.max(np.abs(via_min.values - via_big.values)) < 1e-9
 
@@ -381,9 +413,7 @@ def test_reduced_delta_full_prefix_for_uniform_time():
     rng = np.random.default_rng(29)
     delta = random_pure_density(3, rng) - random_pure_density(3, rng)
     vset = cs(c, (0, 2), (1, 2), (2, 2))
-    prefix_cut = frozenset(
-        (level, i) for level in (1, 2) for i in range(len(c.levels[level - 1]))
-    )
+    prefix_cut = mask(c, {(level, i) for level in (1, 2) for i in range(len(c.levels[level - 1]))})
     via_min = reduced_delta(c, coeffs_from_op(delta), vset)
     via_prefix = restrict_coeffs(
         evolve_pauli(c, coeffs_from_op(delta), prefix_cut), [0, 1, 2]
