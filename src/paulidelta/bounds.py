@@ -15,9 +15,7 @@ experiments.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -26,11 +24,9 @@ from .paulis import sum_of_squares
 from .simulate import (  # noqa: F401 (perfbench/selftest.py reads bounds.evolve_pauli)
     BasisPair,
     InputPair,
-    _pauli_step,
-    _run_step,
-    _trace_out,
     check_pair,
     distinguishability_by_depth,
+    evolve_cuts,
     evolve_pauli,
     reduced_delta,
 )
@@ -186,49 +182,22 @@ def audit_invariant(
     enumeration order.
 
     Each set from :func:`enumerate_consistent_sets` carries its minimal cut
-    as ``vset.cut``, a gate mask of ``circ.cones`` whose top bit is the
-    earliest gate.  The walk bisects the ascending masks with one stack:
-    an entry ``(lo, hi, bit, values)`` holds the cuts ``ordered[lo:hi]``,
-    which agree above ``bit`` and all hold gate ``bit`` (``top + 1`` names
-    none), and ``values``, the tensor of their shared prefix.  Popping it
-    runs gate ``bit``'s step, compiled on first use.  While the range's
-    largest cut has a lower gate, the cuts holding the highest one are
-    pushed, and the walk goes on with those before them.  The equal cuts
-    left build their records in place from their reduced blocks, sliced out
-    of ``values`` as :func:`restrict_coeffs` would, once per kept-wire set.
-    Each distinct cut prefix is evolved once, by the gates
-    :func:`invariant_check` applies in the order it applies them, so every
-    record equals its from-scratch one.
+    as ``vset.cut``; the walk :func:`evolve_cuts` evolves each distinct cut
+    prefix once and yields each set's block, reduced to the set's wires as
+    :func:`reduced_delta` reduces it, so every record equals
+    :func:`invariant_check`'s.
     """
     _check_theta(theta)
     check_pair(circ, pair)
     v0 = pair.delta_coeffs()  # refuses a circuit past the engine cap before enumerating
     sets = list(enumerate_consistent_sets(circ, max_size, max_sets))  # refuses before the PTM builds
-    cones, fused, wires = circ.cones, circ.fused, range(circ.n)
-    top = len(cones.gates) - 1
-    cuts = [vset.cut for vset in sets]
-    step = cache(lambda bit: _pauli_step(*fused[cones.gates[top - bit]], wires))
-    order = sorted(range(len(sets)), key=cuts.__getitem__)
-    ordered = [cuts[s] for s in order]
-    index = cache(lambda kept: _trace_out(circ.n, kept))
     rhs = {dist: 2.0 * theta**dist for dist in {vset.dist for vset in sets}}
+    keeps = [tuple([w for w, _ in vset.refs]) for vset in sets]
     records: list[InvariantRecord | None] = [None] * len(sets)
-    stack = [(0, len(ordered), top + 1, v0.values.reshape((4,) * circ.n))]
-    while stack:
-        lo, hi, bit, values = stack.pop()
-        if bit <= top:
-            values = _run_step(values, *step(bit))
-        while lo < hi and (rest := ordered[hi - 1] & ((1 << bit) - 1)):
-            bit = rest.bit_length() - 1
-            mid = bisect_left(ordered, ordered[hi - 1] >> bit << bit, lo, hi)
-            stack.append((mid, hi, bit, values))  # the cuts that also hold gate bit
-            hi = mid
-        for s in order[lo:hi]:
-            vset = sets[s]
-            kept = tuple([w for w, _ in vset.refs])
-            block = values[index(kept)].flatten()  # C-contiguous, summed as invariant_check sums it
-            lhs = float(np.dot(block, block)) / 2 ** len(vset.refs)
-            records[s] = InvariantRecord(vset.refs, vset.dist, lhs, rhs[vset.dist])
+    for s, block in evolve_cuts(circ, v0, [vset.cut for vset in sets], keeps):
+        vset = sets[s]
+        lhs = float(np.dot(block, block)) / 2 ** len(vset.refs)  # summed as invariant_check sums it
+        records[s] = InvariantRecord(vset.refs, vset.dist, lhs, rhs[vset.dist])
     return InvariantReport(theta, records)
 
 

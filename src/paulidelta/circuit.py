@@ -19,9 +19,9 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from itertools import compress, islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,8 +107,7 @@ class GatePlacement:
 @dataclass(frozen=True)
 class Circuit:
     """An immutable leveled circuit.  ``levels`` may be given as lists; they
-    are stored as tuples.  ``cones`` holds the circuit's light cones, and
-    ``fused`` its per-gate transfer matrices for the Pauli engine."""
+    are stored as tuples.  ``cones`` holds the circuit's light cones."""
 
     n: int
     T: int
@@ -150,15 +149,6 @@ class Circuit:
                     li, f"not a partition: missing wires {lowest}" + (f" and {more} more" if more else "")
                 )
         object.__setattr__(self, "cones", LightCones.of(self))
-
-    @cached_property
-    def fused(self) -> Mapping[tuple[int, int], tuple[tuple[int, ...], np.ndarray]]:
-        """Per gate (level, placement index), in that order: its wires and its
-        read-only transfer matrix with the gate's noise folded in, built on
-        the gate's first lookup; see :func:`paulidelta.simulate.fused_ptms`."""
-        from .simulate import fused_ptms  # simulate imports this module
-
-        return fused_ptms(self)
 
     @property
     def max_arity(self) -> int:

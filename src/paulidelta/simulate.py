@@ -1,21 +1,19 @@
 """Dual evolution engines for the difference of two states.
 
 The Pauli engine tracks the 4^n coefficient vector of delta = rho - tau.
-Each circuit carries one fused transfer matrix per gate (``circ.fused``,
-each built on its first lookup, so only the gates a cut applies are ever
-built), with the gate's depolarizing noise (which multiplies every
-coefficient supported on the noisy wire by 1 - p) folded in, so each gate
-costs one matrix product on the (4,)*n coefficient tensor, by a step
-compiled once per gate per run.  The tensor passes from step to step and
-is flattened only into a :class:`CoeffVector`, so a gate copies it at
-most once; a wire is traced out by slicing its I index, a view.
+Each gate costs one matrix product on the (4,)*n coefficient tensor, by a
+step :func:`_pauli_step` compiles from the gate's transfer matrix with its
+depolarizing noise folded in.  The full-width engine is one walk,
+:func:`evolve_cuts`, which evolves each distinct cut prefix once; decay
+runs its own pass on the output's light cone.  The tensor passes from step
+to step and is flattened only into a :class:`CoeffVector`, so a gate
+copies it at most once; a wire is traced out by slicing its I index.
 The density engine evolves the dense 2^n x 2^n matrix, as a (2,)*2n
 tensor, by one superoperator per channel, sum w K (x) conj(K) built in the
 computational basis on the channel's row and column axes; it exists as an
 independent cross-check of the Pauli engine.  It and the trajectory
 sampler read one lowering of each noisy gate, :func:`_channels`, its
-channels in the order they act, built once per builtin gate and noise
-strength; ``circ.fused`` stays the Pauli engine's own form.  The sampler
+channels in the order they act.  The sampler
 advances rho's and tau's trajectories as one row sequence and applies each
 draw in its cheapest form that rounds as a lone state vector would: a
 depolarizing Pauli as row flips and phases, with no matrix product; a
@@ -34,11 +32,10 @@ then depolarize the output with ``eps1``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import groupby, islice
-from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -56,63 +53,6 @@ from .paulis import (
 )
 
 PSD_TOL = 1e-10
-
-
-class _FusedTable(dict):
-    """The table behind ``circ.fused``, filled as it is read: a gate's entry
-    is built by ``__missing__`` on its first lookup and kept, so a hit is a
-    dict lookup.  Iteration, ``len`` and ``in`` cover every gate of
-    ``circ.cones.gates``, built or not, and ``get``, ``keys``, ``items`` and
-    ``values`` read through the lookup, as a Mapping's do; ``copy``, ``==``
-    and ``|`` stay dict's and see only the entries built so far."""
-
-    get, keys, items, values = Mapping.get, Mapping.keys, Mapping.items, Mapping.values
-
-    def __init__(self, circ: Circuit):
-        super().__init__()
-        self._placements = dict(zip(circ.cones.gates, (pl for level in circ.levels for pl in level)))
-        self._d_in = depolarizing_ptm(circ.noise.epsk).m.diagonal()
-        self._d_out = depolarizing_ptm(circ.noise.eps1).m.diagonal()
-        self._inputs: dict[int, np.ndarray] = {}  # per arity k >= 2, D (x) ... (x) D
-        self._matrices: dict = {}  # per builtin and arity, else per gate
-
-    def __missing__(self, gate):
-        pl = self._placements[gate]  # KeyError for a gate the circuit lacks
-        k = len(pl.wires)
-        key = (pl.gate, k) if isinstance(pl.gate, BuiltinGate) else gate  # a builtin's is shared
-        if key not in self._matrices:
-            if k >= 2:
-                if k not in self._inputs:
-                    self._inputs[k] = reduce(np.kron, [self._d_in] * k)
-                fused = gate_ptm(pl.gate).m * self._inputs[k]  # scales the input columns
-            else:
-                fused = self._d_out[:, None] * gate_ptm(pl.gate).m  # scales the output rows
-            fused.setflags(write=False)
-            self._matrices[key] = fused
-        self[gate] = entry = (pl.wires, self._matrices[key])
-        return entry
-
-    def __iter__(self):
-        return iter(self._placements)
-
-    def __len__(self):
-        return len(self._placements)
-
-    def __contains__(self, gate):
-        return gate in self._placements
-
-
-def fused_ptms(circ: Circuit) -> Mapping[tuple[int, int], tuple[tuple[int, ...], np.ndarray]]:
-    """Per gate (level, placement index), in that order: its wires and its
-    transfer matrix with the gate's noise folded in, ``M @ (D (x) ... (x) D)``
-    for a multi-qubit gate, D depolarizing with ``epsk``, and ``D @ M`` for a
-    one-qubit gate, D depolarizing with ``eps1``.  Each matrix is read-only,
-    4^k x 4^k, the gate's last wire its most significant site.  The table is
-    read-only, and each entry is built on its first lookup, so an engine
-    builds matrices only for the gates it applies; ``circ.fused`` keeps one
-    table per circuit.
-    """
-    return MappingProxyType(_FusedTable(circ))
 
 
 def full_cut(circ: Circuit) -> int:
@@ -324,7 +264,7 @@ def _lowering(gate: GateSpec, p: float) -> tuple[tuple, ...]:
     Pauli draw, :func:`_apply_paulis`.  A multi-qubit gate
     depolarizes each input first, a one-qubit gate its output afterwards.
     The gate's weights are normalised and the noise weights are not; the
-    sampler's stream depends on both to the last bit.  :func:`fused_ptms`
+    sampler's stream depends on both to the last bit.  :func:`_fused_matrix`
     encodes the same rule on its own, so the engines' cross-check compares
     two encodings."""
     spec = lower_builtin(gate)
@@ -384,26 +324,90 @@ def evolve_density(circ: Circuit, op: np.ndarray, cut: int) -> np.ndarray:
 # --- Pauli-coefficient machinery ------------------------------------------
 
 
-def _pauli_step(wires: tuple[int, ...], ptm: np.ndarray, live: Sequence[int]) -> tuple:
-    """The step of one fused gate on the (4,)*m coefficient tensor over the
-    wires ``live`` (increasing, wire ``live[j]`` at local site j, on tensor
-    axis m-1-j).  Callers carry the tensor :func:`_run_step` returns, often a
-    transposed view, and flatten it only into a :class:`CoeffVector`."""
-    m = len(live)
-    return _compile_step(ptm, [m - 1 - live.index(w) for w in reversed(wires)], m)
+@lru_cache(maxsize=1024)
+def _noise_diagonal(p: float, k: int) -> np.ndarray:
+    """The read-only diagonal of D (x) ... (x) D, k factors, D depolarizing
+    with ``p``."""
+    d = reduce(np.kron, [depolarizing_ptm(p).m.diagonal()] * k)
+    d.setflags(write=False)
+    return d
+
+
+def _fused_matrix(gate: GateSpec, k: int, p: float) -> np.ndarray:
+    """The gate's read-only 4^k x 4^k transfer matrix M with its noise
+    folded in, the last wire its most significant site: ``M @ (D (x) ... (x)
+    D)`` for a multi-qubit gate, D depolarizing with ``p = epsk``, and
+    ``D @ M`` for a one-qubit gate, D depolarizing with ``p = eps1``."""
+    d = _noise_diagonal(p, k)
+    fused = gate_ptm(gate).m * d if k >= 2 else d[:, None] * gate_ptm(gate).m  # columns, else rows
+    fused.setflags(write=False)
+    return fused
+
+
+_builtin_fused = lru_cache(maxsize=1024)(_fused_matrix)
+
+
+def _pauli_step(circ: Circuit, gate: tuple[int, int], live: Sequence[int]) -> tuple:
+    """The step of the gate ``(level, index)`` on the (4,)*m coefficient
+    tensor over the wires ``live`` (increasing, wire ``live[j]`` at local
+    site j, on tensor axis m-1-j).  A builtin's matrix is built once per
+    arity and noise strength and shared by all its placements."""
+    level, i = gate
+    pl = circ.levels[level - 1][i]
+    k, m = len(pl.wires), len(live)
+    fused = _builtin_fused if isinstance(pl.gate, BuiltinGate) else _fused_matrix
+    ptm = fused(pl.gate, k, circ.noise.epsk if k >= 2 else circ.noise.eps1)
+    return _compile_step(ptm, [m - 1 - live.index(w) for w in reversed(pl.wires)], m)
+
+
+def evolve_cuts(
+    circ: Circuit, v0: CoeffVector, cuts: Sequence[int], keeps: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Evolve ``v0`` on all n wires through each gate mask ``cuts[i]`` and
+    yield ``(i, block)``, the block the evolved tensor reduced to the wires
+    ``keeps[i]`` as :func:`restrict_coeffs` reduces it, flattened
+    C-contiguous; the cuts come in ascending mask order.  The caller checks
+    the vector and the masks.
+
+    The walk bisects the ascending masks with one stack: an entry ``(lo,
+    hi, bit, values)`` holds the cuts ``ordered[lo:hi]``, which agree above
+    ``bit`` and all hold gate ``bit`` (``top + 1`` names none), and
+    ``values``, the tensor of their shared prefix.  Popping it runs gate
+    ``bit``'s step, compiled on first use.  While the range's largest cut
+    has a lower gate, the cuts holding the highest one are pushed, and the
+    walk goes on with those before them; the equal cuts left yield their
+    blocks.  Each distinct cut prefix is evolved once, earliest gate first,
+    so a block does not depend on the other cuts.
+    """
+    top = len(circ.cones.gates) - 1
+    step = cache(lambda bit: _pauli_step(circ, circ.cones.gates[top - bit], range(circ.n)))
+    order = sorted(range(len(cuts)), key=cuts.__getitem__)
+    ordered = [cuts[i] for i in order]
+    index = cache(lambda kept: _trace_out(circ.n, kept))
+    stack = [(0, len(ordered), top + 1, v0.values.reshape((4,) * circ.n))]
+    while stack:
+        lo, hi, bit, values = stack.pop()
+        if bit <= top:
+            values = _run_step(values, *step(bit))
+        while lo < hi and (rest := ordered[hi - 1] & ((1 << bit) - 1)):
+            bit = rest.bit_length() - 1
+            mid = bisect_left(ordered, ordered[hi - 1] >> bit << bit, lo, hi)
+            stack.append((mid, hi, bit, values))  # the cuts that also hold gate bit
+            hi = mid
+        for i in order[lo:hi]:
+            yield i, values[index(keeps[i])].flatten()
 
 
 def evolve_pauli(circ: Circuit, v: CoeffVector, cut: int) -> CoeffVector:
-    """Coefficient-vector evolution; the same map as :func:`evolve_density`."""
+    """Coefficient-vector evolution, the one-cut case of :func:`evolve_cuts`;
+    the same map as :func:`evolve_density`."""
     if circ.n > MAX_COEFF_QUBITS:
         raise ValueError(f"n={circ.n} exceeds the coefficient-engine cap {MAX_COEFF_QUBITS}")
     if v.n != circ.n:
         raise ValueError(f"vector is on {v.n} qubits, circuit on {circ.n}")
-    gates = check_cut(circ, cut)
-    t, fused, wires = v.values.reshape((4,) * circ.n), circ.fused, range(circ.n)
-    for gate in gates:
-        t = _run_step(t, *_pauli_step(*fused[gate], wires))
-    return CoeffVector(circ.n, t.flatten())
+    check_cut(circ, cut)
+    [(_, values)] = evolve_cuts(circ, v, [cut], [tuple(range(circ.n))])
+    return CoeffVector(circ.n, values)
 
 
 def _trace_out(m: int, keep: Collection[int]) -> tuple:
@@ -488,7 +492,7 @@ def distinguishability_by_depth(
     by_level = {level: list(gates) for level, gates in groupby(order, lambda gate: gate[0])}
     plan = []  # per level: its gates' steps, the index retiring wires, Z's index
     for level in range(depth + 1):
-        steps = [_pauli_step(*circ.fused[gate], wires) for gate in by_level.get(level, ())]
+        steps = [_pauli_step(circ, gate, wires) for gate in by_level.get(level, ())]
         kept = tuple(w for w in wires if last.get(w) != level)
         retire, wires = _trace_out(len(wires), [wires.index(w) for w in kept]), kept
         plan.append((steps, retire, _trace_out(len(wires), [wires.index(out)])))

@@ -483,7 +483,7 @@ def test_gates_copy_the_matrices_they_are_given():
     assert isinstance(mix.terms, tuple)
 
 
-def test_circuit_stores_levels_as_tuples_and_carries_cones_and_fused_ptms():
+def test_circuit_stores_levels_as_tuples_and_carries_its_light_cones():
     levels = [
         [GatePlacement([0, 1], BuiltinGate("CNOT"))],
         [GatePlacement([0], BuiltinGate("H")), GatePlacement([1], BuiltinGate("ID"))],
@@ -493,10 +493,7 @@ def test_circuit_stores_levels_as_tuples_and_carries_cones_and_fused_ptms():
     assert c.levels[0][0].wires == (0, 1)
     levels[0].clear()  # the caller's lists are not the circuit's
     assert len(c.levels[0]) == 1
-    assert c.cones is c.cones and c.fused is c.fused
-    assert set(c.fused) == set(c.cones.gates) == {(1, 0), (2, 0), (2, 1)}
-    wires, ptm = c.fused[(1, 0)]
-    assert wires == (0, 1) and ptm.shape == (16, 16) and not ptm.flags.writeable
+    assert c.cones is c.cones and c.cones.gates == ((1, 0), (2, 0), (2, 1))
     assert c.prefix(1).levels == c.levels[:1]
     assert c == Circuit(2, 2, c.levels, NoiseModel(0.05, 0.4), 0)
 

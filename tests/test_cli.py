@@ -255,20 +255,20 @@ def test_check_invariant_output_bytes_are_pinned(tmp_path):
     [
         pytest.param(
             "n=8,T=20,pool=CNOT|H|S|T|RESET|ID|RANDMIX2", ["--epsk", "0.45"],
-            "33fc853c9074533148c7fc68ffb3460521ae664f54fbbfeb349220a0d936cca8", id="n=8,T=20",
+            "e250642e5c5e0cbf5605f86f9316a8bee438e307713486b4c24f96898720ce9e", id="n=8,T=20",
         ),
         # The output's light cone here touches at most 12 of the 20 wires, the engine's cap.
         pytest.param(
             "n=20,T=12,pool=CNOT|H|S|T|RESET|ID|RANDMIX2", [],
-            "afa78fd92c469d62ca8108098b3af26ed4a0552815ce46329a453d34a7cab129", id="n=20,T=12",
+            "98b3b35bf3c06df943b5346818ea4c651e6b6dde8211bd24904c1394ddd5ca6d", id="n=20,T=12",
         ),
     ],
 )
-def test_decay_output_bytes_are_pinned(tmp_path, spec, options, digest):
+def test_decay_output_bytes_are_pinned(tmp_path, spec, options, digest, on_haswell):
     # The digest pins every byte of the --out file (each row's measured value
     # and bound) across versions, not only against the dense engine.
     out = tmp_path / "decay.txt"
-    assert main(["decay", "--random", spec, "--seed", "3", *options, "--out", str(out)]) == 0
+    on_haswell("-m", "paulidelta.cli", "decay", "--random", spec, "--seed", "3", *options, "--out", str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

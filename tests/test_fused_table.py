@@ -1,7 +1,7 @@
-"""The Pauli engine's per-gate table ``circ.fused``: each entry, built on its
-first lookup, equals the formula that builds every entry at once, bit for
-bit; the table covers exactly the circuit's gates, refuses writes, and a
-command builds entries only for the gates its cuts apply."""
+"""The Pauli engine's one compile path, ``_pauli_step``: each gate's step
+holds the fused matrix of the eager formula, bit for bit, read-only; the
+placements of a builtin share one matrix, and a command builds matrices
+only for the gates its cuts apply."""
 
 from functools import reduce
 
@@ -27,13 +27,14 @@ from paulidelta import (
     simulate,
 )
 from paulidelta.channels import depolarizing_ptm, gate_ptm
+from paulidelta.simulate import _compile_step, _fused_matrix, _pauli_step
 
 # builtins, k=1 and k=2 mixtures; mix_one_qubit_gates adds DEPOL and RSWMIX gates
 POOL = ("CNOT", "CZ", "SWAP", "H", "S", "T", "RESET", "ID", "RANDU1", "RANDU2", "RANDMIX2")
 
 
 def eager_entry(circ: Circuit, level: int, i: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """A gate's wires and fused matrix, as the table once built every entry."""
+    """A gate's wires and fused matrix, by the formula written out in full."""
     pl = circ.levels[level - 1][i]
     m, k = gate_ptm(pl.gate).m, len(pl.wires)
     if k >= 2:
@@ -54,20 +55,27 @@ def _mixture(k: int, rng: np.random.Generator) -> UnitaryMixture:
     return UnitaryMixture(k, [(0.3, haar_unitary(2**k, rng)), (0.7, haar_unitary(2**k, rng))])
 
 
+def matrix(circ: Circuit, gate: tuple[int, int]) -> np.ndarray:
+    """The fused matrix of the step ``_pauli_step`` compiles for ``gate``."""
+    return _pauli_step(circ, gate, range(circ.n))[0]
+
+
 @settings(max_examples=40)
 @given(circuits(), st.data())
-def test_each_entry_equals_the_eager_formula_bit_for_bit(circ, data):
-    fused = circ.fused
-    for gate in data.draw(st.permutations(circ.cones.gates)):  # any first lookup builds the noise
-        wires, ptm = fused[gate]
-        want_wires, want = eager_entry(circ, *gate)
-        assert wires == want_wires
-        assert ptm.dtype == want.dtype and ptm.shape == want.shape
-        assert ptm.tobytes() == want.tobytes()
-        assert not ptm.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            ptm[0, 0] = 2.0
-        assert fused[gate][1] is ptm  # built once
+def test_each_step_equals_the_eager_formula_bit_for_bit(circ, data):
+    n = circ.n
+    for gate in data.draw(st.permutations(circ.cones.gates)):  # in any order of first builds
+        wires, want = eager_entry(circ, *gate)
+        pl = circ.levels[gate[0] - 1][gate[1]]
+        p = circ.noise.epsk if len(wires) >= 2 else circ.noise.eps1
+        ptm, *compiled = _pauli_step(circ, gate, range(n))
+        for got in (ptm, _fused_matrix(pl.gate, len(wires), p)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 2.0
+        assert compiled == list(_compile_step(want, [n - 1 - w for w in reversed(wires)], n)[1:])
 
 
 def test_gates_of_each_arity_get_their_own_input_noise():
@@ -78,41 +86,21 @@ def test_gates_of_each_arity_get_their_own_input_noise():
     ]
     circ = Circuit(4, 2, levels, NoiseModel(0.05, 0.4), 0)
     for gate in circ.cones.gates:
-        assert circ.fused[gate][1].tobytes() == eager_entry(circ, *gate)[1].tobytes()
+        assert matrix(circ, gate).tobytes() == eager_entry(circ, *gate)[1].tobytes()
 
 
 def test_placements_of_a_builtin_share_one_read_only_matrix():
     circ = random_circuit(5, 6, seed=1, gate_pool=POOL, k=2)
     shared = {}
-    for level, i in circ.cones.gates:
-        pl = circ.levels[level - 1][i]
-        wires, ptm = circ.fused[(level, i)]
-        assert wires == pl.wires and not ptm.flags.writeable
+    for gate in circ.cones.gates:
+        pl = circ.levels[gate[0] - 1][gate[1]]
+        ptm = matrix(circ, gate)
+        assert not ptm.flags.writeable
         if isinstance(pl.gate, BuiltinGate):
-            assert shared.setdefault((pl.gate, len(wires)), ptm) is ptm
+            assert shared.setdefault((pl.gate, len(pl.wires)), ptm) is ptm
         else:
             assert all(ptm is not other for other in shared.values())
     assert len(shared) < sum(isinstance(pl.gate, BuiltinGate) for level in circ.levels for pl in level)
-
-
-def test_the_table_covers_every_gate_and_refuses_every_other_key():
-    circ = random_circuit(4, 3, seed=2, gate_pool=POOL, k=2)
-    fused = circ.fused
-    assert circ.fused is fused
-    # iteration, len and membership see every gate before any entry is built
-    assert list(fused) == list(circ.cones.gates) and len(fused) == len(circ.cones.gates)
-    assert set(fused) == set(circ.cones.gates) and all(gate in fused for gate in circ.cones.gates)
-    assert list(fused.keys()) == list(circ.cones.gates)
-    for bad in [(0, 0), (circ.T + 1, 0), (1, len(circ.levels[0])), (1, -1), "1,0"]:
-        assert bad not in fused and fused.get(bad) is None
-        with pytest.raises(KeyError):
-            fused[bad]
-    assert [gate for gate, _ in fused.items()] == list(circ.cones.gates)
-    assert len(list(fused.values())) == len(fused)
-    with pytest.raises(TypeError):
-        fused[(1, 0)] = fused[(1, 0)]
-    with pytest.raises(TypeError):
-        del fused[(1, 0)]
 
 
 def _counting_gate_ptm(monkeypatch) -> list:
@@ -148,6 +136,7 @@ def test_decay_and_simulate_build_only_the_output_light_cone(monkeypatch):
 
 def test_the_audit_builds_only_the_gates_of_its_cuts(monkeypatch):
     built = _counting_gate_ptm(monkeypatch)
+    simulate._builtin_fused.cache_clear()  # a builtin's matrix lives as long as the process
     circ = random_circuit(4, 3, seed=5, gate_pool=POOL, k=2)
     audit_invariant(circ, BasisPair("0000", "1111"), 0.9, max_size=1)
     # every gate is in the cut of some output qubit at time T, and is built
@@ -160,6 +149,7 @@ def test_the_audit_builds_only_the_gates_of_its_cuts(monkeypatch):
     assert len(specs) < len(circ.cones.gates)
     assert len(built) == len(specs)
     built.clear()
+    simulate._builtin_fused.cache_clear()
     circ = random_circuit(4, 3, seed=5, gate_pool=POOL, k=2)
     audit_invariant(circ, BasisPair("0000", "1111"), 0.9, max_size=0)
     assert built == []

@@ -32,8 +32,8 @@ from paulidelta import (
     sample_output_difference,
     sum_of_squares,
 )
-from paulidelta import BuiltinGate, GatePlacement, enumerate_consistent_sets, simulate
-from paulidelta.circuit import Circuit, ConsistentSet
+from paulidelta import BuiltinGate, GatePlacement, UnitaryMixture, enumerate_consistent_sets, simulate
+from paulidelta.circuit import Circuit, ConsistentSet, haar_unitary
 from paulidelta.paulis import MAX_DENSE_QUBITS
 from paulidelta.simulate import _apply, _pauli_step, _run_step, check_cut
 
@@ -332,7 +332,9 @@ def test_a_gate_on_the_axes_left_in_front_copies_nothing():
     # previous gate's axes allocates only its product: one 4^8 vector.
     n = 8
     rng = np.random.default_rng(5)
-    step = _pauli_step((2, 5), rng.normal(size=(16, 16)), range(n))
+    level = [GatePlacement((2, 5), UnitaryMixture(2, [(1.0, haar_unitary(4, rng))]))]
+    level += [GatePlacement((w,), BuiltinGate("ID")) for w in (0, 1, 3, 4, 6, 7)]
+    step = _pauli_step(Circuit(n, 1, [level], NoiseModel(0.05, 0.4), 0), (1, 0), range(n))
     once = _run_step(rng.normal(size=(4,) * n), *step)
     tracemalloc.start()
     try:
