@@ -21,15 +21,8 @@ import numpy as np
 
 from .circuit import Circuit, ConsistentSet, NoiseModel, enumerate_consistent_sets
 from .paulis import sum_of_squares
-from .simulate import (  # noqa: F401 (perfbench/selftest.py reads bounds.evolve_pauli)
-    BasisPair,
-    InputPair,
-    check_pair,
-    distinguishability_by_depth,
-    evolve_cuts,
-    evolve_pauli,
-    reduced_delta,
-)
+from .simulate import BasisPair, InputPair, check_pair, distinguishability_by_depth, evolve_cuts, reduced_delta
+from .simulate import evolve_pauli  # noqa: F401 (perfbench/selftest.py reads bounds.evolve_pauli)
 
 MARGIN_TOL = 1e-9
 
@@ -194,7 +187,7 @@ def audit_invariant(
     rhs = {dist: 2.0 * theta**dist for dist in {vset.dist for vset in sets}}
     keeps = [tuple([w for w, _ in vset.refs]) for vset in sets]
     records: list[InvariantRecord | None] = [None] * len(sets)
-    for s, block in evolve_cuts(circ, v0, [vset.cut for vset in sets], keeps):
+    for s, block in evolve_cuts(circ, v0, range(circ.n), [vset.cut for vset in sets], keeps):
         vset = sets[s]
         lhs = float(np.dot(block, block)) / 2 ** len(vset.refs)  # summed as invariant_check sums it
         records[s] = InvariantRecord(vset.refs, vset.dist, lhs, rhs[vset.dist])

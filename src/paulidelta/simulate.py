@@ -1,13 +1,14 @@
 """Dual evolution engines for the difference of two states.
 
 The Pauli engine tracks the 4^n coefficient vector of delta = rho - tau.
-Each gate costs one matrix product on the (4,)*n coefficient tensor, by a
-step :func:`_pauli_step` compiles from the gate's transfer matrix with its
-depolarizing noise folded in.  The full-width engine is one walk,
-:func:`evolve_cuts`, which evolves each distinct cut prefix once; decay
-runs its own pass on the output's light cone.  The tensor passes from step
-to step and is flattened only into a :class:`CoeffVector`, so a gate
-copies it at most once; a wire is traced out by slicing its I index.
+Each gate costs one matrix product on the (4,)*m coefficient tensor of
+the live wires, by a step :func:`_pauli_step` compiles from the gate's
+transfer matrix with its depolarizing noise folded in.  The engine is one
+walk, :func:`evolve_cuts`, which evolves each distinct cut prefix once and
+traces a wire out, by slicing its I index, once no cut needs it; the
+audit, :func:`evolve_pauli` and decay each make one call.  The tensor
+passes from step to step and is flattened only into a
+:class:`CoeffVector`, so a gate copies it at most once.
 The density engine evolves the dense 2^n x 2^n matrix, as a (2,)*2n
 tensor, by one superoperator per channel, sum w K (x) conj(K) built in the
 computational basis on the channel's row and column axes; it exists as an
@@ -32,10 +33,11 @@ then depolarize the output with ``eps1``.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from itertools import groupby, islice
+from itertools import accumulate, islice
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -361,41 +363,54 @@ def _pauli_step(circ: Circuit, gate: tuple[int, int], live: Sequence[int]) -> tu
 
 
 def evolve_cuts(
-    circ: Circuit, v0: CoeffVector, cuts: Sequence[int], keeps: Sequence[tuple[int, ...]]
+    circ: Circuit, v0: CoeffVector, wires: Sequence[int], cuts: Sequence[int], keeps: Sequence[tuple[int, ...]]
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Evolve ``v0`` on all n wires through each gate mask ``cuts[i]`` and
-    yield ``(i, block)``, the block the evolved tensor reduced to the wires
-    ``keeps[i]`` as :func:`restrict_coeffs` reduces it, flattened
+    """Evolve ``v0``, on the increasing ``wires``, through each gate mask
+    ``cuts[i]`` and yield ``(i, block)``, the evolved tensor reduced to the
+    wires ``keeps[i]`` as :func:`restrict_coeffs` reduces it, flattened
     C-contiguous; the cuts come in ascending mask order.  The caller checks
-    the vector and the masks.
+    the vector and the masks, whose gates act on ``wires`` only.
+
+    Each gate of the cuts is compiled before the walk (compiling between
+    runs is slower) on the wires live at its level: a wire no keep names
+    retires after its last level in the cuts' union, its I index sliced
+    before the next gate.
 
     The walk bisects the ascending masks with one stack: an entry ``(lo,
-    hi, bit, values)`` holds the cuts ``ordered[lo:hi]``, which agree above
-    ``bit`` and all hold gate ``bit`` (``top + 1`` names none), and
-    ``values``, the tensor of their shared prefix.  Popping it runs gate
-    ``bit``'s step, compiled on first use.  While the range's largest cut
-    has a lower gate, the cuts holding the highest one are pushed, and the
+    hi, bit, live, values)`` holds the cuts ``ordered[lo:hi]``, which
+    agree above ``bit`` and all hold gate ``bit`` (``top + 1`` names none),
+    and ``values``, the tensor of their shared prefix, on the wires
+    ``live``.  Popping it runs gate ``bit``'s step.  While the range's
+    largest cut has a lower gate, the cuts holding the highest one are
+    pushed, found by bisection unless the smallest holds it too, and the
     walk goes on with those before them; the equal cuts left yield their
     blocks.  Each distinct cut prefix is evolved once, earliest gate first,
     so a block does not depend on the other cuts.
     """
-    top = len(circ.cones.gates) - 1
-    step = cache(lambda bit: _pauli_step(circ, circ.cones.gates[top - bit], range(circ.n)))
+    gates, top = circ.cones.gates, len(circ.cones.gates) - 1
+    kept = set().union(*keeps)
+    union = circ.cones.gates_of(reduce(operator.or_, cuts, 0))
+    last = {w: level for level, i in union for w in circ.levels[level - 1][i].wires}
+    live_at = cache(lambda level: tuple(w for w in wires if w in kept or last.get(w, 0) >= level))
+    steps = {gate: _pauli_step(circ, gate, live_at(gate[0])) for gate in union}
+    index = cache(lambda live, keep: _trace_out(len(live), [live.index(w) for w in keep]))
     order = sorted(range(len(cuts)), key=cuts.__getitem__)
     ordered = [cuts[i] for i in order]
-    index = cache(lambda kept: _trace_out(circ.n, kept))
-    stack = [(0, len(ordered), top + 1, v0.values.reshape((4,) * circ.n))]
+    stack = [(0, len(ordered), top + 1, tuple(wires), v0.values.reshape((4,) * len(wires)))]
     while stack:
-        lo, hi, bit, values = stack.pop()
+        lo, hi, bit, live, values = stack.pop()
         if bit <= top:
-            values = _run_step(values, *step(bit))
+            gate = gates[top - bit]
+            if len(now := live_at(gate[0])) < len(live):
+                values = values[index(live, now)]
+            values, live = _run_step(values, *steps[gate]), now
         while lo < hi and (rest := ordered[hi - 1] & ((1 << bit) - 1)):
             bit = rest.bit_length() - 1
-            mid = bisect_left(ordered, ordered[hi - 1] >> bit << bit, lo, hi)
-            stack.append((mid, hi, bit, values))  # the cuts that also hold gate bit
+            mid = lo if ordered[lo] >> bit & 1 else bisect_left(ordered, ordered[hi - 1] >> bit << bit, lo, hi)
+            stack.append((mid, hi, bit, live, values))  # the cuts that also hold gate bit
             hi = mid
         for i in order[lo:hi]:
-            yield i, values[index(keeps[i])].flatten()
+            yield i, values[index(live, keeps[i])].flatten()
 
 
 def evolve_pauli(circ: Circuit, v: CoeffVector, cut: int) -> CoeffVector:
@@ -406,7 +421,7 @@ def evolve_pauli(circ: Circuit, v: CoeffVector, cut: int) -> CoeffVector:
     if v.n != circ.n:
         raise ValueError(f"vector is on {v.n} qubits, circuit on {circ.n}")
     check_cut(circ, cut)
-    [(_, values)] = evolve_cuts(circ, v, [cut], [tuple(range(circ.n))])
+    [(_, values)] = evolve_cuts(circ, v, range(circ.n), [cut], [tuple(range(circ.n))])
     return CoeffVector(circ.n, values)
 
 
@@ -462,47 +477,36 @@ def distinguishability_by_depth(
 ) -> list[float]:
     """Output distinguishability of the first t levels, for t = 0..depth.
 
-    One pass evolves the cut producing the output qubit at ``depth`` and
-    reads half the magnitude of its Z coefficient after every level.  The
-    light cone of the output at any t <= depth lies inside that cut, and the
-    cut's other gates act on wires traced out at t, so reading t equals
+    One walk, :func:`evolve_cuts`, evolves the level prefixes of the cut
+    producing the output qubit at ``depth`` and reads half the magnitude of
+    each one's Z coefficient on the output.  The light cone of the output
+    at any t <= depth lies inside that cut, and the cut's other gates act on
+    wires traced out at t, so reading t equals
     ``output_distinguishability(circ.prefix(t), pair)``.
 
-    Only the live wires are evolved: the wires the cut's gates touch, plus
-    the output wire.  No gate acts on any other wire, so tracing it out of
-    the input is exact, and reading Z on the output with I elsewhere needs
-    only the I component of the other wires, so each live wire but the
-    output is traced out after the level of its last gate: only its I slice
-    is kept.  Raises ValueError, before allocating any vector, if more than
-    ``MAX_COEFF_QUBITS`` wires are live.
+    Only the wires the cut's gates touch, plus the output wire, are evolved:
+    tracing any other wire out of the input is exact.  Reading Z on the
+    output with I elsewhere keeps only the output, so the walk retires every
+    other wire after its last level.  Raises ValueError, before allocating
+    any vector, if more than ``MAX_COEFF_QUBITS`` wires are live.
     """
     check_pair(circ, pair)
     if not 0 <= depth <= circ.T:
         raise ValueError(f"depth {depth} outside [0, {circ.T}]")
-    out = circ.output_wire
-    order = circ.cones.gates_of(circ.cones.cone[depth * circ.n + out])
-    last = {w: level for level, i in order for w in circ.levels[level - 1][i].wires if w != out}
-    wires = tuple(sorted({out, *last}))
+    out, cones = circ.output_wire, circ.cones
+    cut = cones.cone[depth * circ.n + out]
+    # the cut touches a wire iff it holds the wire's level-1 gate, whose cone is that gate alone
+    wires = [w for w in range(circ.n) if w == out or depth and cut & cones.cone[circ.n + w]]
     if len(wires) > MAX_COEFF_QUBITS:
         raise ValueError(
             f"the output's light cone at depth {depth} touches {len(wires)} wires, "
             f"above the coefficient-engine cap {MAX_COEFF_QUBITS}"
         )
-    t = pair.delta_coeffs(wires).values.reshape((4,) * len(wires))
-    by_level = {level: list(gates) for level, gates in groupby(order, lambda gate: gate[0])}
-    plan = []  # per level: its gates' steps, the index retiring wires, Z's index
-    for level in range(depth + 1):
-        steps = [_pauli_step(circ, gate, wires) for gate in by_level.get(level, ())]
-        kept = tuple(w for w in wires if last.get(w) != level)
-        retire, wires = _trace_out(len(wires), [wires.index(w) for w in kept]), kept
-        plan.append((steps, retire, _trace_out(len(wires), [wires.index(out)])))
-    readings = []
-    for steps, retire, read in plan:
-        for step in steps:
-            t = _run_step(t, *step)
-        t = t[retire]
-        readings.append(0.5 * abs(t[read][1]))  # Z on the output wire, I elsewhere
-    return readings
+    # the first t levels' prefix keeps the top bits, those of the gates at levels <= t
+    shifts = accumulate((len(level) for level in circ.levels[:depth]), operator.sub, initial=len(cones.gates))
+    prefixes = [cut >> shift << shift for shift in shifts]
+    blocks = dict(evolve_cuts(circ, pair.delta_coeffs(wires), wires, prefixes, [(out,)] * (depth + 1)))
+    return [0.5 * abs(blocks[t][1]) for t in range(depth + 1)]  # Z on the output wire, I elsewhere
 
 
 def output_distinguishability(circ: Circuit, pair: InputPair | BasisPair) -> float:

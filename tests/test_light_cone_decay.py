@@ -1,13 +1,21 @@
 """Decay on the output's light cone: evolving only the wires the output's cut
-touches, and tracing each out after its last gate, reads the rows that the
-full-width engine reads, and the width cap applies to the cone, not to n."""
+touches, and tracing each out after the level of its last gate, reads the
+rows that the full-width engine reads, and the width cap applies to the
+cone, not to n.  The walk under it, on any cuts' live wires with any keeps,
+gives the full-width walk's blocks."""
 
+import operator
 import tracemalloc
+from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from paulidelta import simulate
+from paulidelta.paulis import CoeffVector
+from paulidelta.simulate import evolve_cuts
 from paulidelta import (
     BasisPair,
     InputPair,
@@ -20,6 +28,7 @@ from paulidelta import (
     random_circuit,
     random_product_density,
     random_pure_density,
+    restrict_coeffs,
 )
 
 POOL = ("CNOT", "H", "S", "T", "RESET", "ID", "RANDMIX2")
@@ -74,6 +83,52 @@ def _assert_rows_match(circ, pair):
 @given(decays())
 def test_light_cone_rows_equal_the_full_width_engine(case):
     _assert_rows_match(*case)
+
+
+@st.composite
+def walks(draw):
+    """A seeded random circuit with n <= 5 and T <= 5, an entangled input
+    pair, up to four cuts, each the minimal cut of up to three drawn qubits,
+    a keep per cut, a drawn set of wires that may be empty, and at most one
+    more wire, which no gate need touch."""
+    n, T = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    seed = draw(st.integers(0, 2**31 - 1))
+    circ = random_circuit(
+        n, T, seed=seed, gate_pool=POOL if n >= 2 else ONE_QUBIT_POOL, k=min(n, 2),
+        noise=NoiseModel(0.05, 0.45),
+    )
+    refs = st.lists(st.builds(QubitRef, st.integers(0, n - 1), st.integers(0, T)), max_size=3)
+    cuts = [min_cut(circ, qs) for qs in draw(st.lists(refs, max_size=4))]
+    keeps = [tuple(sorted(draw(st.sets(st.integers(0, n - 1))))) for _ in cuts]
+    extra = draw(st.sets(st.integers(0, n - 1), max_size=1))
+    return circ, _pair("entangled", n, np.random.default_rng(seed)), cuts, keeps, extra
+
+
+@given(walks())
+def test_walk_on_live_wires_equals_the_full_width_walk(case):
+    circ, pair, cuts, keeps, extra = case
+    union = circ.cones.gates_of(reduce(operator.or_, cuts, 0))
+    last = {w: level for level, i in union for w in circ.levels[level - 1][i].wires}
+    kept = set().union(*keeps)
+    wires = sorted({*last, *kept, *extra})
+    everything = tuple(range(circ.n))
+    full = dict(evolve_cuts(circ, pair.delta_coeffs(), everything, cuts, [everything] * len(cuts)))
+    compiled, pauli_step = [], simulate._pauli_step
+
+    def spy(circ, gate, live):
+        compiled.append((gate[0], len(live)))
+        return pauli_step(circ, gate, live)
+
+    with mock.patch.object(simulate, "_pauli_step", spy):
+        got = dict(evolve_cuts(circ, pair.delta_coeffs(wires), wires, cuts, keeps))
+    assert got.keys() == full.keys() == set(range(len(cuts)))
+    for i, keep in enumerate(keeps):
+        want = restrict_coeffs(CoeffVector(circ.n, full[i]), keep).values
+        assert got[i].shape == want.shape
+        assert np.max(np.abs(got[i] - want)) <= 1e-12
+    # a wire is live at a level until its last level, and always when kept
+    width = {level: sum(w in kept or last.get(w, 0) >= level for w in wires) for level, _ in union}
+    assert sorted(compiled) == sorted((level, width[level]) for level, _ in union)
 
 
 @pytest.mark.parametrize("kind", ["basis", "product", "entangled"])
