@@ -24,7 +24,6 @@ from .channels import (
     kraus_of_rsw,
     ptm_of_unitary,
     rsw_ptm,
-    validate_gate,
 )
 from .circuit import (
     Circuit,

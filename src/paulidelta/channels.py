@@ -60,12 +60,27 @@ BUILTIN_ARITY: dict[str, int] = {
 }
 
 
+def _invalid(problem: str) -> ValueError:
+    return ValueError(f"invalid gate: {problem}")
+
+
 @dataclass(frozen=True)
 class BuiltinGate:
     """A named gate from the builtin table; DEPOL carries its strength."""
 
     name: str
     p: float | None = None
+
+    def __post_init__(self):
+        if self.name not in BUILTIN_ARITY:
+            raise _invalid(f"unknown builtin gate {self.name!r}")
+        if self.name != "DEPOL":
+            if self.p is not None:
+                raise _invalid(f"builtin {self.name} takes no parameter")
+        elif self.p is None:
+            raise _invalid("DEPOL requires a strength p")
+        elif not 0.0 <= self.p <= 1.0:
+            raise _invalid(f"DEPOL strength {self.p} outside [0, 1]")
 
     def __repr__(self) -> str:
         return f"BuiltinGate({self.name}, p={self.p})" if self.name == "DEPOL" else f"BuiltinGate({self.name})"
@@ -78,7 +93,20 @@ def _read_only(m) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+def _check_weights(probs: list[float], kind: str) -> None:
+    # Written so that a NaN weight fails every comparison it enters.
+    if not probs:
+        raise _invalid(f"probabilities: {kind} has no terms")
+    for p in probs:
+        if not p >= -PROB_TOL:
+            raise _invalid(f"probabilities: bad weight {p}")
+    if not abs(sum(probs) - 1.0) <= PROB_TOL:
+        raise _invalid(f"probabilities sum to {sum(probs)}, expected 1")
+
+
+# eq=False: a gate holding arrays compares and hashes by identity, which lets
+# each gate object key its own compiled matrices; arrays hash by no value.
+@dataclass(frozen=True, eq=False)
 class UnitaryMixture:
     """A k-qubit channel of the form rho -> sum_i p_i U_i rho U_i^dagger."""
 
@@ -87,11 +115,19 @@ class UnitaryMixture:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple((float(p), _read_only(u)) for p, u in self.terms))
+        _check_weights([p for p, _ in self.terms], "mixture")
+        for i, (_, u) in enumerate(self.terms):
+            if u.shape != (2**self.k, 2**self.k):
+                raise _invalid(f"unitarity: term {i} has shape {u.shape}, arity {self.k}")
+            try:
+                check_unitary(u)
+            except ValueError as e:
+                raise _invalid(f"unitarity: term {i}: {e}") from None
 
 
 @dataclass(frozen=True)
 class RswChannel:
-    """One extreme-form one-qubit channel U1 o J o U2.
+    """One extreme-form one-qubit channel U1 o J o U2, with |lam1|, |lam2| <= 1.
 
     ``t_sign`` selects the branch of t = +-sqrt((1-lam1^2)(1-lam2^2)).
     ``pre_unitary`` (U2) acts first, ``post_unitary`` (U1) last.
@@ -106,15 +142,24 @@ class RswChannel:
     def __post_init__(self):
         object.__setattr__(self, "pre_unitary", _read_only(self.pre_unitary))
         object.__setattr__(self, "post_unitary", _read_only(self.post_unitary))
+        if not (abs(self.lam1) <= 1 and abs(self.lam2) <= 1):
+            raise _invalid(f"lambda range: (lam1, lam2)=({self.lam1}, {self.lam2})")
+        if self.t_sign not in (-1, 1):
+            raise _invalid(f"t_sign must be +-1, got {self.t_sign}")
+        for tag, u in (("pre", self.pre_unitary), ("post", self.post_unitary)):
+            try:
+                k = check_unitary(u)
+            except ValueError as e:
+                raise _invalid(f"unitarity: {tag}-unitary: {e}") from None
+            if k != 1:
+                raise _invalid(f"unitarity: {tag}-unitary is not 2x2")
 
     @property
     def t(self) -> float:
-        return self.t_sign * math.sqrt(
-            max(0.0, (1 - self.lam1**2) * (1 - self.lam2**2))
-        )
+        return self.t_sign * math.sqrt((1 - self.lam1**2) * (1 - self.lam2**2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneQubitGate:
     """A one-qubit channel as a convex combination of canonical-form terms."""
 
@@ -122,6 +167,10 @@ class OneQubitGate:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple((float(p), ch) for p, ch in self.terms))
+        _check_weights([p for p, _ in self.terms], "channel")
+        for i, (_, ch) in enumerate(self.terms):
+            if not isinstance(ch, RswChannel):
+                raise _invalid(f"term {i} is not an RswChannel: {ch!r}")
 
 
 GateSpec = Union[BuiltinGate, UnitaryMixture, OneQubitGate]
@@ -157,13 +206,17 @@ def _pauli_stack(k: int) -> np.ndarray:
 
 
 def ptm_of_unitary(u: np.ndarray) -> Ptm:
-    """Transfer matrix of conjugation by a unitary; always orthogonal.
-
-    Column S holds the coefficients Tr(S' U S U^dagger) / 2^k, computed for
-    all 4^k strings S in one batched product.
-    """
+    """Transfer matrix of conjugation by a unitary, which is checked first;
+    always orthogonal."""
     u = np.asarray(u, dtype=complex)
-    k = check_unitary(u)
+    return Ptm(check_unitary(u), _conjugation_ptm(u))
+
+
+def _conjugation_ptm(u: np.ndarray) -> np.ndarray:
+    """The transfer matrix of conjugation by ``u``, a unitary the caller has
+    checked: column S holds the coefficients Tr(S' U S U^dagger) / 2^k,
+    computed for all 4^k strings S in one batched product."""
+    k = u.shape[0].bit_length() - 1
     paulis = _pauli_stack(k)
     conj = u @ paulis @ u.conj().T
     # traces[S', S] = sum_ij S'[i, j] * conj_S[j, i]
@@ -171,7 +224,7 @@ def ptm_of_unitary(u: np.ndarray) -> Ptm:
     residue = float(np.max(np.abs(traces.imag)))
     if residue > PTM_IMAG_TOL:
         raise ValueError(f"coefficients have imaginary residue {residue:.3g}")
-    return Ptm(k, traces.real / 2**k)
+    return traces.real / 2**k
 
 
 def _j_ptm(lam1: float, lam2: float, t: float) -> np.ndarray:
@@ -192,13 +245,7 @@ def _j_ptm(lam1: float, lam2: float, t: float) -> np.ndarray:
 
 def rsw_ptm(ch: RswChannel) -> Ptm:
     """Transfer matrix of a canonical-form channel: P(U1) @ J @ P(U2)."""
-    if not (abs(ch.lam1) <= 1 and abs(ch.lam2) <= 1):
-        raise ValueError(f"lambda range: |lam1|={abs(ch.lam1)}, |lam2|={abs(ch.lam2)} must be <= 1")
-    m = (
-        ptm_of_unitary(ch.post_unitary).m
-        @ _j_ptm(ch.lam1, ch.lam2, ch.t)
-        @ ptm_of_unitary(ch.pre_unitary).m
-    )
+    m = _conjugation_ptm(ch.post_unitary) @ _j_ptm(ch.lam1, ch.lam2, ch.t) @ _conjugation_ptm(ch.pre_unitary)
     return Ptm(1, m)
 
 
@@ -212,8 +259,7 @@ def kraus_of_rsw(ch: RswChannel) -> list[np.ndarray]:
     for a = (v -+ u)/2, b = (v +- u)/2 reproduces the J action with
     t = +-sin(u)sin(v); U1/U2 are composed around them.
     """
-    u = math.acos(max(-1.0, min(1.0, ch.lam1)))
-    v = math.acos(max(-1.0, min(1.0, ch.lam2)))
+    u, v = math.acos(ch.lam1), math.acos(ch.lam2)
     if ch.t_sign >= 0:
         a, b = (v - u) / 2, (v + u) / 2
     else:
@@ -292,59 +338,6 @@ def lower_builtin(g: GateSpec) -> GateSpec:
     return UnitaryMixture(BUILTIN_ARITY[g.name], [(1.0, u)])
 
 
-def _weight_problems(probs: list[float], kind: str) -> list[str]:
-    # Written so that a NaN weight fails every comparison it enters.
-    if not probs:
-        return [f"probabilities: {kind} has no terms"]
-    problems = [f"probabilities: bad weight {p}" for p in probs if not p >= -PROB_TOL]
-    if not abs(sum(probs) - 1.0) <= PROB_TOL:
-        problems.append(f"probabilities sum to {sum(probs)}, expected 1")
-    return problems
-
-
-def validate_gate(g: GateSpec) -> list[str]:
-    """Check all gate invariants; return a list of problems (empty = ok)."""
-    if isinstance(g, BuiltinGate):
-        if g.name not in BUILTIN_ARITY:
-            return [f"unknown builtin gate {g.name!r}"]
-        if g.name != "DEPOL":
-            return [] if g.p is None else [f"builtin {g.name} takes no parameter"]
-        if g.p is None:
-            return ["DEPOL requires a strength p"]
-        return [] if 0.0 <= g.p <= 1.0 else [f"DEPOL strength {g.p} outside [0, 1]"]
-
-    if isinstance(g, UnitaryMixture):
-        problems = _weight_problems([p for p, _ in g.terms], "mixture")
-        for i, (_, u) in enumerate(g.terms):
-            if u.shape != (2**g.k, 2**g.k):
-                problems.append(f"unitarity: term {i} has shape {u.shape}, arity {g.k}")
-                continue
-            try:
-                check_unitary(u)
-            except ValueError as e:
-                problems.append(f"unitarity: term {i}: {e}")
-        return problems
-
-    if isinstance(g, OneQubitGate):
-        problems = _weight_problems([p for p, _ in g.terms], "channel")
-        for i, (_, ch) in enumerate(g.terms):
-            if not (abs(ch.lam1) <= 1 and abs(ch.lam2) <= 1):
-                problems.append(
-                    f"lambda range: term {i} has (lam1, lam2)=({ch.lam1}, {ch.lam2})"
-                )
-            if ch.t_sign not in (-1, 1):
-                problems.append(f"t_sign must be +-1, term {i} has {ch.t_sign}")
-            for tag, u in (("pre", ch.pre_unitary), ("post", ch.post_unitary)):
-                try:
-                    if check_unitary(u) != 1:
-                        problems.append(f"unitarity: term {i} {tag}-unitary is not 2x2")
-                except ValueError as e:
-                    problems.append(f"unitarity: term {i} {tag}-unitary: {e}")
-        return problems
-
-    return [f"not a gate spec: {g!r}"]
-
-
 @lru_cache(maxsize=None)
 def _builtin_ptm(name: str) -> np.ndarray:
     m = gate_ptm(lower_builtin(BuiltinGate(name))).m
@@ -363,7 +356,7 @@ def gate_ptm(g: GateSpec) -> Ptm:
             return depolarizing_ptm(g.p)
         return Ptm(BUILTIN_ARITY[g.name], _builtin_ptm(g.name))
     if isinstance(g, UnitaryMixture):
-        m = sum(p * ptm_of_unitary(u).m for p, u in g.terms)
+        m = sum(p * _conjugation_ptm(u) for p, u in g.terms)
         return Ptm(g.k, m)
     if isinstance(g, OneQubitGate):
         m = sum(p * rsw_ptm(ch).m for p, ch in g.terms)

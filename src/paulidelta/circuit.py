@@ -33,7 +33,6 @@ from .channels import (
     RswChannel,
     UnitaryMixture,
     gate_arity,
-    validate_gate,
 )
 
 # Wire-time qubits n * (T + 1) a circuit may hold; its light cones keep an int for each.
@@ -107,7 +106,9 @@ class GatePlacement:
 @dataclass(frozen=True)
 class Circuit:
     """An immutable leveled circuit.  ``levels`` may be given as lists; they
-    are stored as tuples.  ``cones`` holds the circuit's light cones."""
+    are stored as tuples.  ``cones`` holds the circuit's light cones.
+    Building one checks each level's arities, wires and partition; a gate
+    checked itself when it was built, so nothing here checks it again."""
 
     n: int
     T: int
@@ -139,9 +140,6 @@ class Circuit:
                     if w in seen:
                         raise LevelError(li, f"not a partition: wire {w} used twice", pi)
                     seen.add(w)
-                problems = validate_gate(pl.gate)
-                if problems:
-                    raise LevelError(li, f"invalid gate: {'; '.join(problems)}", pi)
             if len(seen) != self.n:  # seen holds distinct wires in range
                 lowest = list(islice((w for w in range(self.n) if w not in seen), 5))
                 more = self.n - len(seen) - len(lowest)
@@ -382,8 +380,6 @@ def _parse_placement(text: str, line: int, col: int) -> GatePlacement:
         wires = tuple(int(t) for t in wire_toks)
     except ValueError:
         raise CircuitParseError(f"bad wire list {sections[0]!r}", line, col) from None
-    if not wires:
-        raise CircuitParseError("placement lists no wires", line, col)
 
     kv: dict[str, str] = {}
 
@@ -420,23 +416,28 @@ def _parse_placement(text: str, line: int, col: int) -> GatePlacement:
         except ValueError:
             raise CircuitParseError(f"bad {name} value {key}={text.strip()!r}", line, col) from None
 
-    if name in _BUILTIN_SIMPLE:
-        gate = BuiltinGate(name)
-    elif name == "DEPOL":
-        gate = BuiltinGate("DEPOL", number("p", need("p")))
-    elif name == "U":
-        gate = UnitaryMixture(len(wires), [(1.0, _parse_matrix(need("m"), len(wires), line, col))])
-    elif name == "MIX":
-        probs = [number("p", t) for t in need("p").split(",") if t.strip()]
-        mats = [_parse_matrix(need(f"m{i}"), len(wires), line, col) for i in range(1, len(probs) + 1)]
-        gate = UnitaryMixture(len(wires), list(zip(probs, mats)))
-    elif name == "RSW":
-        lam1, lam2, sign = (number(key, need(key)) for key in ("l1", "l2", "sign"))
-        if sign not in (-1, 1):
-            raise CircuitParseError(f"RSW sign must be +-1, got {need('sign')}", line, col)
-        gate = OneQubitGate([(1.0, RswChannel(lam1, lam2, int(sign)))])
-    else:
-        raise CircuitParseError(f"unknown gate name {name!r}", line, col)
+    try:
+        if name in _BUILTIN_SIMPLE:
+            gate = BuiltinGate(name)
+        elif name == "DEPOL":
+            gate = BuiltinGate("DEPOL", number("p", need("p")))
+        elif name == "U":
+            gate = UnitaryMixture(len(wires), [(1.0, _parse_matrix(need("m"), len(wires), line, col))])
+        elif name == "MIX":
+            probs = [number("p", t) for t in need("p").split(",") if t.strip()]
+            mats = [_parse_matrix(need(f"m{i}"), len(wires), line, col) for i in range(1, len(probs) + 1)]
+            gate = UnitaryMixture(len(wires), list(zip(probs, mats)))
+        elif name == "RSW":
+            lam1, lam2, sign = (number(key, need(key)) for key in ("l1", "l2", "sign"))
+            if sign not in (-1, 1):
+                raise CircuitParseError(f"RSW sign must be +-1, got {need('sign')}", line, col)
+            gate = OneQubitGate([(1.0, RswChannel(lam1, lam2, int(sign)))])
+        else:
+            raise CircuitParseError(f"unknown gate name {name!r}", line, col)
+    except CircuitParseError:
+        raise
+    except ValueError as e:  # a gate's constructor refused it
+        raise CircuitParseError(str(e), line, col) from None
     unread = [key for key in kv if key not in read]
     if unread:
         raise CircuitParseError(f"{name} takes no parameter {unread[0]}=", line, col)

@@ -42,7 +42,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .channels import BuiltinGate, GateSpec, OneQubitGate, depolarizing_ptm, gate_arity, gate_ptm
+from .channels import GateSpec, OneQubitGate, depolarizing_ptm, gate_arity, gate_ptm
 from .channels import kraus_of_rsw, lower_builtin
 from .circuit import Circuit, ConsistentSet, GatePlacement, NoiseModel, QubitRef
 from .paulis import (
@@ -223,9 +223,14 @@ def _compile_step(ops: np.ndarray, axes: Sequence[int], ndim: int, lead: tuple =
 
 
 def _run_step(t: np.ndarray, ops: np.ndarray, order: list, inverse: list, shape: tuple) -> np.ndarray:
-    """The one gate kernel: one ``matmul`` gives each entry the BLAS product
-    a single matrix gives it, so an entry's rounding does not depend on the
-    other entries; an identity adds exact zeros to its entries."""
+    """The one gate kernel: one ``matmul`` of each matrix with the columns
+    that the tensor's other axes form.  An entry's rounding depends on its
+    own column and on the product's shape, never on the other columns'
+    values: BLAS picks its code path by the column count, so a product of
+    one column, or on OpenBLAS's SkylakeX kernel the last one to four
+    columns past a multiple of 8, can round differently from the same
+    columns inside a wider product.  The same step on a tensor of the same
+    shape rounds alike, and an identity adds exact zeros to its entries."""
     front = t.transpose(order)
     # copies unless t's memory already holds these axes in front, as the
     # output of a step on the same axes does
@@ -254,6 +259,7 @@ _PAULI_FLIPS = np.array([False, True, True, False])
 _PAULI_PHASES = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]])
 
 
+@lru_cache(maxsize=1024)
 def _lowering(gate: GateSpec, p: float) -> tuple[tuple, ...]:
     """The channels of one gate under noise strength ``p``, in the order
     they act, each (sites, weights, operators, branch CDF, moves) with sites
@@ -291,16 +297,13 @@ def _lowering(gate: GateSpec, p: float) -> tuple[tuple, ...]:
     return tuple(channels)
 
 
-_builtin_lowering = lru_cache(maxsize=1024)(_lowering)
-
-
 def _channels(pl: GatePlacement, noise: NoiseModel) -> list[tuple]:
     """The channels of one noisy gate, as :func:`_lowering` gives them, on
-    the placement's wires.  A builtin's lowering is built once per noise
-    strength and shared by every placement of it."""
+    the placement's wires.  A gate's lowering is built once per noise
+    strength and shared by every placement of it: equal builtins share
+    one, and any other gate object has its own."""
     p = noise.epsk if len(pl.wires) >= 2 else noise.eps1
-    lower = _builtin_lowering if isinstance(pl.gate, BuiltinGate) else _lowering
-    return [(tuple(pl.wires[j] for j in sites), *arrays) for sites, *arrays in lower(pl.gate, p)]
+    return [(tuple(pl.wires[j] for j in sites), *arrays) for sites, *arrays in _lowering(pl.gate, p)]
 
 
 def evolve_density(circ: Circuit, op: np.ndarray, cut: int) -> np.ndarray:
@@ -335,6 +338,7 @@ def _noise_diagonal(p: float, k: int) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=1024)
 def _fused_matrix(gate: GateSpec, k: int, p: float) -> np.ndarray:
     """The gate's read-only 4^k x 4^k transfer matrix M with its noise
     folded in, the last wire its most significant site: ``M @ (D (x) ... (x)
@@ -346,19 +350,16 @@ def _fused_matrix(gate: GateSpec, k: int, p: float) -> np.ndarray:
     return fused
 
 
-_builtin_fused = lru_cache(maxsize=1024)(_fused_matrix)
-
-
 def _pauli_step(circ: Circuit, gate: tuple[int, int], live: Sequence[int]) -> tuple:
     """The step of the gate ``(level, index)`` on the (4,)*m coefficient
     tensor over the wires ``live`` (increasing, wire ``live[j]`` at local
-    site j, on tensor axis m-1-j).  A builtin's matrix is built once per
-    arity and noise strength and shared by all its placements."""
+    site j, on tensor axis m-1-j).  A gate's matrix is built once per arity
+    and noise strength and shared by all its placements: equal builtins
+    share one, and any other gate object has its own."""
     level, i = gate
     pl = circ.levels[level - 1][i]
     k, m = len(pl.wires), len(live)
-    fused = _builtin_fused if isinstance(pl.gate, BuiltinGate) else _fused_matrix
-    ptm = fused(pl.gate, k, circ.noise.epsk if k >= 2 else circ.noise.eps1)
+    ptm = _fused_matrix(pl.gate, k, circ.noise.epsk if k >= 2 else circ.noise.eps1)
     return _compile_step(ptm, [m - 1 - live.index(w) for w in reversed(pl.wires)], m)
 
 

@@ -22,7 +22,6 @@ from .channels import (
     cnot_pauli_action,
     gate_ptm,
     ptm_of_unitary,
-    validate_gate,
 )
 from .circuit import Circuit, GatePlacement, NoiseModel, QubitRef, haar_unitary, random_circuit
 from .paulis import CoeffVector, PauliString, coeffs_from_op, pauli_conjugation_oracle, sum_of_squares
@@ -237,15 +236,17 @@ def suite_gate_validation(seed: int, cases: int) -> SuiteResult:
     res = SuiteResult("gate-validation", 3 if cases else 0)
     if not cases:
         return res
-    bad_mix = UnitaryMixture(1, [(0.5, np.eye(2)), (0.4, BUILTIN_MATRICES["H"])])
-    if not any("probabilities" in p for p in validate_gate(bad_mix)):
-        res.failures.append("mixture with weights summing to 0.9 not rejected")
-    bad_rsw = OneQubitGate([(1.0, RswChannel(1.2, 0.5))])
-    if not any("lambda range" in p for p in validate_gate(bad_rsw)):
-        res.failures.append("lambda outside [-1,1] not rejected")
-    bad_u = UnitaryMixture(1, [(1.0, np.array([[1, 1], [0, 1]], dtype=complex))])
-    if not any("unitarity" in p for p in validate_gate(bad_u)):
-        res.failures.append("non-unitary mixture term not rejected")
+    for build, problem in (
+        (lambda: UnitaryMixture(1, [(0.5, np.eye(2)), (0.4, BUILTIN_MATRICES["H"])]), "probabilities"),
+        (lambda: OneQubitGate([(1.0, RswChannel(1.2, 0.5))]), "lambda range"),
+        (lambda: UnitaryMixture(1, [(1.0, np.array([[1, 1], [0, 1]]))]), "unitarity"),
+    ):
+        try:
+            build()
+        except ValueError as e:
+            if str(e).startswith(f"invalid gate: {problem}"):
+                continue
+        res.failures.append(f"a gate with a {problem} fault was not refused for it")
     return res
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,9 +21,8 @@ from paulidelta import (
     ptm_of_unitary,
     rsw_ptm,
     sum_of_squares,
-    validate_gate,
 )
-from paulidelta.channels import BUILTIN_MATRICES, kraus_of_rsw, lower_builtin
+from paulidelta.channels import BUILTIN_MATRICES, RESET_CHANNEL, kraus_of_rsw, lower_builtin
 from paulidelta.simulate import random_hermitian
 
 from oracles import ptm_by_columns
@@ -220,28 +220,99 @@ def test_cnot_never_crosses_identity_blocks():
 
 
 def test_validate_builtin_ok():
-    assert validate_gate(BuiltinGate("CNOT")) == []
+    assert BuiltinGate("CNOT") == BuiltinGate("CNOT")
+    assert BuiltinGate("DEPOL", 0.3).p == 0.3
+    assert BuiltinGate("DEPOL", 0).p == 0 and BuiltinGate("DEPOL", 1.0).p == 1.0
+    UnitaryMixture(1, [(0.5, np.eye(2)), (0.5 + 1e-11, BUILTIN_MATRICES["H"])])  # within PROB_TOL
+    OneQubitGate([(0.3, RswChannel(-1.0, 1.0, -1)), (0.7, RESET_CHANNEL)])
 
 
 def test_validate_probabilities():
-    bad = UnitaryMixture(1, [(0.5, np.eye(2)), (0.4, BUILTIN_MATRICES["H"])])
-    assert any("probabilities" in p for p in validate_gate(bad))
+    with pytest.raises(ValueError, match="invalid gate: probabilities"):
+        UnitaryMixture(1, [(0.5, np.eye(2)), (0.4, BUILTIN_MATRICES["H"])])
 
 
 def test_validate_lambda_range():
-    bad = OneQubitGate([(1.0, RswChannel(1.2, 0.0))])
-    assert any("lambda range" in p for p in validate_gate(bad))
+    with pytest.raises(ValueError, match="invalid gate: lambda range"):
+        OneQubitGate([(1.0, RswChannel(1.2, 0.0))])
 
 
 def test_validate_unitarity():
-    bad = UnitaryMixture(1, [(1.0, np.array([[1, 1], [0, 1]], dtype=complex))])
-    assert any("unitarity" in p for p in validate_gate(bad))
+    with pytest.raises(ValueError, match="invalid gate: unitarity"):
+        UnitaryMixture(1, [(1.0, np.array([[1, 1], [0, 1]], dtype=complex))])
 
 
 def test_validate_depol_strength():
-    assert validate_gate(BuiltinGate("DEPOL", 0.3)) == []
-    assert any("strength" in p for p in validate_gate(BuiltinGate("DEPOL", 1.2)))
-    assert any("requires" in p for p in validate_gate(BuiltinGate("DEPOL")))
+    with pytest.raises(ValueError, match="invalid gate: DEPOL strength 1.2 outside"):
+        BuiltinGate("DEPOL", 1.2)
+    with pytest.raises(ValueError, match="invalid gate: DEPOL requires a strength p"):
+        BuiltinGate("DEPOL")
+
+
+_H = BUILTIN_MATRICES["H"]
+_MIX = UnitaryMixture(1, [(0.5, np.eye(2)), (0.5, _H)])
+_RSW = RswChannel(0.8, 0.5, 1, pre_unitary=_H, post_unitary=_H)
+_ONE = OneQubitGate([(0.25, _RSW), (0.75, RESET_CHANNEL)])
+_NON_UNITARY = np.array([[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "valid, changes, problem",
+    [
+        pytest.param(_MIX, {"terms": ()}, "probabilities: mixture has no terms", id="mixture-no-terms"),
+        pytest.param(_ONE, {"terms": ()}, "probabilities: channel has no terms", id="channel-no-terms"),
+        pytest.param(_MIX, {"terms": [(math.nan, np.eye(2))]}, "probabilities: bad weight nan", id="nan-weight"),
+        pytest.param(_MIX, {"terms": [(-0.5, np.eye(2)), (1.5, _H)]}, "probabilities: bad weight -0.5",
+                     id="negative-weight"),
+        pytest.param(_MIX, {"terms": [(0.5, np.eye(2)), (0.4, _H)]}, "probabilities sum to 0.9", id="mis-summed"),
+        pytest.param(_ONE, {"terms": [(0.5, _RSW), (0.6, RESET_CHANNEL)]}, "probabilities sum to 1.1",
+                     id="channel-mis-summed"),
+        pytest.param(_ONE, {"terms": [(math.nan, _RSW)]}, "probabilities: bad weight nan", id="channel-nan-weight"),
+        pytest.param(_MIX, {"k": 2}, r"unitarity: term 0 has shape \(2, 2\), arity 2", id="wrong-shape"),
+        pytest.param(_MIX, {"terms": [(1.0, _NON_UNITARY)]}, "unitarity: term 0: matrix is not unitary",
+                     id="non-unitary"),
+        pytest.param(_MIX, {"terms": [(1.0, [[math.nan, 0], [0, 1]])]}, "unitarity: term 0: matrix is not unitary",
+                     id="nan-matrix"),
+        pytest.param(_RSW, {"lam1": 1.2}, r"lambda range: \(lam1, lam2\)=\(1.2, 0.5\)", id="lambda-above-1"),
+        pytest.param(_RSW, {"lam2": -1.0000001}, "lambda range", id="lambda-below-minus-1"),
+        pytest.param(_RSW, {"lam2": math.nan}, r"lambda range: \(lam1, lam2\)=\(0.8, nan\)", id="nan-lambda"),
+        pytest.param(_RSW, {"t_sign": 0}, r"t_sign must be \+-1, got 0", id="t-sign-0"),
+        pytest.param(_RSW, {"t_sign": 2}, r"t_sign must be \+-1, got 2", id="t-sign-2"),
+        pytest.param(_RSW, {"pre_unitary": np.eye(4)}, "unitarity: pre-unitary is not 2x2", id="pre-not-2x2"),
+        pytest.param(_RSW, {"post_unitary": BUILTIN_MATRICES["CNOT"]}, "unitarity: post-unitary is not 2x2",
+                     id="post-not-2x2"),
+        pytest.param(_RSW, {"post_unitary": _NON_UNITARY}, "unitarity: post-unitary: matrix is not unitary",
+                     id="post-non-unitary"),
+        pytest.param(_ONE, {"terms": [(1.0, _MIX)]}, "term 0 is not an RswChannel", id="term-not-rsw"),
+        pytest.param(BuiltinGate("H"), {"name": "FOO"}, "unknown builtin gate 'FOO'", id="unknown-builtin"),
+        pytest.param(BuiltinGate("DEPOL", 0.2), {"p": None}, "DEPOL requires a strength p", id="depol-no-p"),
+        pytest.param(BuiltinGate("DEPOL", 0.2), {"p": 1.2}, r"DEPOL strength 1.2 outside \[0, 1\]", id="depol-above-1"),
+        pytest.param(BuiltinGate("DEPOL", 0.2), {"p": -0.1}, "DEPOL strength -0.1 outside", id="depol-negative"),
+        pytest.param(BuiltinGate("DEPOL", 0.2), {"p": math.nan}, "DEPOL strength nan outside", id="depol-nan"),
+        pytest.param(BuiltinGate("H"), {"p": 0.2}, "builtin H takes no parameter", id="builtin-parameter"),
+    ],
+)
+def test_no_invalid_gate_can_be_built(valid, changes, problem):
+    fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
+    with pytest.raises(ValueError, match=f"^invalid gate: {problem}"):
+        type(valid)(**fields | changes)
+    with pytest.raises(ValueError, match=f"^invalid gate: {problem}"):
+        dataclasses.replace(valid, **changes)
+    dataclasses.replace(valid)  # the valid gate itself rebuilds
+
+
+def test_ptm_of_unitary_refuses_a_non_unitary_matrix():
+    with pytest.raises(ValueError, match="not unitary"):
+        ptm_of_unitary(_NON_UNITARY)
+    with pytest.raises(ValueError, match="not a power of 2"):
+        ptm_of_unitary(np.eye(3))
+
+
+def test_mixtures_and_channels_compare_and_hash_by_identity():
+    again = UnitaryMixture(1, _MIX.terms)
+    assert _MIX == _MIX and _MIX != again and hash(_MIX) != hash(again)
+    assert _ONE == _ONE and _ONE != OneQubitGate(_ONE.terms)
+    assert {_MIX: 1, again: 2, _ONE: 3}[_MIX] == 1
 
 
 def test_builtin_lowering_shapes():

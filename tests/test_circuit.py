@@ -251,9 +251,9 @@ def test_output_wire_range():
 
 
 def test_invalid_gate_in_circuit():
-    bad = UnitaryMixture(1, [(0.9, np.eye(2))])
-    with pytest.raises(ValueError, match="probabilities"):
-        Circuit(1, 1, [[GatePlacement((0,), bad)]], NoiseModel(0.1, 0.4), 0)
+    # the gate refuses itself, so no circuit can hold it
+    with pytest.raises(ValueError, match="invalid gate: probabilities sum to 0.9"):
+        Circuit(1, 1, [[GatePlacement((0,), UnitaryMixture(1, [(0.9, np.eye(2))]))]], NoiseModel(0.1, 0.4), 0)
 
 
 # --- consistency ----------------------------------------------------------

@@ -128,6 +128,7 @@ def test_decay_and_simulate_build_only_the_output_light_cone(monkeypatch):
         lambda circ: output_distinguishability(circ, pair),
     ):
         built = _counting_gate_ptm(monkeypatch)
+        simulate._fused_matrix.cache_clear()  # each gate object keeps its matrix between runs
         circ = Circuit(4, 2, levels, NoiseModel(0.05, 0.4), 0)
         assert circ.cones.gates_of(min_cut(circ, [QubitRef(0, 2)])) == [(1, 0), (2, 0)]
         run(circ)
@@ -136,7 +137,7 @@ def test_decay_and_simulate_build_only_the_output_light_cone(monkeypatch):
 
 def test_the_audit_builds_only_the_gates_of_its_cuts(monkeypatch):
     built = _counting_gate_ptm(monkeypatch)
-    simulate._builtin_fused.cache_clear()  # a builtin's matrix lives as long as the process
+    simulate._fused_matrix.cache_clear()  # a gate's matrix lives as long as its cache entry
     circ = random_circuit(4, 3, seed=5, gate_pool=POOL, k=2)
     audit_invariant(circ, BasisPair("0000", "1111"), 0.9, max_size=1)
     # every gate is in the cut of some output qubit at time T, and is built
@@ -149,7 +150,7 @@ def test_the_audit_builds_only_the_gates_of_its_cuts(monkeypatch):
     assert len(specs) < len(circ.cones.gates)
     assert len(built) == len(specs)
     built.clear()
-    simulate._builtin_fused.cache_clear()
+    simulate._fused_matrix.cache_clear()
     circ = random_circuit(4, 3, seed=5, gate_pool=POOL, k=2)
     audit_invariant(circ, BasisPair("0000", "1111"), 0.9, max_size=0)
     assert built == []

@@ -24,7 +24,6 @@ from paulidelta import (
     circuit_to_json,
     haar_unitary,
     parse_circuit,
-    validate_gate,
 )
 from paulidelta.circuit import MAX_CONE_BITS, LightCones, _mat_from_json
 from paulidelta.cli import main
@@ -129,12 +128,15 @@ def test_cli_exits_2_on_nan_parameters(tmp_path, capsys, command):
 
 
 def test_library_checks_reject_nan():
-    assert validate_gate(UnitaryMixture(1, [(math.nan, np.eye(2))]))
-    assert validate_gate(OneQubitGate([(1.0, RswChannel(0.5, math.nan))]))
-    assert validate_gate(OneQubitGate([(math.nan, RswChannel(0.5, 0.5))]))
+    with pytest.raises(ValueError, match="invalid gate: probabilities: bad weight nan"):
+        UnitaryMixture(1, [(math.nan, np.eye(2))])
+    with pytest.raises(ValueError, match="invalid gate: lambda range"):
+        OneQubitGate([(1.0, RswChannel(0.5, math.nan))])
+    with pytest.raises(ValueError, match="invalid gate: probabilities: bad weight nan"):
+        OneQubitGate([(math.nan, RswChannel(0.5, 0.5))])
     with pytest.raises(ValueError, match="not unitary"):
         check_unitary(np.array([[math.nan, 0], [0, 1]]))
-    with pytest.raises(ValueError, match="invalid gate"):
+    with pytest.raises(ValueError, match="invalid gate: DEPOL strength nan"):
         Circuit(1, 1, [[GatePlacement((0,), BuiltinGate("DEPOL", math.nan))]], NoiseModel(0.1, 0.4), 0)
 
 
