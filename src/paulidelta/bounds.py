@@ -185,9 +185,9 @@ def audit_invariant(
     v0 = pair.delta_coeffs()  # refuses a circuit past the engine cap before enumerating
     sets = list(enumerate_consistent_sets(circ, max_size, max_sets))  # refuses before the PTM builds
     rhs = {dist: 2.0 * theta**dist for dist in {vset.dist for vset in sets}}
-    keeps = [tuple([w for w, _ in vset.refs]) for vset in sets]
     records: list[InvariantRecord | None] = [None] * len(sets)
-    for s, block in evolve_cuts(circ, v0, range(circ.n), [vset.cut for vset in sets], keeps):
+    cuts, keeps = [vset.cut for vset in sets], [vset.wires for vset in sets]
+    for s, block in evolve_cuts(circ, v0, range(circ.n), cuts, keeps):
         vset = sets[s]
         lhs = float(np.dot(block, block)) / 2 ** len(vset.refs)  # summed as invariant_check sums it
         records[s] = InvariantRecord(vset.refs, vset.dist, lhs, rhs[vset.dist])

@@ -24,9 +24,9 @@ from typing import Union
 import numpy as np
 
 from .paulis import (
+    _SITE_MATS,
     PAULI_MATS,
     PauliString,
-    all_pauli_strings,
     check_unitary,
 )
 
@@ -125,7 +125,7 @@ class UnitaryMixture:
                 raise _invalid(f"unitarity: term {i}: {e}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RswChannel:
     """One extreme-form one-qubit channel U1 o J o U2, with |lam1|, |lam2| <= 1.
 
@@ -199,8 +199,19 @@ _IXYZ_TO_CODE = [PauliString.from_label(c).index() for c in "IXYZ"]
 
 @lru_cache(maxsize=None)
 def _pauli_stack(k: int) -> np.ndarray:
-    """The 4^k k-qubit Pauli matrices in flat index order, shape (4^k, 2^k, 2^k)."""
-    stack = np.stack([s.matrix() for s in all_pauli_strings(k)])
+    """The 4^k k-qubit Pauli matrices in flat index order, shape (4^k, 2^k, 2^k).
+
+    Site j's factor joins as the next kron factor on the right and as the
+    next base-4 digit of the index on the left, so every entry is the
+    product :meth:`PauliString.matrix` forms, in its order.
+    """
+    stack = _SITE_MATS if k else np.ones((1, 1, 1), dtype=complex)
+    for j in range(1, k):
+        d = 2**j
+        stack = (stack[None, :, :, None, :, None] * _SITE_MATS[:, None, None, :, None, :]).reshape(
+            4 * len(stack), 2 * d, 2 * d
+        )
+    stack = stack.copy()
     stack.setflags(write=False)
     return stack
 
@@ -209,18 +220,20 @@ def ptm_of_unitary(u: np.ndarray) -> Ptm:
     """Transfer matrix of conjugation by a unitary, which is checked first;
     always orthogonal."""
     u = np.asarray(u, dtype=complex)
-    return Ptm(check_unitary(u), _conjugation_ptm(u))
+    return Ptm(check_unitary(u), _conjugation_ptms(u[None])[0])
 
 
-def _conjugation_ptm(u: np.ndarray) -> np.ndarray:
-    """The transfer matrix of conjugation by ``u``, a unitary the caller has
-    checked: column S holds the coefficients Tr(S' U S U^dagger) / 2^k,
-    computed for all 4^k strings S in one batched product."""
-    k = u.shape[0].bit_length() - 1
+def _conjugation_ptms(us: np.ndarray) -> np.ndarray:
+    """The transfer matrices of conjugation by each unitary of the (b, 2^k,
+    2^k) stack ``us``, which the caller has checked: column S of matrix i
+    holds the coefficients Tr(S' U_i S U_i^dagger) / 2^k, computed for all
+    b unitaries and 4^k strings S in one batched product, so one unitary is
+    a batch of one."""
+    b, k = len(us), us.shape[-1].bit_length() - 1
     paulis = _pauli_stack(k)
-    conj = u @ paulis @ u.conj().T
-    # traces[S', S] = sum_ij S'[i, j] * conj_S[j, i]
-    traces = paulis.reshape(4**k, -1) @ conj.transpose(0, 2, 1).reshape(4**k, -1).T
+    conj = us[:, None] @ paulis @ us.conj().transpose(0, 2, 1)[:, None]
+    # traces[i, S', S] = sum_jl S'[j, l] * conj_iS[l, j]
+    traces = paulis.reshape(4**k, -1) @ conj.transpose(0, 1, 3, 2).reshape(b, 4**k, -1).transpose(0, 2, 1)
     residue = float(np.max(np.abs(traces.imag)))
     if residue > PTM_IMAG_TOL:
         raise ValueError(f"coefficients have imaginary residue {residue:.3g}")
@@ -245,8 +258,8 @@ def _j_ptm(lam1: float, lam2: float, t: float) -> np.ndarray:
 
 def rsw_ptm(ch: RswChannel) -> Ptm:
     """Transfer matrix of a canonical-form channel: P(U1) @ J @ P(U2)."""
-    m = _conjugation_ptm(ch.post_unitary) @ _j_ptm(ch.lam1, ch.lam2, ch.t) @ _conjugation_ptm(ch.pre_unitary)
-    return Ptm(1, m)
+    post, pre = _conjugation_ptms(np.stack([ch.post_unitary, ch.pre_unitary]))
+    return Ptm(1, post @ _j_ptm(ch.lam1, ch.lam2, ch.t) @ pre)
 
 
 def kraus_of_rsw(ch: RswChannel) -> list[np.ndarray]:
@@ -339,7 +352,22 @@ def lower_builtin(g: GateSpec) -> GateSpec:
 
 
 @lru_cache(maxsize=None)
+def _builtin_conjugations(k: int) -> dict[str, np.ndarray]:
+    """The read-only transfer matrices of the k-qubit builtins with a matrix,
+    conjugated in one batch; each is summed as :func:`gate_ptm` sums the
+    one-term mixture of weight 1.0 that :func:`lower_builtin` gives."""
+    names = [name for name in BUILTIN_MATRICES if BUILTIN_ARITY[name] == k]
+    table = {}
+    for name, m in zip(names, _conjugation_ptms(np.stack([BUILTIN_MATRICES[name] for name in names]))):
+        table[name] = m = sum([1.0 * m])
+        m.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
 def _builtin_ptm(name: str) -> np.ndarray:
+    if name in BUILTIN_MATRICES:
+        return _builtin_conjugations(BUILTIN_ARITY[name])[name]
     m = gate_ptm(lower_builtin(BuiltinGate(name))).m
     m.setflags(write=False)
     return m
@@ -356,7 +384,8 @@ def gate_ptm(g: GateSpec) -> Ptm:
             return depolarizing_ptm(g.p)
         return Ptm(BUILTIN_ARITY[g.name], _builtin_ptm(g.name))
     if isinstance(g, UnitaryMixture):
-        m = sum(p * _conjugation_ptm(u) for p, u in g.terms)
+        ms = _conjugation_ptms(np.stack([u for _, u in g.terms]))
+        m = sum(p * m for (p, _), m in zip(g.terms, ms))
         return Ptm(g.k, m)
     if isinstance(g, OneQubitGate):
         m = sum(p * rsw_ptm(ch).m for p, ch in g.terms)

@@ -173,12 +173,14 @@ class QubitRef:
 @dataclass
 class ConsistentSet:
     """A validated consistent set: ``refs``, its (wire, time) pairs sorted;
-    ``members``, its mask with bit ``time*n + wire`` per ref; ``cut``, its
-    minimal cut as a gate mask of ``circ.cones``; and ``dist``/``latest``,
-    its least and greatest time (infinity and 0 when it is empty)."""
+    ``members``, its mask with bit ``time*n + wire`` per ref; ``wires``, its
+    wire mask with bit ``wire`` per ref; ``cut``, its minimal cut as a gate
+    mask of ``circ.cones``; and ``dist``/``latest``, its least and greatest
+    time (infinity and 0 when it is empty)."""
 
     refs: tuple[tuple[int, int], ...]
     members: int
+    wires: int
     cut: int
     dist: float
     latest: int
@@ -193,8 +195,9 @@ class ConsistentSet:
         if not is_consistent(refs, circ):
             raise ValueError(f"set is not consistent: {sorted(refs)}")
         members = sum(1 << q.time * circ.n + q.wire for q in refs)
+        wires = reduce(operator.or_, (1 << q.wire for q in refs), 0)
         pairs = tuple(sorted((q.wire, q.time) for q in refs))
-        return cls(pairs, members, circ.cones.cut(refs), *dist_latest(refs, circ))
+        return cls(pairs, members, wires, circ.cones.cut(refs), *dist_latest(refs, circ))
 
 
 def _check_refs(refs: Iterable[QubitRef], n: int, T: int) -> None:
@@ -295,10 +298,11 @@ def enumerate_consistent_sets(
     """Yield every consistent set of size <= max_size exactly once.
 
     The sets are the cliques of the graph joining two refs when neither
-    one's cone holds the gate consuming the other, grown in bit order as two
-    ints: adding ref b sets bit b of the member mask and ORs b's cone into
-    the cut.  Order: increasing (latest, number of members at latest,
-    ``refs``), computed once per set from its member mask.
+    one's cone holds the gate consuming the other, grown in bit order as
+    three ints: adding ref b sets bit b of the member mask and bit ``b % n``
+    of the wire mask, and ORs b's cone into the cut.  Order: increasing
+    (latest, number of members at latest, ``refs``), computed once per set
+    from its member mask.
     Raises RuntimeError, before yielding, when more than ``max_sets`` sets
     would be yielded; it stops growing at the first set past the budget.
     """
@@ -319,25 +323,25 @@ def enumerate_consistent_sets(
             mask |= column << w & (1 << end * n) - (1 << t * n)
         return mask
 
-    found: list[tuple[int, int, tuple[tuple[int, int], ...], int, int]] = []
+    found: list[tuple[int, int, tuple[tuple[int, int], ...], int, int, int]] = []
 
-    def grow(members: int, cut: int, refs: tuple, candidates: int, room: int) -> None:
+    def grow(members: int, wires: int, cut: int, refs: tuple, candidates: int, room: int) -> None:
         latest = max(members.bit_length() - 1, 0) // n
-        found.append((latest, (members >> latest * n).bit_count(), refs, members, cut))
+        found.append((latest, (members >> latest * n).bit_count(), refs, members, wires, cut))
         if max_sets is not None and len(found) > max_sets:
             raise RuntimeError(f"enumeration budget exceeded ({max_sets} sets)")
         if room:
             for b in _bits(candidates):
                 grown = tuple(sorted((*refs, (b % n, b // n))))
                 below = candidates & later(b) if room > 1 else 0  # a last member grows nothing
-                grow(members | 1 << b, cut | cone[b], grown, below, room - 1)
+                grow(members | 1 << b, wires | 1 << b % n, cut | cone[b], grown, below, room - 1)
 
     if max_size >= 0:
-        grow(0, 0, (), (1 << len(cone)) - 1, max_size)
+        grow(0, 0, 0, (), (1 << len(cone)) - 1, max_size)
     found.sort()  # the refs differ between sets, so the masks are never compared
-    for latest, _, refs, members, cut in found:
+    for latest, _, refs, members, wires, cut in found:
         dist = float(((members & -members).bit_length() - 1) // n) if members else math.inf
-        yield ConsistentSet(refs, members, cut, dist, latest)
+        yield ConsistentSet(refs, members, wires, cut, dist, latest)
 
 
 # --- DSL ----------------------------------------------------------------
@@ -594,13 +598,17 @@ def _check_keys(d: dict, keys: tuple[str, ...], what: str) -> None:
         raise ValueError(f"{what} takes no key {json.dumps(unread[0])}")
 
 
+# A builtin without a parameter is one immutable value, shared by its placements.
+_simple_builtin = cache(BuiltinGate)
+
+
 def _gate_from_json(d: dict, arity: int) -> GateSpec:
     name = d.get("gate")
     if not isinstance(name, str) or name not in _GATE_KEYS:
         raise ValueError(f"unknown gate kind {name!r}")
     _check_keys(d, ("gate", "wires", *_GATE_KEYS[name]), name)
     if name in _BUILTIN_SIMPLE:
-        return BuiltinGate(name)
+        return _simple_builtin(name)
     if name == "DEPOL":
         return BuiltinGate("DEPOL", _float_from_json(d["p"], "p"))
     if name == "U":
@@ -658,7 +666,7 @@ def circuit_from_json(text: str) -> Circuit:
             where, placements = f"level {li}", []
             for pi, pd in enumerate(level):
                 where = f"level {li}, placement {pi}"
-                wires = tuple(_int_from_json(w, "wire") for w in pd["wires"])
+                wires = [_int_from_json(w, "wire") for w in pd["wires"]]
                 placements.append(GatePlacement(wires, _gate_from_json(pd, len(wires))))
             levels.append(placements)
     except (KeyError, TypeError, ValueError) as e:

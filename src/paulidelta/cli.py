@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Collection
 
 from .bounds import (
     CONSTRAINT_FORMULAS,
@@ -36,10 +37,6 @@ from .simulate import (  # noqa: F401 (perfbench/selftest.py reads cli.InputPair
     output_distinguishability,
     sample_output_difference,
 )
-
-
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="write machine output to this file")
 
 
 def _count(text: str) -> int:
@@ -318,35 +315,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="paulidelta",
-        description="Evolve state differences through leveled noisy circuits "
-        "and check fault-tolerance upper-bound machinery.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("threshold", help="print closed-form noise thresholds")
+def _threshold_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cnot-only", action="store_true")
-    _add_out(p)
-    p.set_defaults(fn=cmd_threshold)
 
-    p = sub.add_parser(
-        "decay",
-        help="measured output distinguishability vs the theta^(T/2) bound over "
-        "prefixes of one circuit (prefixes keep the experiment monotone-comparable)",
-    )
+
+def _decay_args(p: argparse.ArgumentParser) -> None:
     _add_circuit_source(p)
     p.add_argument("--t-min", type=int, default=1)
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--k", type=int, default=None, help="override the gate-arity k")
     p.add_argument("--cnot-only", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    _add_out(p)
-    p.set_defaults(fn=cmd_decay)
 
-    p = sub.add_parser("check-invariant", help="audit the shrink invariant over consistent sets")
+
+def _check_invariant_args(p: argparse.ArgumentParser) -> None:
     _add_circuit_source(p)
     p.add_argument("--max-set-size", type=_count, default=3)
     p.add_argument("--max-sets", type=_count, default=None, help="enumeration budget")
@@ -358,30 +341,64 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exploratory: audit against this theta and report margins only",
     )
-    _add_out(p)
-    p.set_defaults(fn=cmd_check_invariant)
 
-    p = sub.add_parser("verify", help="run the seeded self-check suites")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cases", type=_count, default=25)
     p.add_argument("--seed", type=_count, default=0, help="RNG seed")
-    _add_out(p)
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("cnot-table", help="print the CNOT conjugation table")
-    _add_out(p)
-    p.set_defaults(fn=cmd_cnot_table)
 
-    p = sub.add_parser("simulate", help="single-run output distinguishability")
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     _add_circuit_source(p)
     p.add_argument("--shots", type=_count, default=0, help="add a trajectory-sampling estimate")
-    _add_out(p)
-    p.set_defaults(fn=cmd_simulate)
 
+
+# name -> (help, arguments besides --out, handler), in the order help lists them.
+COMMANDS = {
+    "threshold": ("print closed-form noise thresholds", _threshold_args, cmd_threshold),
+    "decay": (
+        "measured output distinguishability vs the theta^(T/2) bound over "
+        "prefixes of one circuit (prefixes keep the experiment monotone-comparable)",
+        _decay_args,
+        cmd_decay,
+    ),
+    "check-invariant": (
+        "audit the shrink invariant over consistent sets", _check_invariant_args, cmd_check_invariant
+    ),
+    "verify": ("run the seeded self-check suites", _verify_args, cmd_verify),
+    "cnot-table": ("print the CNOT conjugation table", lambda p: None, cmd_cnot_table),
+    "simulate": ("single-run output distinguishability", _simulate_args, cmd_simulate),
+}
+
+
+def build_parser(names: Collection[str] = COMMANDS) -> argparse.ArgumentParser:
+    """The parser with the subcommands ``names``, all six by default.
+
+    A parser short of some commands still names all six in its usage line,
+    so its usage errors read as the full parser's do; the full parser keeps
+    argparse's own metavar, which also names a missing command "command".
+    """
+    parser = argparse.ArgumentParser(
+        prog="paulidelta",
+        description="Evolve state differences through leveled noisy circuits "
+        "and check fault-tolerance upper-bound machinery.",
+    )
+    metavar = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.add_argument("--out", default=None, help="write machine output to this file")
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; only its own subparser is built, unless ``argv``
+    names none (no arguments, a help flag or an unknown word)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

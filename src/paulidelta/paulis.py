@@ -187,9 +187,9 @@ def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> int:
     """Validate unitarity and power-of-2 dimension; return the qubit count."""
     u = np.asarray(u, dtype=complex)
     n = _qubit_count(u)
-    if not np.isfinite(u).all():
+    if not np.isfinite(u).all():  # first: a non-finite entry would warn in the product
         raise ValueError("matrix is not unitary (it has a non-finite entry)")
-    residue = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    residue = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
     if residue > tol:
         raise ValueError(f"matrix is not unitary (residue {residue:.3g})")
     return n

@@ -364,13 +364,14 @@ def _pauli_step(circ: Circuit, gate: tuple[int, int], live: Sequence[int]) -> tu
 
 
 def evolve_cuts(
-    circ: Circuit, v0: CoeffVector, wires: Sequence[int], cuts: Sequence[int], keeps: Sequence[tuple[int, ...]]
+    circ: Circuit, v0: CoeffVector, wires: Sequence[int], cuts: Sequence[int], keeps: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Evolve ``v0``, on the increasing ``wires``, through each gate mask
     ``cuts[i]`` and yield ``(i, block)``, the evolved tensor reduced to the
-    wires ``keeps[i]`` as :func:`restrict_coeffs` reduces it, flattened
-    C-contiguous; the cuts come in ascending mask order.  The caller checks
-    the vector and the masks, whose gates act on ``wires`` only.
+    wires of the mask ``keeps[i]`` (bit w for wire w) as
+    :func:`restrict_coeffs` reduces it, flattened C-contiguous; the cuts
+    come in ascending mask order.  The caller checks the vector and the
+    masks, whose gates and kept wires lie on ``wires``.
 
     Each gate of the cuts is compiled before the walk (compiling between
     runs is slower) on the wires live at its level: a wire no keep names
@@ -389,12 +390,12 @@ def evolve_cuts(
     so a block does not depend on the other cuts.
     """
     gates, top = circ.cones.gates, len(circ.cones.gates) - 1
-    kept = set().union(*keeps)
+    kept = reduce(operator.or_, keeps, 0)
     union = circ.cones.gates_of(reduce(operator.or_, cuts, 0))
     last = {w: level for level, i in union for w in circ.levels[level - 1][i].wires}
-    live_at = cache(lambda level: tuple(w for w in wires if w in kept or last.get(w, 0) >= level))
+    live_at = cache(lambda level: tuple(w for w in wires if kept >> w & 1 or last.get(w, 0) >= level))
     steps = {gate: _pauli_step(circ, gate, live_at(gate[0])) for gate in union}
-    index = cache(lambda live, keep: _trace_out(len(live), [live.index(w) for w in keep]))
+    index = cache(lambda live, keep: _trace_out(len(live), [j for j, w in enumerate(live) if keep >> w & 1]))
     order = sorted(range(len(cuts)), key=cuts.__getitem__)
     ordered = [cuts[i] for i in order]
     stack = [(0, len(ordered), top + 1, tuple(wires), v0.values.reshape((4,) * len(wires)))]
@@ -403,7 +404,7 @@ def evolve_cuts(
         if bit <= top:
             gate = gates[top - bit]
             if len(now := live_at(gate[0])) < len(live):
-                values = values[index(live, now)]
+                values = values[index(live, sum(1 << w for w in now))]
             values, live = _run_step(values, *steps[gate]), now
         while lo < hi and (rest := ordered[hi - 1] & ((1 << bit) - 1)):
             bit = rest.bit_length() - 1
@@ -422,7 +423,7 @@ def evolve_pauli(circ: Circuit, v: CoeffVector, cut: int) -> CoeffVector:
     if v.n != circ.n:
         raise ValueError(f"vector is on {v.n} qubits, circuit on {circ.n}")
     check_cut(circ, cut)
-    [(_, values)] = evolve_cuts(circ, v, range(circ.n), [cut], [tuple(range(circ.n))])
+    [(_, values)] = evolve_cuts(circ, v, range(circ.n), [cut], [(1 << circ.n) - 1])
     return CoeffVector(circ.n, values)
 
 
@@ -506,7 +507,7 @@ def distinguishability_by_depth(
     # the first t levels' prefix keeps the top bits, those of the gates at levels <= t
     shifts = accumulate((len(level) for level in circ.levels[:depth]), operator.sub, initial=len(cones.gates))
     prefixes = [cut >> shift << shift for shift in shifts]
-    blocks = dict(evolve_cuts(circ, pair.delta_coeffs(wires), wires, prefixes, [(out,)] * (depth + 1)))
+    blocks = dict(evolve_cuts(circ, pair.delta_coeffs(wires), wires, prefixes, [1 << out] * (depth + 1)))
     return [0.5 * abs(blocks[t][1]) for t in range(depth + 1)]  # Z on the output wire, I elsewhere
 
 

@@ -313,6 +313,8 @@ def test_mixtures_and_channels_compare_and_hash_by_identity():
     assert _MIX == _MIX and _MIX != again and hash(_MIX) != hash(again)
     assert _ONE == _ONE and _ONE != OneQubitGate(_ONE.terms)
     assert {_MIX: 1, again: 2, _ONE: 3}[_MIX] == 1
+    ch = RswChannel(0.5, 0.5)
+    assert ch == ch and ch != RswChannel(0.5, 0.5) and hash(ch) != hash(RswChannel(0.5, 0.5))
 
 
 def test_builtin_lowering_shapes():

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from paulidelta import BasisPair, audit_invariant, random_circuit, simulate, theta_for
 from paulidelta.circuit import LightCones
-from paulidelta.cli import main
+from paulidelta import cli
+from paulidelta.cli import build_parser, main
 
 ALL_ID = "\n".join(
     ["qubits 1 levels 10 output 0", "noise eps1=0.01 epsk=0.4"]
@@ -69,7 +71,44 @@ def test_threshold_bad_k():
 
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: command\n")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The names given to each build_parser call that main makes."""
+    calls = []
+    monkeypatch.setattr(cli, "build_parser", lambda names: calls.append(list(names)) or build_parser(names))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["bogus"],
+        ["decay", "--bogus", "1"],
+        ["decay", "--k"],
+        ["decay", "-h"],
+        ["check-invariant", "--max-set-size", "x"],
+        ["simulate", "--shots", "-1"],
+        ["threshold"],
+    ],
+)
+def test_one_command_parser_reads_as_the_full_parser(argv, built, capsys, monkeypatch):
+    """main builds only the named command's subparser; its help, usage
+    errors and exit codes are the all-commands parser's, byte for byte."""
+    got = main(argv), *capsys.readouterr()
+    assert built == [argv[:1] if argv and argv[0] in cli.COMMANDS else list(cli.COMMANDS)]
+    monkeypatch.setattr(cli, "build_parser", lambda names: build_parser())
+    assert got == (main(argv), *capsys.readouterr())
+
+
+def test_main_reads_the_command_from_sys_argv(built, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["paulidelta", "threshold", "--k", "2"])
+    assert main() == 0 and built == [["threshold"]]
+    assert capsys.readouterr().out == "epsk_threshold(k=2) 0.356406\n"
 
 
 def test_decay_all_identity_csv(all_id_file, capsys):

@@ -1,7 +1,8 @@
 """The Pauli engine's one compile path, ``_pauli_step``: each gate's step
-holds the fused matrix of the eager formula, bit for bit, read-only; the
-placements of a builtin share one matrix, and a command builds matrices
-only for the gates its cuts apply."""
+holds the fused matrix of the eager formula, bit for bit, read-only, and
+its batched conjugations equal one conjugation per unitary over kron-chain
+Pauli matrices, bit for bit; the placements of a builtin share one matrix,
+and a command builds matrices only for the gates its cuts apply."""
 
 from functools import reduce
 
@@ -16,8 +17,11 @@ from paulidelta import (
     Circuit,
     GatePlacement,
     NoiseModel,
+    OneQubitGate,
     QubitRef,
+    RswChannel,
     UnitaryMixture,
+    all_pauli_strings,
     audit_invariant,
     decay_table,
     haar_unitary,
@@ -26,7 +30,7 @@ from paulidelta import (
     random_circuit,
     simulate,
 )
-from paulidelta.channels import depolarizing_ptm, gate_ptm
+from paulidelta.channels import BUILTIN_ARITY, _j_ptm, _pauli_stack, depolarizing_ptm, gate_ptm, lower_builtin
 from paulidelta.simulate import _compile_step, _fused_matrix, _pauli_step
 
 # builtins, k=1 and k=2 mixtures; mix_one_qubit_gates adds DEPOL and RSWMIX gates
@@ -76,6 +80,58 @@ def test_each_step_equals_the_eager_formula_bit_for_bit(circ, data):
             with pytest.raises(ValueError, match="read-only"):
                 got[0, 0] = 2.0
         assert compiled == list(_compile_step(want, [n - 1 - w for w in reversed(wires)], n)[1:])
+
+
+def _conjugation_one_by_one(u: np.ndarray) -> np.ndarray:
+    """Conjugation by one unitary over the kron-chain Pauli matrices."""
+    k = u.shape[0].bit_length() - 1
+    paulis = np.stack([s.matrix() for s in all_pauli_strings(k)])
+    conj = u @ paulis @ u.conj().T
+    traces = paulis.reshape(4**k, -1) @ conj.transpose(0, 2, 1).reshape(4**k, -1).T
+    return traces.real / 2**k
+
+
+def ptm_one_by_one(g) -> np.ndarray:
+    """A gate's transfer matrix with one conjugation per unitary."""
+    g = lower_builtin(g)
+    if isinstance(g, UnitaryMixture):
+        return sum(p * _conjugation_one_by_one(u) for p, u in g.terms)
+    return sum(
+        p * (_conjugation_one_by_one(ch.post_unitary) @ _j_ptm(ch.lam1, ch.lam2, ch.t)
+             @ _conjugation_one_by_one(ch.pre_unitary))
+        for p, ch in g.terms
+    )
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_pauli_stack_is_the_kron_chain_bit_for_bit(k):
+    want = np.stack([s.matrix() for s in all_pauli_strings(k)])
+    got = _pauli_stack(k)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(set(BUILTIN_ARITY) - {"DEPOL"}))  # DEPOL conjugates nothing
+def test_builtin_matrices_equal_one_conjugation_per_unitary(name):
+    got, want = gate_ptm(BuiltinGate(name)).m, ptm_one_by_one(BuiltinGate(name))
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_mixture_and_channel_matrices_equal_one_conjugation_per_unitary(k):
+    rng = np.random.default_rng(40 + k)
+    gates = [_mixture(k, rng)]
+    if k == 1:
+        chans = [RswChannel(0.3, -0.7, -1, haar_unitary(2, rng), haar_unitary(2, rng)), RswChannel(0.9, 0.2)]
+        gates.append(OneQubitGate([(0.4, chans[0]), (0.6, chans[1])]))
+    p = 0.45 if k >= 2 else 0.05
+    d = reduce(np.kron, [depolarizing_ptm(p).m.diagonal()] * k)
+    for g in gates:
+        want = ptm_one_by_one(g) * d if k >= 2 else d[:, None] * ptm_one_by_one(g)
+        got = _fused_matrix(g, k, p)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 def test_gates_of_each_arity_get_their_own_input_noise():

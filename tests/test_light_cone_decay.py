@@ -112,7 +112,8 @@ def test_walk_on_live_wires_equals_the_full_width_walk(case):
     kept = set().union(*keeps)
     wires = sorted({*last, *kept, *extra})
     everything = tuple(range(circ.n))
-    full = dict(evolve_cuts(circ, pair.delta_coeffs(), everything, cuts, [everything] * len(cuts)))
+    full = dict(evolve_cuts(circ, pair.delta_coeffs(), everything, cuts, [(1 << circ.n) - 1] * len(cuts)))
+    masks = [sum(1 << w for w in keep) for keep in keeps]
     compiled, pauli_step = [], simulate._pauli_step
 
     def spy(circ, gate, live):
@@ -120,7 +121,7 @@ def test_walk_on_live_wires_equals_the_full_width_walk(case):
         return pauli_step(circ, gate, live)
 
     with mock.patch.object(simulate, "_pauli_step", spy):
-        got = dict(evolve_cuts(circ, pair.delta_coeffs(wires), wires, cuts, keeps))
+        got = dict(evolve_cuts(circ, pair.delta_coeffs(wires), wires, cuts, masks))
     assert got.keys() == full.keys() == set(range(len(cuts)))
     for i, keep in enumerate(keeps):
         want = restrict_coeffs(CoeffVector(circ.n, full[i]), keep).values
