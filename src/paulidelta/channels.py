@@ -17,9 +17,10 @@ acting on coefficient vectors, indexed in the canonical flat order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -220,15 +221,32 @@ def ptm_of_unitary(u: np.ndarray) -> Ptm:
     """Transfer matrix of conjugation by a unitary, which is checked first;
     always orthogonal."""
     u = np.asarray(u, dtype=complex)
-    return Ptm(check_unitary(u), _conjugation_ptms(u[None])[0])
+    return Ptm(check_unitary(u), *_conjugation_ptms([u]))
 
 
-def _conjugation_ptms(us: np.ndarray) -> np.ndarray:
+# Entries of the largest conjugated-Pauli stack built at once (256 KiB): four
+# 3-qubit unitaries'.  A wider unitary, whose own stack is larger, goes alone,
+# so a mixture's peak memory does not grow with its number of terms; larger
+# batches of 3-qubit unitaries also ran slower than one at a time.
+_CONJUGATION_BUDGET = 2**14
+
+
+def _conjugation_ptms(us: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """Yield the transfer matrix of conjugation by each of the k-qubit
+    unitaries ``us``, which the caller has checked, conjugating them in
+    chunks whose stacks hold at most ``_CONJUGATION_BUDGET`` entries (or
+    one unitary's).  Each unitary is its own product in a chunk, so its
+    bits do not depend on the chunk."""
+    step = max(1, _CONJUGATION_BUDGET >> 4 * (us[0].shape[-1].bit_length() - 1))
+    for i in range(0, len(us), step):
+        yield from _conjugate(np.array(us[i : i + step]))
+
+
+def _conjugate(us: np.ndarray) -> np.ndarray:
     """The transfer matrices of conjugation by each unitary of the (b, 2^k,
-    2^k) stack ``us``, which the caller has checked: column S of matrix i
-    holds the coefficients Tr(S' U_i S U_i^dagger) / 2^k, computed for all
-    b unitaries and 4^k strings S in one batched product, so one unitary is
-    a batch of one."""
+    2^k) stack ``us``: column S of matrix i holds the coefficients
+    Tr(S' U_i S U_i^dagger) / 2^k, computed for all b unitaries and 4^k
+    strings S in one batched product, so one unitary is a batch of one."""
     b, k = len(us), us.shape[-1].bit_length() - 1
     paulis = _pauli_stack(k)
     conj = us[:, None] @ paulis @ us.conj().transpose(0, 2, 1)[:, None]
@@ -258,7 +276,7 @@ def _j_ptm(lam1: float, lam2: float, t: float) -> np.ndarray:
 
 def rsw_ptm(ch: RswChannel) -> Ptm:
     """Transfer matrix of a canonical-form channel: P(U1) @ J @ P(U2)."""
-    post, pre = _conjugation_ptms(np.stack([ch.post_unitary, ch.pre_unitary]))
+    post, pre = _conjugation_ptms([ch.post_unitary, ch.pre_unitary])
     return Ptm(1, post @ _j_ptm(ch.lam1, ch.lam2, ch.t) @ pre)
 
 
@@ -352,22 +370,7 @@ def lower_builtin(g: GateSpec) -> GateSpec:
 
 
 @lru_cache(maxsize=None)
-def _builtin_conjugations(k: int) -> dict[str, np.ndarray]:
-    """The read-only transfer matrices of the k-qubit builtins with a matrix,
-    conjugated in one batch; each is summed as :func:`gate_ptm` sums the
-    one-term mixture of weight 1.0 that :func:`lower_builtin` gives."""
-    names = [name for name in BUILTIN_MATRICES if BUILTIN_ARITY[name] == k]
-    table = {}
-    for name, m in zip(names, _conjugation_ptms(np.stack([BUILTIN_MATRICES[name] for name in names]))):
-        table[name] = m = sum([1.0 * m])
-        m.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
 def _builtin_ptm(name: str) -> np.ndarray:
-    if name in BUILTIN_MATRICES:
-        return _builtin_conjugations(BUILTIN_ARITY[name])[name]
     m = gate_ptm(lower_builtin(BuiltinGate(name))).m
     m.setflags(write=False)
     return m
@@ -384,8 +387,8 @@ def gate_ptm(g: GateSpec) -> Ptm:
             return depolarizing_ptm(g.p)
         return Ptm(BUILTIN_ARITY[g.name], _builtin_ptm(g.name))
     if isinstance(g, UnitaryMixture):
-        ms = _conjugation_ptms(np.stack([u for _, u in g.terms]))
-        m = sum(p * m for (p, _), m in zip(g.terms, ms))
+        # map frees each term's matrix before the next one's conjugation
+        m = sum(map(operator.mul, [p for p, _ in g.terms], _conjugation_ptms([u for _, u in g.terms])))
         return Ptm(g.k, m)
     if isinstance(g, OneQubitGate):
         m = sum(p * rsw_ptm(ch).m for p, ch in g.terms)

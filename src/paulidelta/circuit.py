@@ -173,17 +173,17 @@ class QubitRef:
 @dataclass
 class ConsistentSet:
     """A validated consistent set: ``refs``, its (wire, time) pairs sorted;
-    ``members``, its mask with bit ``time*n + wire`` per ref; ``wires``, its
-    wire mask with bit ``wire`` per ref; ``cut``, its minimal cut as a gate
-    mask of ``circ.cones``; and ``dist``/``latest``, its least and greatest
-    time (infinity and 0 when it is empty)."""
+    ``members``, its mask with bit ``time*n + wire`` per ref; ``cut``, its
+    minimal cut as a gate mask of ``circ.cones``; ``dist``/``latest``, its
+    least and greatest time (infinity and 0 when it is empty); and
+    ``wires``, its wire mask with bit ``wire`` per ref."""
 
     refs: tuple[tuple[int, int], ...]
     members: int
-    wires: int
     cut: int
     dist: float
     latest: int
+    wires: int
 
     @property
     def qubits(self) -> frozenset[QubitRef]:
@@ -197,7 +197,7 @@ class ConsistentSet:
         members = sum(1 << q.time * circ.n + q.wire for q in refs)
         wires = reduce(operator.or_, (1 << q.wire for q in refs), 0)
         pairs = tuple(sorted((q.wire, q.time) for q in refs))
-        return cls(pairs, members, wires, circ.cones.cut(refs), *dist_latest(refs, circ))
+        return cls(pairs, members, circ.cones.cut(refs), *dist_latest(refs, circ), wires)
 
 
 def _check_refs(refs: Iterable[QubitRef], n: int, T: int) -> None:
@@ -341,7 +341,7 @@ def enumerate_consistent_sets(
     found.sort()  # the refs differ between sets, so the masks are never compared
     for latest, _, refs, members, wires, cut in found:
         dist = float(((members & -members).bit_length() - 1) // n) if members else math.inf
-        yield ConsistentSet(refs, members, wires, cut, dist, latest)
+        yield ConsistentSet(refs, members, cut, dist, latest, wires)
 
 
 # --- DSL ----------------------------------------------------------------
@@ -598,17 +598,13 @@ def _check_keys(d: dict, keys: tuple[str, ...], what: str) -> None:
         raise ValueError(f"{what} takes no key {json.dumps(unread[0])}")
 
 
-# A builtin without a parameter is one immutable value, shared by its placements.
-_simple_builtin = cache(BuiltinGate)
-
-
 def _gate_from_json(d: dict, arity: int) -> GateSpec:
     name = d.get("gate")
     if not isinstance(name, str) or name not in _GATE_KEYS:
         raise ValueError(f"unknown gate kind {name!r}")
     _check_keys(d, ("gate", "wires", *_GATE_KEYS[name]), name)
     if name in _BUILTIN_SIMPLE:
-        return _simple_builtin(name)
+        return BuiltinGate(name)
     if name == "DEPOL":
         return BuiltinGate("DEPOL", _float_from_json(d["p"], "p"))
     if name == "U":
@@ -666,7 +662,7 @@ def circuit_from_json(text: str) -> Circuit:
             where, placements = f"level {li}", []
             for pi, pd in enumerate(level):
                 where = f"level {li}, placement {pi}"
-                wires = [_int_from_json(w, "wire") for w in pd["wires"]]
+                wires = tuple(_int_from_json(w, "wire") for w in pd["wires"])
                 placements.append(GatePlacement(wires, _gate_from_json(pd, len(wires))))
             levels.append(placements)
     except (KeyError, TypeError, ValueError) as e:

@@ -394,6 +394,7 @@ def evolve_cuts(
     union = circ.cones.gates_of(reduce(operator.or_, cuts, 0))
     last = {w: level for level, i in union for w in circ.levels[level - 1][i].wires}
     live_at = cache(lambda level: tuple(w for w in wires if kept >> w & 1 or last.get(w, 0) >= level))
+    live_mask = cache(lambda level: sum(1 << w for w in live_at(level)))
     steps = {gate: _pauli_step(circ, gate, live_at(gate[0])) for gate in union}
     index = cache(lambda live, keep: _trace_out(len(live), [j for j, w in enumerate(live) if keep >> w & 1]))
     order = sorted(range(len(cuts)), key=cuts.__getitem__)
@@ -404,7 +405,7 @@ def evolve_cuts(
         if bit <= top:
             gate = gates[top - bit]
             if len(now := live_at(gate[0])) < len(live):
-                values = values[index(live, sum(1 << w for w in now))]
+                values = values[index(live, live_mask(gate[0]))]
             values, live = _run_step(values, *steps[gate]), now
         while lo < hi and (rest := ordered[hi - 1] & ((1 << bit) - 1)):
             bit = rest.bit_length() - 1

@@ -4,6 +4,7 @@ its batched conjugations equal one conjugation per unitary over kron-chain
 Pauli matrices, bit for bit; the placements of a builtin share one matrix,
 and a command builds matrices only for the gates its cuts apply."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -126,12 +127,29 @@ def test_batched_mixture_and_channel_matrices_equal_one_conjugation_per_unitary(
     if k == 1:
         chans = [RswChannel(0.3, -0.7, -1, haar_unitary(2, rng), haar_unitary(2, rng)), RswChannel(0.9, 0.2)]
         gates.append(OneQubitGate([(0.4, chans[0]), (0.6, chans[1])]))
+    if k == 3:  # nine terms span three conjugation chunks
+        gates.append(UnitaryMixture(3, [(1 / 9, haar_unitary(8, rng)) for _ in range(9)]))
     p = 0.45 if k >= 2 else 0.05
     d = reduce(np.kron, [depolarizing_ptm(p).m.diagonal()] * k)
     for g in gates:
         want = ptm_one_by_one(g) * d if k >= 2 else d[:, None] * ptm_one_by_one(g)
         got = _fused_matrix(g, k, p)
         assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def test_a_mixtures_peak_memory_does_not_grow_with_its_terms():
+    rng = np.random.default_rng(5)
+    _pauli_stack(4)  # built once per process, outside the measured calls
+    peaks = []
+    for b in (1, 8):
+        g = UnitaryMixture(4, [(1 / b, haar_unitary(16, rng)) for _ in range(b)])
+        tracemalloc.start()
+        try:
+            gate_ptm(g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**20  # one 4-qubit matrix is 512 KiB, one conjugated stack 1 MiB
 
 
 def test_gates_of_each_arity_get_their_own_input_noise():

@@ -368,8 +368,8 @@ def test_reduced_delta_empty_set_traceless():
 
 def test_reduced_delta_rejects_inconsistent():
     c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.1 epsk=0.4\nlevel 1: CNOT(0,1)\n")
-    # refs, member mask (bits 0*2+0 and 1*2+1), wire mask and cut (the CNOT), not validated
-    bad = ConsistentSet(((0, 0), (1, 1)), 0b1001, 0b11, 0b1, 0.0, 1)
+    # refs, member mask (bits 0*2+0 and 1*2+1), cut (the CNOT) and wire mask, not validated
+    bad = ConsistentSet(((0, 0), (1, 1)), 0b1001, 0b1, 0.0, 1, 0b11)
     with pytest.raises(ValueError, match="consistent"):
         reduced_delta(c, CoeffVector.zero(2), bad)
 
