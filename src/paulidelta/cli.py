@@ -303,12 +303,12 @@ def cmd_cnot_table(args) -> int:
 def cmd_simulate(args) -> int:
     circ = _load_circuit(args, check_sampler_width if args.shots else None)
     pair = _input_pair(args, circ)
+    seed = args.seed if args.seed is not None else 0
     if args.shots:
-        check_sampler_inputs(circ, pair, args.shots)  # before the exact pass, which can take seconds
+        check_sampler_inputs(circ, pair, args.shots, seed)  # before the exact pass, which can take seconds
     measured = output_distinguishability(circ, pair)
     lines = [f"distinguishability {_fmt(measured)}"]
     if args.shots:
-        seed = args.seed if args.seed is not None else 0
         est = sample_output_difference(circ, pair, args.shots, seed)
         lines.append(f"sampled({args.shots} shots) {_fmt(est)}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -34,6 +34,7 @@ then depolarize the output with ``eps1``.
 from __future__ import annotations
 
 import operator
+import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
@@ -522,6 +523,7 @@ def output_distinguishability(circ: Circuit, pair: InputPair | BasisPair) -> flo
 
 
 SHOT_BLOCK = 256  # trajectories advanced together; bounds the states and uniforms held at once
+_UNIFORM_CHUNK = 1 << 16  # uniforms converted at once; bounds the words held beside a block's array
 
 
 def _trajectory_steps(circ: Circuit) -> list[tuple]:
@@ -578,22 +580,40 @@ def _rescaled(k: np.ndarray, norm: np.ndarray) -> np.ndarray:
     return (k.view(float) * (1.0 / np.maximum(norm, 1e-300))[:, None]).view(complex)
 
 
+def _uniforms(gen: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` values of ``gen.random()``, bit for bit, as a
+    float64 array, converted ``_UNIFORM_CHUNK`` at a time from the
+    generator's 32-bit words: ``random()`` takes two words a, b and returns
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, exactly, and ``getrandbits``
+    hands its words out least significant first."""
+    out = np.empty(count)
+    for start in range(0, count, _UNIFORM_CHUNK):
+        m = min(_UNIFORM_CHUNK, count - start)
+        words = np.frombuffer(gen.getrandbits(64 * m).to_bytes(8 * m, "little"), dtype="<u4")
+        chunk = out[start : start + m]
+        np.multiply(words[0::2] >> 5, 67108864.0, out=chunk)
+        chunk += words[1::2] >> 6
+        chunk *= 2.0**-53
+    return out
+
+
 def _shot_probabilities(
-    circ: Circuit, steps: list[tuple], pair: BasisPair, shots: int, rng: np.random.Generator
+    circ: Circuit, steps: list[tuple], pair: BasisPair, shots: int, gen: random.Random
 ) -> Iterator[float]:
     """Each trajectory's outcome-1 probability at the output, rho's shots
     then tau's, as one row sequence advanced in blocks of up to
     ``SHOT_BLOCK`` rows; each row takes the next fixed-length run of
-    uniforms from the stream, so blocking does not change any draw.  Each
-    draw takes its cheapest form that rounds as a lone state vector would:
-    Pauli draws flip and phase the rows that move (:func:`_apply_paulis`),
-    a one-term channel is one matrix over all rows, and another mixture
-    touches only the rows it changes, each with its own operator."""
+    ``gen.random()`` values (:func:`_uniforms`, one array per block), so
+    blocking does not change any draw.  Each draw takes its cheapest form
+    that rounds as a lone state vector would: Pauli draws flip and phase
+    the rows that move (:func:`_apply_paulis`), a one-term channel is one
+    matrix over all rows, and another mixture touches only the rows it
+    changes, each with its own operator."""
     draws = sum(ops.ndim - 2 for _, _, ops, _ in steps)  # one uniform per draw, two per Kraus draw
     shape = (2,) * circ.n
     for start in range(0, 2 * shots, SHOT_BLOCK):
         rows = min(SHOT_BLOCK, 2 * shots - start)
-        uniforms = iter(rng.random((rows, draws)).T)
+        uniforms = iter(_uniforms(gen, rows * draws).reshape(rows, draws).T)
         psi = np.zeros((rows, 2**circ.n), dtype=complex)
         split = min(max(shots - start, 0), rows)  # rows before it are rho's
         psi[:split, int(pair.rho_bits, 2)] = psi[split:, int(pair.tau_bits, 2)] = 1.0
@@ -632,10 +652,11 @@ def check_sampler_width(n: int) -> None:
         raise ValueError(f"n={n} exceeds the sampler cap {MAX_COEFF_QUBITS}")
 
 
-def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int) -> None:
+def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int, seed: int) -> None:
     """Raise ValueError unless the trajectory sampler can run: ``pair`` a
-    :class:`BasisPair` that fits ``circ``, ``shots`` an int >= 1, and at
-    most ``MAX_COEFF_QUBITS`` qubits, as each shot holds a 2^n state vector.
+    :class:`BasisPair` that fits ``circ``, ``shots`` an int >= 1, ``seed``
+    an int >= 0 (``random.Random`` would fold -s onto s), and at most
+    ``MAX_COEFF_QUBITS`` qubits, as each shot holds a 2^n state vector.
     Allocates nothing, so a caller can check before any other work."""
     if not isinstance(pair, BasisPair):
         raise ValueError(f"the sampler takes a BasisPair, got {type(pair).__name__}")
@@ -645,6 +666,10 @@ def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int)
         raise ValueError(f"shots must be an int, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def sample_output_difference(circ: Circuit, pair: BasisPair, shots: int, seed: int) -> float:
@@ -653,11 +678,13 @@ def sample_output_difference(circ: Circuit, pair: BasisPair, shots: int, seed: i
     Samples mixture branches, Kraus branches, and depolarizing events on
     pure-state trajectories, rho's and tau's as one row sequence, and sums
     each input's probabilities in shot order; the exact engines remain the
-    reference.  Raises ValueError, before allocating any state, where
+    reference.  The uniforms are the stream of ``random.Random(seed)``, so
+    an int-like seed such as ``np.int64(4)`` gives seed 4's estimate.
+    Raises ValueError, before allocating any state, where
     :func:`check_sampler_inputs` does.
     """
-    check_sampler_inputs(circ, pair, shots)
-    rng = np.random.default_rng(seed)
-    probabilities = _shot_probabilities(circ, _trajectory_steps(circ), pair, shots, rng)
+    check_sampler_inputs(circ, pair, shots, seed)
+    gen = random.Random(operator.index(seed))
+    probabilities = _shot_probabilities(circ, _trajectory_steps(circ), pair, shots, gen)
     rho = sum(islice(probabilities, shots)) / shots
     return abs(rho - sum(probabilities) / shots)  # the rest are tau's shots

@@ -7,6 +7,8 @@ gate with its outputs, and taking subsets, preserves consistency).  The
 reference trajectory sampler advances one shot at a time.
 """
 
+import random
+
 import numpy as np
 
 from paulidelta import all_pauli_strings, coeffs_from_op
@@ -113,12 +115,15 @@ def _apply_unitary_state(psi: np.ndarray, u: np.ndarray, wires: tuple[int, ...],
     return np.moveaxis(t, range(k), wires).reshape(-1)
 
 
-def _trajectory_p1(circ: Circuit, psi: np.ndarray, rng: np.random.Generator) -> float:
+def _trajectory_p1(circ: Circuit, psi: np.ndarray, gen: random.Random) -> float:
     """One noisy trajectory from ``psi``; its outcome-1 probability at the output."""
     n = circ.n
 
     def draw(probs) -> int:
-        return int(rng.choice(len(probs), p=probs))
+        # numpy's choice(p=probs) rule on one uniform of the stream
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(gen.random(), side="right"))
 
     def depolarize(psi: np.ndarray, wires: tuple[int, ...], p: float) -> np.ndarray:
         probs = np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4])
@@ -140,7 +145,7 @@ def _trajectory_p1(circ: Circuit, psi: np.ndarray, rng: np.random.Generator) -> 
                 k0, k1 = kraus_of_rsw(term)
                 psi1 = _apply_unitary_state(psi, k0, pl.wires, n)
                 w1 = float(np.vdot(psi1, psi1).real)
-                if rng.random() < w1:
+                if gen.random() < w1:
                     psi = psi1 / max(np.sqrt(w1), 1e-300)
                 else:
                     psi2 = _apply_unitary_state(psi, k1, pl.wires, n)
@@ -154,12 +159,12 @@ def _trajectory_p1(circ: Circuit, psi: np.ndarray, rng: np.random.Generator) -> 
 
 def sample_by_trajectory(circ: Circuit, rho_bits: str, tau_bits: str, shots: int, seed: int) -> float:
     """The trajectory sampler one shot at a time: every depolarizing Pauli,
-    mixture branch and Kraus branch is its own ``rng.choice`` or
-    ``rng.random`` call on one 2^n state vector; rho's shots come first."""
-    rng = np.random.default_rng(seed)
+    mixture branch and Kraus branch takes its own ``random.Random(seed)``
+    uniform on one 2^n state vector; rho's shots come first."""
+    gen = random.Random(seed)
     est = []
     for bits in (rho_bits, tau_bits):
         psi0 = np.zeros(2**circ.n, dtype=complex)
         psi0[int(bits, 2)] = 1.0
-        est.append(sum(_trajectory_p1(circ, psi0, rng) for _ in range(shots)) / shots)
+        est.append(sum(_trajectory_p1(circ, psi0, gen) for _ in range(shots)) / shots)
     return abs(est[0] - est[1])

@@ -354,7 +354,7 @@ def test_sampler_stream_is_pinned(capsys):
     spec = "n=6,T=12,pool=CNOT|H|S|T|RESET|ID|RANDMIX2"
     assert main(["simulate", "--random", spec, "--seed", "3", "--epsk", "0.45", "--shots", "1000"]) == 0
     assert capsys.readouterr().out == (
-        "distinguishability 2.50697298281e-05\nsampled(1000 shots) 0.0115719259019\n"
+        "distinguishability 2.50697298281e-05\nsampled(1000 shots) 0.00208121827578\n"
     )
 
 

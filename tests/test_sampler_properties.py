@@ -3,11 +3,16 @@ sampler in tests/oracles.py, on seeded random circuits with n <= 4 and T <= 6,
 some of whose one-qubit gates become DEPOL or multi-term canonical-form
 gates with pre/post unitaries: the same seed gives the same estimate, to
 the last bit, whatever the block size.  The sampler's Pauli draw, which
-flips and phases rows with no matrix product, against the product itself."""
+flips and phases rows with no matrix product, against the product itself.
+A block's uniforms against ``random.Random.random()`` called one at a time."""
+
+import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import sample_by_trajectory
 from strategies import mix_one_qubit_gates
 
@@ -86,3 +91,36 @@ def test_pauli_draw_equals_its_matrix_product(case):
     assert np.array_equal(got, want)
     for part in ("real", "imag"):
         assert np.array_equal(getattr(got, part) == 0, getattr(want, part) == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, simulate.SHOT_BLOCK),
+    st.integers(0, 40),
+    st.integers(1, 64),
+    st.integers(0, 2**64),
+)
+@example(simulate.SHOT_BLOCK, 0, 64, 0)
+@example(simulate.SHOT_BLOCK, 40, 3, 1)
+def test_block_uniforms_are_the_random_stream(rows, draws, chunk, seed):
+    """One block's (rows, draws) uniforms are the next rows * draws values
+    of ``Random(seed).random()``, row by row, bit for bit, whatever the
+    conversion chunk, and they leave the generator where those calls do."""
+    gen, ref = random.Random(seed), random.Random(seed)
+    with mock.patch.object(simulate, "_UNIFORM_CHUNK", chunk):
+        got = simulate._uniforms(gen, rows * draws).reshape(rows, draws)
+    want = np.array([[ref.random() for _ in range(draws)] for _ in range(rows)]).reshape(rows, draws)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert gen.random() == ref.random()
+
+
+def test_block_uniforms_peak_near_their_own_array():
+    rows, draws = 256, 20_000
+    gen = random.Random(0)
+    tracemalloc.start()
+    try:
+        simulate._uniforms(gen, rows * draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * rows * draws * 8

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import re
 import tracemalloc
 from itertools import combinations
@@ -525,22 +526,35 @@ def test_trajectory_sampler_needs_a_shot(shots):
         sample_output_difference(c, BasisPair("00", "11"), shots, 0)
 
 
+PAIR = BasisPair("00", "11")
+
+
 @pytest.mark.parametrize(
-    "pair, shots, message",
+    "pair, shots, seed, message",
     [
         pytest.param(
-            InputPair(basis_density("00"), basis_density("11")), 10,
+            InputPair(basis_density("00"), basis_density("11")), 10, 0,
             "the sampler takes a BasisPair, got InputPair", id="input-pair",
         ),
-        pytest.param(BasisPair("00", "11"), True, "shots must be an int, got True", id="bool"),
-        pytest.param(BasisPair("00", "11"), 2.5, "shots must be an int, got 2.5", id="float"),
+        pytest.param(PAIR, True, 0, "shots must be an int, got True", id="bool"),
+        pytest.param(PAIR, 2.5, 0, "shots must be an int, got 2.5", id="float"),
+        # random.Random would fold -3 onto 3's stream
+        pytest.param(PAIR, 10, -3, "seed must be >= 0, got -3", id="seed-negative"),
+        pytest.param(PAIR, 10, np.int64(-3), "seed must be >= 0, got -3", id="seed-negative-np"),
+        pytest.param(PAIR, 10, True, "seed must be an int, got True", id="seed-bool"),
+        pytest.param(
+            PAIR, 10, np.bool_(True), f"seed must be an int, got {np.bool_(True)!r}", id="seed-np-bool"
+        ),
+        pytest.param(PAIR, 10, 2.0, "seed must be an int, got 2.0", id="seed-float"),
+        pytest.param(PAIR, 10, "3", "seed must be an int, got '3'", id="seed-str"),
+        pytest.param(PAIR, 10, None, "seed must be an int, got None", id="seed-none"),
     ],
 )
-def test_trajectory_sampler_rejects_bad_arguments_before_allocating(pair, shots, message):
+def test_trajectory_sampler_rejects_bad_arguments_before_allocating(pair, shots, seed, message):
     c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: CNOT(0,1)\n")
     with mock.patch.object(simulate, "_shot_probabilities") as sampler:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            sample_output_difference(c, pair, shots, 0)
+            sample_output_difference(c, pair, shots, seed)
     sampler.assert_not_called()
 
 
@@ -548,6 +562,13 @@ def test_trajectory_sampler_takes_numpy_int_shots():
     c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: CNOT(0,1)\n")
     pair = BasisPair("00", "11")
     assert sample_output_difference(c, pair, np.int64(30), 4) == sample_output_difference(c, pair, 30, 4)
+
+
+@pytest.mark.parametrize("seed", [np.int64(4), np.uint8(4), np.int32(4)])
+def test_trajectory_sampler_takes_numpy_int_seeds(seed):
+    c = parse_circuit("qubits 2 levels 1 output 0\nnoise eps1=0.05 epsk=0.4\nlevel 1: CNOT(0,1)\n")
+    pair = BasisPair("00", "11")
+    assert sample_output_difference(c, pair, 30, seed) == sample_output_difference(c, pair, 30, 4)
 
 
 # eps1 = 1e-300 leaves 1 - 3 * eps1 / 4 == 1.0, so every depolarizing draw picks I
@@ -586,7 +607,8 @@ def test_sampler_applies_k1_only_to_the_rows_that_jump():
     c = parse_circuit("qubits 1 levels 2 output 0\n" + NOISELESS + "level 1: H(0)\nlevel 2: RESET(0)\n")
     shots = 40
     # Per row: H's term and its noise, RESET's term, its Kraus uniform and its noise.
-    uniforms = np.random.default_rng(9).random((2 * shots, 5))[:, 3]
+    gen = random.Random(9)
+    uniforms = np.array([gen.random() for _ in range(2 * shots * 5)]).reshape(2 * shots, 5)[:, 3]
     jumped = np.flatnonzero(uniforms >= 0.5)
     assert 0 < len(jumped) < 2 * shots
     with mock.patch.object(simulate, "_apply", wraps=simulate._apply) as apply:
