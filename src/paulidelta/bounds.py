@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .circuit import Circuit, ConsistentSet, NoiseModel, enumerate_consistent_sets
+from .circuit import Circuit, ConsistentSet, NoiseModel, consistent_set_rows, refs_of
 from .paulis import sum_of_squares
 from .simulate import BasisPair, InputPair, check_pair, distinguishability_by_depth, evolve_cuts, reduced_delta
 from .simulate import evolve_pauli  # noqa: F401 (perfbench/selftest.py reads bounds.evolve_pauli)
@@ -123,24 +124,51 @@ class InvariantRecord:
         return self.lhs <= self.rhs + MARGIN_TOL
 
 
-@dataclass
+@dataclass(eq=False)
 class InvariantReport:
+    """The audit as columns, one row per set in enumeration order: each
+    set's member mask (bit ``time*n + wire`` per ref), and float64 columns
+    of its dist, lhs = Tr(delta_V^2) and rhs = 2*theta^dist."""
+
     theta: float
-    records: list[InvariantRecord]
+    n: int
+    members: list[int]
+    dist: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def record(self, i: int) -> InvariantRecord:
+        """Row i as an :class:`InvariantRecord`."""
+        return InvariantRecord(
+            refs_of(self.members[i], self.n), float(self.dist[i]), float(self.lhs[i]), float(self.rhs[i])
+        )
+
+    @cached_property
+    def records(self) -> list[InvariantRecord]:
+        return list(map(self.record, range(len(self))))
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.lhs <= self.rhs + MARGIN_TOL
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed for r in self.records)
+        return bool(self.passed.all())
 
     @property
     def failures(self) -> list[InvariantRecord]:
-        return [r for r in self.records if not r.passed]
+        """The failing rows' records, in row order."""
+        return [self.record(i) for i in np.flatnonzero(~self.passed)]
 
     @property
     def worst(self) -> InvariantRecord | None:
-        """The non-empty set with the smallest margin.  The empty set has
+        """The first non-empty set of smallest margin.  The empty set has
         lhs = rhs = 0, so its margin of 0 says nothing and is skipped."""
-        return min((r for r in self.records if r.qubits), key=lambda r: r.margin, default=None)
+        rows = np.flatnonzero(np.isfinite(self.dist))
+        return self.record(rows[np.argmin(self.rhs[rows] - self.lhs[rows])]) if len(rows) else None
 
     @property
     def min_margin(self) -> float:
@@ -171,27 +199,31 @@ def audit_invariant(
     max_size: int,
     max_sets: int | None = None,
 ) -> InvariantReport:
-    """Audit every consistent set of size <= max_size; the records come in
+    """Audit every consistent set of size <= max_size; the rows come in
     enumeration order.
 
-    Each set from :func:`enumerate_consistent_sets` carries its minimal cut
-    as ``vset.cut``; the walk :func:`evolve_cuts` evolves each distinct cut
-    prefix once and yields each set's block, reduced to the set's wires as
+    Each row of :func:`consistent_set_rows` carries its set's minimal cut;
+    the walk :func:`evolve_cuts` evolves each distinct cut prefix once and
+    yields each set's block, reduced to the set's wires as
     :func:`reduced_delta` reduces it, so every record equals
     :func:`invariant_check`'s.
     """
     _check_theta(theta)
     check_pair(circ, pair)
     v0 = pair.delta_coeffs()  # refuses a circuit past the engine cap before enumerating
-    sets = list(enumerate_consistent_sets(circ, max_size, max_sets))  # refuses before the PTM builds
-    rhs = {dist: 2.0 * theta**dist for dist in {vset.dist for vset in sets}}
-    records: list[InvariantRecord | None] = [None] * len(sets)
-    cuts, keeps = [vset.cut for vset in sets], [vset.wires for vset in sets]
-    for s, block in evolve_cuts(circ, v0, range(circ.n), cuts, keeps):
-        vset = sets[s]
-        lhs = float(np.dot(block, block)) / 2 ** len(vset.refs)  # summed as invariant_check sums it
-        records[s] = InvariantRecord(vset.refs, vset.dist, lhs, rhs[vset.dist])
-    return InvariantReport(theta, records)
+    rows = consistent_set_rows(circ, max_size, max_sets)  # refuses before the PTM builds
+    n = circ.n
+    members = [row[1] for row in rows]
+    lhs = np.empty(len(rows))
+    for s, block in evolve_cuts(circ, v0, range(n), [row[3] for row in rows], [row[2] for row in rows]):
+        lhs[s] = np.dot(block, block)  # summed as invariant_check sums it
+    lhs /= np.ldexp(1.0, np.array([m.bit_count() for m in members], dtype=int))
+    times = [((m & -m).bit_length() - 1) // n for m in members]  # the least time; -1 for the empty set
+    dist_of = {t: float(t) if t >= 0 else math.inf for t in set(times)}
+    rhs_of = {t: 2.0 * theta**d for t, d in dist_of.items()}
+    dist = np.array([dist_of[t] for t in times], dtype=float)
+    rhs = np.array([rhs_of[t] for t in times], dtype=float)
+    return InvariantReport(theta, n, members, dist, lhs, rhs)
 
 
 def decay_table(

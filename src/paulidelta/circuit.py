@@ -292,23 +292,31 @@ def dist_latest(refs: Iterable[QubitRef], circ: Circuit) -> tuple[float, int]:
     return float(min(times)), max(times)
 
 
-def enumerate_consistent_sets(
+def consistent_set_rows(
     circ: Circuit, max_size: int, max_sets: int | None = None
-) -> Iterator[ConsistentSet]:
-    """Yield every consistent set of size <= max_size exactly once.
+) -> list[tuple[int, int, int, int]]:
+    """Every consistent set of size <= max_size once, as a row ``(key,
+    members, wires, cut)``: its member mask (bit ``time*n + wire`` per ref),
+    wire mask and minimal cut, sorted by key.
 
     The sets are the cliques of the graph joining two refs when neither
-    one's cone holds the gate consuming the other, grown in bit order as
-    three ints: adding ref b sets bit b of the member mask and bit ``b % n``
-    of the wire mask, and ORs b's cone into the cut.  Order: increasing
-    (latest, number of members at latest, ``refs``), computed once per set
-    from its member mask.
-    Raises RuntimeError, before yielding, when more than ``max_sets`` sets
-    would be yielded; it stops growing at the first set past the budget.
+    one's cone holds the gate consuming the other, grown in bit order:
+    adding ref b sets bit b of the member mask and bit ``b % n`` of the wire
+    mask, and ORs b's cone into the cut.  The key orders the sets by
+    (latest, number of members at latest, refs).  Ref b's digit
+    ``(b % n)*(T+1) + b//n + 1`` increases with its ``(wire, time)``, and
+    with ``B = n*(T+1) + 1`` the key is ``(latest*(n+1) + count)*B**max_size``
+    plus the set's digits in ascending order as base-B digits from
+    ``B**(max_size-1)`` down, padded with zeros.
+    Raises RuntimeError when more than ``max_sets`` sets would be listed; it
+    stops growing at the first set past the budget.
     """
     cones = circ.cones
     n, T, cone = circ.n, circ.T, cones.cone
     column = ((1 << len(cone)) - 1) // ((1 << n) - 1)  # bit time*n at every time
+    base = n * (T + 1) + 1
+    place = [base**i for i in range(max(max_size, 0) + 1)]
+    top = place[-1]
 
     @cache
     def later(b: int) -> int:
@@ -323,25 +331,66 @@ def enumerate_consistent_sets(
             mask |= column << w & (1 << end * n) - (1 << t * n)
         return mask
 
-    found: list[tuple[int, int, tuple[tuple[int, int], ...], int, int, int]] = []
+    @cache
+    def up_to(w: int) -> int:
+        return column * ((2 << w) - 1)  # every ref on wires 0..w
 
-    def grow(members: int, wires: int, cut: int, refs: tuple, candidates: int, room: int) -> None:
-        latest = max(members.bit_length() - 1, 0) // n
-        found.append((latest, (members >> latest * n).bit_count(), refs, members, wires, cut))
-        if max_sets is not None and len(found) > max_sets:
+    rows: list[tuple[int, int, int, int]] = []
+    budget = math.inf if max_sets is None else max_sets
+
+    def keep(row: tuple[int, int, int, int]) -> None:
+        rows.append(row)
+        if len(rows) > budget:
             raise RuntimeError(f"enumeration budget exceeded ({max_sets} sets)")
-        if room:
-            for b in _bits(candidates):
-                grown = tuple(sorted((*refs, (b % n, b // n))))
-                below = candidates & later(b) if room > 1 else 0  # a last member grows nothing
-                grow(members | 1 << b, wires | 1 << b % n, cut | cone[b], grown, below, room - 1)
+
+    def grow(members: int, wires: int, cut: int, tail: int, candidates: int, room: int) -> None:
+        for b in _bits(candidates):
+            w, t = b % n, b // n
+            grown = members | 1 << b
+            # b is the latest member, so its digit goes after those on wires up to w.
+            shift = place[max_size - (members & up_to(w)).bit_count()]
+            kept = tail - tail % shift
+            tail_b = kept + (w * (T + 1) + t + 1) * shift // base + (tail - kept) // base
+            head = (t * (n + 1) + (grown >> t * n).bit_count()) * top
+            row = (head + tail_b, grown, wires | 1 << w, cut | cone[b])
+            keep(row)
+            if room > 1:  # a last member grows nothing
+                grow(grown, row[2], row[3], tail_b, candidates & later(b), room - 1)
 
     if max_size >= 0:
-        grow(0, 0, 0, (), (1 << len(cone)) - 1, max_size)
-    found.sort()  # the refs differ between sets, so the masks are never compared
-    for latest, _, refs, members, wires, cut in found:
+        keep((0, 0, 0, 0))  # the empty set, whose key is the least
+    if max_size > 0:
+        grow(0, 0, 0, 0, (1 << len(cone)) - 1, max_size)
+    rows.sort()  # the keys differ between sets, so the masks are never compared
+    return rows
+
+
+def refs_of(members: int, n: int) -> tuple[tuple[int, int], ...]:
+    """A member mask's (wire, time) pairs, sorted."""
+    refs = []
+    while members:
+        low = members & -members
+        b = low.bit_length() - 1
+        refs.append((b % n, b // n))
+        members ^= low
+    refs.sort()
+    return tuple(refs)
+
+
+def enumerate_consistent_sets(
+    circ: Circuit, max_size: int, max_sets: int | None = None
+) -> Iterator[ConsistentSet]:
+    """Yield every consistent set of size <= max_size exactly once, in the
+    order of :func:`consistent_set_rows`: increasing (latest, number of
+    members at latest, ``refs``).
+    Raises RuntimeError, before yielding, when more than ``max_sets`` sets
+    would be yielded.
+    """
+    n = circ.n
+    for _, members, wires, cut in consistent_set_rows(circ, max_size, max_sets):
         dist = float(((members & -members).bit_length() - 1) // n) if members else math.inf
-        yield ConsistentSet(refs, members, cut, dist, latest, wires)
+        latest = max(members.bit_length() - 1, 0) // n
+        yield ConsistentSet(refs_of(members, n), members, cut, dist, latest, wires)
 
 
 # --- DSL ----------------------------------------------------------------

@@ -244,7 +244,7 @@ def cmd_check_invariant(args) -> int:
         "binding_constraint": binding,
         "forced": forced,
         "max_set_size": args.max_set_size,
-        "sets_checked": len(report.records),
+        "sets_checked": len(report),
         "failures": len(failures),
         "min_margin": None if worst is None else worst.margin,
         "worst": None if worst is None else _record_doc(worst),

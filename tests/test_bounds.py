@@ -27,6 +27,7 @@ from paulidelta import bounds
 from paulidelta.circuit import ConsistentSet, parse_circuit
 
 POOL = ("CNOT", "H", "S", "RESET", "ID")
+POOL_MIX = ("CNOT", "H", "T", "RESET", "ID", "RANDMIX2")
 
 
 def test_epsk_threshold_values():
@@ -174,7 +175,7 @@ def test_audit_refuses_widths_past_the_engine_cap_before_enumerating(monkeypatch
     def enumerate_nothing(*args, **kwargs):
         raise AssertionError("enumerated the sets of a circuit past the engine cap")
 
-    monkeypatch.setattr(bounds, "enumerate_consistent_sets", enumerate_nothing)
+    monkeypatch.setattr(bounds, "consistent_set_rows", enumerate_nothing)
     c = random_circuit(13, 1, seed=0, gate_pool=("ID",), k=2)
     with pytest.raises(ValueError, match="^n=13 exceeds the coefficient-engine cap 12$"):
         audit_invariant(c, BasisPair("0" * 13, "1" * 13), 0.9, 2)
@@ -213,6 +214,31 @@ def test_invariant_audit_random_circuits():
         for pair in _pairs_for(n, rng):
             report = audit_invariant(c, pair, result.theta, max_size=3)
             assert report.all_pass, min(report.records, key=lambda r: r.margin)
+
+
+@pytest.mark.parametrize("power", [1, 3], ids=["theta", "theta^3"])
+@pytest.mark.parametrize(
+    "n, T, seed, pool",
+    [(4, 4, 2, POOL_MIX), (3, 4, 3, POOL_MIX), (4, 6, 2, POOL)],
+)
+def test_report_summaries_equal_their_definitions_over_records(n, T, seed, pool, power):
+    # At the paper's theta every time-0 set ties at margin 0, so the worst is
+    # the first of the tied sets; at theta^3 each circuit has failures, kept
+    # in record order.
+    circ = random_circuit(n, T, seed=seed, gate_pool=pool, k=2, noise=NoiseModel(0.05, 0.45))
+    report = audit_invariant(circ, BasisPair("0" * n, "1" * n), theta_for(circ.noise, 2).theta ** power, 3)
+    records = report.records
+    assert report.records is records and len(records) == len(report)
+    nonempty = [r for r in records if r.qubits]
+    worst = min(nonempty, key=lambda r: r.margin)
+    if power == 1:
+        assert sum(r.margin == worst.margin for r in nonempty) > 1
+    else:
+        assert report.failures
+    assert report.worst == worst
+    assert report.min_margin == worst.margin
+    assert report.failures == [r for r in records if not r.passed]
+    assert report.all_pass == all(r.passed for r in records) == (power == 1)
 
 
 def test_decay_table_all_identity():

@@ -7,7 +7,7 @@ import pytest
 
 from paulidelta import BasisPair, audit_invariant, random_circuit, simulate, theta_for
 from paulidelta.circuit import LightCones
-from paulidelta import cli
+from paulidelta import bounds, cli
 from paulidelta.cli import build_parser, main
 
 ALL_ID = "\n".join(
@@ -309,6 +309,38 @@ def test_decay_output_bytes_are_pinned(tmp_path, spec, options, digest, on_haswe
     out = tmp_path / "decay.txt"
     on_haswell("-m", "paulidelta.cli", "decay", "--random", spec, "--seed", "3", *options, "--out", str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_forced_theta_audit_output_bytes_are_pinned(tmp_path, on_haswell):
+    # 95 sets of size <= 3, 59 of them failing at theta = 0.3: the digest pins
+    # the failing records, their order and the worst set across versions.
+    out = tmp_path / "audit.json"
+    spec = "n=3,T=3,pool=CNOT|H|T|RESET|ID|RANDMIX2"
+    on_haswell("-m", "paulidelta.cli", "check-invariant", "--random", spec, "--seed", "1",
+               "--force-theta", "0.3", "--max-set-size", "3", "--out", str(out))
+    doc = json.loads(out.read_text())
+    assert (doc["sets_checked"], doc["failures"], len(doc["failing"])) == (95, 59, 59)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b4a8d1ba0d04b0275c889768298c80771f391c4b9384df09c8ab165f2a98eea4"
+    )
+
+
+def test_check_invariant_builds_records_only_for_the_worst_and_failing_sets(monkeypatch, capsys):
+    built = 0
+
+    class Counted(bounds.InvariantRecord):
+        def __init__(self, *args):
+            nonlocal built
+            built += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(bounds, "InvariantRecord", Counted)
+    argv = ["check-invariant", "--random", "n=3,T=3,pool=CNOT|H|T|RESET|ID|RANDMIX2", "--seed", "1",
+            "--force-theta", "0.3", "--max-set-size", "3"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["sets_checked"], doc["failures"]) == (95, 59)
+    assert built == 1 + 59
 
 
 def test_check_invariant_budget_refuses_a_deep_circuit_before_its_table(capsys, monkeypatch):

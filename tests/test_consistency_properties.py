@@ -20,10 +20,10 @@ TWO_QUBIT = ("CNOT", "CZ", "SWAP")
 
 
 @st.composite
-def circuits(draw):
-    """Leveled circuits with n <= 4 and T <= 4 over one- and two-qubit builtins."""
-    n = draw(st.integers(1, 4))
-    T = draw(st.integers(0, 4))
+def circuits(draw, max_n=4, max_T=4):
+    """Leveled circuits with n <= max_n and T <= max_T over one- and two-qubit builtins."""
+    n = draw(st.integers(1, max_n))
+    T = draw(st.integers(0, max_T))
     levels = []
     for _ in range(T):
         order = draw(st.permutations(range(n)))
@@ -58,6 +58,18 @@ def test_enumerated_masks_are_the_sets_bits_and_minimal_cuts(circ, max_size):
         assert (cs.dist, cs.latest) == dist_latest(qubits, circ)
         keys.append((cs.latest, sum(q.time == cs.latest for q in qubits), cs.refs))
     assert keys == sorted(keys)
+
+
+def _order_key(refs):
+    latest = max((t for _, t in refs), default=0)
+    return latest, sum(t == latest for _, t in refs), refs
+
+
+@given(circuits(max_n=5, max_T=6), st.integers(0, 4))
+def test_enumeration_order_is_latest_then_count_at_latest_then_refs(circ, max_size):
+    # The oracle's sets, sorted by the documented key, set for set.
+    want = [tuple(sorted((q.wire, q.time) for q in v)) for v in inductive_consistent_sets(circ) if len(v) <= max_size]
+    assert [cs.refs for cs in enumerate_consistent_sets(circ, max_size)] == sorted(want, key=_order_key)
 
 
 @given(circuits(), st.data())
