@@ -368,7 +368,7 @@ def consistent_set_rows(
 def refs_of(members: int, n: int) -> tuple[tuple[int, int], ...]:
     """A member mask's (wire, time) pairs, sorted."""
     refs = []
-    while members:
+    while members:  # _bits inlined: this runs once per enumerated set
         low = members & -members
         b = low.bit_length() - 1
         refs.append((b % n, b // n))
