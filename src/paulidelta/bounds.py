@@ -15,12 +15,13 @@ experiments.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .circuit import Circuit, ConsistentSet, NoiseModel, consistent_set_rows, refs_of
+from .circuit import Circuit, ConsistentSet, NoiseModel, dist_of, enumerate_consistent_sets, refs_of
 from .paulis import sum_of_squares
 from .simulate import BasisPair, InputPair, check_pair, distinguishability_by_depth, evolve_cuts, reduced_delta
 from .simulate import evolve_pauli  # noqa: F401 (perfbench/selftest.py reads bounds.evolve_pauli)
@@ -124,11 +125,33 @@ class InvariantRecord:
         return self.lhs <= self.rhs + MARGIN_TOL
 
 
+class _Records(Sequence):
+    """A report's rows as InvariantRecords.  Its length is the report's;
+    the records are built when the first one is read."""
+
+    def __init__(self, report: "InvariantReport"):
+        self._report = report
+
+    @cached_property
+    def _built(self) -> list[InvariantRecord]:
+        return list(map(self._report.record, range(len(self._report))))
+
+    def __len__(self) -> int:
+        return len(self._report)
+
+    def __getitem__(self, i):
+        return self._built[i]
+
+    def __eq__(self, other) -> bool:
+        return self._built == (other._built if isinstance(other, _Records) else other)
+
+
 @dataclass(eq=False)
 class InvariantReport:
     """The audit as columns, one row per set in enumeration order: each
     set's member mask (bit ``time*n + wire`` per ref), and float64 columns
-    of its dist, lhs = Tr(delta_V^2) and rhs = 2*theta^dist."""
+    of its dist, lhs = Tr(delta_V^2) and rhs = 2*theta^dist.  Two reports
+    are equal when their theta, n, masks and columns are."""
 
     theta: float
     n: int
@@ -140,6 +163,13 @@ class InvariantReport:
     def __len__(self) -> int:
         return len(self.members)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InvariantReport):
+            return NotImplemented
+        return (self.theta, self.n, self.members) == (other.theta, other.n, other.members) and all(
+            np.array_equal(a, b) for a, b in ((self.dist, other.dist), (self.lhs, other.lhs), (self.rhs, other.rhs))
+        )
+
     def record(self, i: int) -> InvariantRecord:
         """Row i as an :class:`InvariantRecord`."""
         return InvariantRecord(
@@ -147,8 +177,8 @@ class InvariantReport:
         )
 
     @cached_property
-    def records(self) -> list[InvariantRecord]:
-        return list(map(self.record, range(len(self))))
+    def records(self) -> Sequence[InvariantRecord]:
+        return _Records(self)
 
     @property
     def passed(self) -> np.ndarray:
@@ -202,28 +232,28 @@ def audit_invariant(
     """Audit every consistent set of size <= max_size; the rows come in
     enumeration order.
 
-    Each row of :func:`consistent_set_rows` carries its set's minimal cut;
-    the walk :func:`evolve_cuts` evolves each distinct cut prefix once and
-    yields each set's block, reduced to the set's wires as
-    :func:`reduced_delta` reduces it, so every record equals
-    :func:`invariant_check`'s.
+    Each row that :func:`enumerate_consistent_sets` yields with ``rows``
+    carries its set's minimal cut; the walk :func:`evolve_cuts` evolves
+    each distinct cut prefix once and yields each set's block, reduced to
+    the set's wires as :func:`reduced_delta` reduces it, so every record
+    equals :func:`invariant_check`'s.
     """
     _check_theta(theta)
     check_pair(circ, pair)
     v0 = pair.delta_coeffs()  # refuses a circuit past the engine cap before enumerating
-    rows = consistent_set_rows(circ, max_size, max_sets)  # refuses before the PTM builds
+    # Read through the public generator, which perfbench's tracer times and
+    # counts per set; the list refuses an over-budget walk before the PTM builds.
+    rows = list(enumerate_consistent_sets(circ, max_size, max_sets, rows=True))
     n = circ.n
     members = [row[1] for row in rows]
     lhs = np.empty(len(rows))
     for s, block in evolve_cuts(circ, v0, range(n), [row[3] for row in rows], [row[2] for row in rows]):
         lhs[s] = np.dot(block, block)  # summed as invariant_check sums it
     lhs /= np.ldexp(1.0, np.array([m.bit_count() for m in members], dtype=int))
-    times = [((m & -m).bit_length() - 1) // n for m in members]  # the least time; -1 for the empty set
-    dist_of = {t: float(t) if t >= 0 else math.inf for t in set(times)}
-    rhs_of = {t: 2.0 * theta**d for t, d in dist_of.items()}
-    dist = np.array([dist_of[t] for t in times], dtype=float)
-    rhs = np.array([rhs_of[t] for t in times], dtype=float)
-    return InvariantReport(theta, n, members, dist, lhs, rhs)
+    dists = [dist_of(m, n) for m in members]
+    rhs_of = {d: 2.0 * theta**d for d in set(dists)}
+    rhs = np.array([rhs_of[d] for d in dists], dtype=float)
+    return InvariantReport(theta, n, members, np.array(dists, dtype=float), lhs, rhs)
 
 
 def decay_table(

@@ -292,7 +292,7 @@ def dist_latest(refs: Iterable[QubitRef], circ: Circuit) -> tuple[float, int]:
     return float(min(times)), max(times)
 
 
-def consistent_set_rows(
+def _consistent_set_rows(
     circ: Circuit, max_size: int, max_sets: int | None = None
 ) -> list[tuple[int, int, int, int]]:
     """Every consistent set of size <= max_size once, as a row ``(key,
@@ -313,6 +313,10 @@ def consistent_set_rows(
     """
     cones = circ.cones
     n, T, cone = circ.n, circ.T, cones.cone
+    # A consistent set holds at most one ref per wire (a later ref on a wire
+    # has the earlier one's consumer in its cone), so none is larger than n
+    # and the key needs no more than n digits.
+    max_size = min(max_size, n)
     column = ((1 << len(cone)) - 1) // ((1 << n) - 1)  # bit time*n at every time
     base = n * (T + 1) + 1
     place = [base**i for i in range(max(max_size, 0) + 1)]
@@ -377,20 +381,29 @@ def refs_of(members: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(refs)
 
 
+def dist_of(members: int, n: int) -> float:
+    """A member mask's least time; infinity for the empty set."""
+    return float(((members & -members).bit_length() - 1) // n) if members else math.inf
+
+
 def enumerate_consistent_sets(
-    circ: Circuit, max_size: int, max_sets: int | None = None
-) -> Iterator[ConsistentSet]:
-    """Yield every consistent set of size <= max_size exactly once, in the
-    order of :func:`consistent_set_rows`: increasing (latest, number of
-    members at latest, ``refs``).
+    circ: Circuit, max_size: int, max_sets: int | None = None, *, rows: bool = False
+) -> Iterator[ConsistentSet] | Iterator[tuple[int, int, int, int]]:
+    """Yield every consistent set of size <= max_size exactly once, in
+    increasing (latest, number of members at latest, ``refs``).  With
+    ``rows``, yield each set as its row of :func:`_consistent_set_rows`,
+    ``(key, members, wires, cut)``, instead of a :class:`ConsistentSet`.
     Raises RuntimeError, before yielding, when more than ``max_sets`` sets
     would be yielded.
     """
+    found = _consistent_set_rows(circ, max_size, max_sets)
+    if rows:
+        yield from found
+        return
     n = circ.n
-    for _, members, wires, cut in consistent_set_rows(circ, max_size, max_sets):
-        dist = float(((members & -members).bit_length() - 1) // n) if members else math.inf
+    for _, members, wires, cut in found:
         latest = max(members.bit_length() - 1, 0) // n
-        yield ConsistentSet(refs_of(members, n), members, cut, dist, latest, wires)
+        yield ConsistentSet(refs_of(members, n), members, cut, dist_of(members, n), latest, wires)
 
 
 # --- DSL ----------------------------------------------------------------

@@ -175,7 +175,7 @@ def test_audit_refuses_widths_past_the_engine_cap_before_enumerating(monkeypatch
     def enumerate_nothing(*args, **kwargs):
         raise AssertionError("enumerated the sets of a circuit past the engine cap")
 
-    monkeypatch.setattr(bounds, "consistent_set_rows", enumerate_nothing)
+    monkeypatch.setattr(bounds, "enumerate_consistent_sets", enumerate_nothing)
     c = random_circuit(13, 1, seed=0, gate_pool=("ID",), k=2)
     with pytest.raises(ValueError, match="^n=13 exceeds the coefficient-engine cap 12$"):
         audit_invariant(c, BasisPair("0" * 13, "1" * 13), 0.9, 2)
@@ -240,6 +240,43 @@ def test_report_summaries_equal_their_definitions_over_records(n, T, seed, pool,
     assert report.failures == [r for r in records if not r.passed]
     assert report.all_pass == all(r.passed for r in records) == (power == 1)
 
+
+
+def test_audit_yields_its_sets_through_the_enumeration_and_counts_them_without_records(monkeypatch):
+    # The audit reads each row from enumerate_consistent_sets, one yield per
+    # set, and len(report.records) builds no record until one is read.
+    yielded = built = 0
+    enumerate_rows = bounds.enumerate_consistent_sets
+
+    def counted(*args, **kwargs):
+        nonlocal yielded
+        for row in enumerate_rows(*args, **kwargs):
+            yielded += 1
+            yield row
+
+    class Counted(bounds.InvariantRecord):
+        def __init__(self, *args):
+            nonlocal built
+            built += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(bounds, "enumerate_consistent_sets", counted)
+    monkeypatch.setattr(bounds, "InvariantRecord", Counted)
+    circ = random_circuit(3, 3, seed=2, gate_pool=POOL_MIX, k=2, noise=NoiseModel(0.05, 0.45))
+    report = audit_invariant(circ, BasisPair("000", "111"), 0.9, 3)
+    assert yielded == len(report.records) == len(report) > 1 and built == 0
+    assert report.records[-1] == list(report.records)[-1] and built == len(report)
+
+
+def test_reports_are_equal_when_their_theta_masks_and_columns_are():
+    circ = random_circuit(3, 3, seed=2, gate_pool=POOL_MIX, k=2, noise=NoiseModel(0.05, 0.45))
+    pair = BasisPair("000", "111")
+    a, b = (audit_invariant(circ, pair, 0.9, 3) for _ in range(2))
+    assert a is not b and a == b and a.records == b.records
+    assert a != audit_invariant(circ, pair, 0.8, 3)  # theta and rhs
+    assert a != audit_invariant(circ, pair, 0.9, 2)  # rows
+    assert a != audit_invariant(circ, BasisPair("000", "011"), 0.9, 3)  # lhs only
+    assert a != a.records
 
 def test_decay_table_all_identity():
     lines = ["qubits 1 levels 10 output 0", "noise eps1=0.01 epsk=0.4"]

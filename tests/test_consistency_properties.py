@@ -60,6 +60,25 @@ def test_enumerated_masks_are_the_sets_bits_and_minimal_cuts(circ, max_size):
     assert keys == sorted(keys)
 
 
+
+@given(circuits(), st.integers(0, 4))
+def test_rows_are_the_sets_masks_in_increasing_key_order(circ, max_size):
+    rows = list(enumerate_consistent_sets(circ, max_size, rows=True))
+    sets = list(enumerate_consistent_sets(circ, max_size))
+    assert [row[1:] for row in rows] == [(cs.members, cs.wires, cs.cut) for cs in sets]
+    keys = [row[0] for row in rows]
+    assert keys == sorted(set(keys))
+
+
+@given(circuits())
+def test_a_size_limit_past_n_lists_the_rows_of_limit_n(circ):
+    # No consistent set holds two refs on one wire, so a limit past n changes
+    # nothing, not even the keys' width.  A walk that sized its keys by the
+    # limit would make them 10**4 digits wide here and fail; at 10**6 it
+    # would need gigabytes.
+    want = list(enumerate_consistent_sets(circ, circ.n, rows=True))
+    assert list(enumerate_consistent_sets(circ, 10**4, rows=True)) == want
+
 def _order_key(refs):
     latest = max((t for _, t in refs), default=0)
     return latest, sum(t == latest for _, t in refs), refs
