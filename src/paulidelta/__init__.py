@@ -34,7 +34,6 @@ from .circuit import (
     QubitRef,
     circuit_from_json,
     circuit_to_json,
-    dist_latest,
     enumerate_consistent_sets,
     haar_unitary,
     is_consistent,

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Circuit, ConsistentSet, NoiseModel, dist_of, enumerate_consistent_sets, refs_of
+from .circuit import Circuit, ConsistentSet, NoiseModel, enumerate_consistent_sets
 from .paulis import sum_of_squares
 from .simulate import BasisPair, InputPair, check_pair, distinguishability_by_depth, evolve_cuts, reduced_delta
 from .simulate import evolve_pauli  # noqa: F401 (perfbench/selftest.py reads bounds.evolve_pauli)
@@ -149,32 +149,29 @@ class _Records(Sequence):
 @dataclass(eq=False)
 class InvariantReport:
     """The audit as columns, one row per set in enumeration order: each
-    set's member mask (bit ``time*n + wire`` per ref), and float64 columns
-    of its dist, lhs = Tr(delta_V^2) and rhs = 2*theta^dist.  Two reports
-    are equal when their theta, n, masks and columns are."""
+    row's :class:`ConsistentSet`, and float64 columns of its dist, lhs =
+    Tr(delta_V^2) and rhs = 2*theta^dist.  Two reports are equal when their
+    theta, sets and columns are."""
 
     theta: float
-    n: int
-    members: list[int]
+    sets: list[ConsistentSet]
     dist: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.sets)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InvariantReport):
             return NotImplemented
-        return (self.theta, self.n, self.members) == (other.theta, other.n, other.members) and all(
+        return (self.theta, self.sets) == (other.theta, other.sets) and all(
             np.array_equal(a, b) for a, b in ((self.dist, other.dist), (self.lhs, other.lhs), (self.rhs, other.rhs))
         )
 
     def record(self, i: int) -> InvariantRecord:
         """Row i as an :class:`InvariantRecord`."""
-        return InvariantRecord(
-            refs_of(self.members[i], self.n), float(self.dist[i]), float(self.lhs[i]), float(self.rhs[i])
-        )
+        return InvariantRecord(self.sets[i].refs, float(self.dist[i]), float(self.lhs[i]), float(self.rhs[i]))
 
     @cached_property
     def records(self) -> Sequence[InvariantRecord]:
@@ -232,28 +229,26 @@ def audit_invariant(
     """Audit every consistent set of size <= max_size; the rows come in
     enumeration order.
 
-    Each row that :func:`enumerate_consistent_sets` yields with ``rows``
-    carries its set's minimal cut; the walk :func:`evolve_cuts` evolves
-    each distinct cut prefix once and yields each set's block, reduced to
-    the set's wires as :func:`reduced_delta` reduces it, so every record
-    equals :func:`invariant_check`'s.
+    Each set that :func:`enumerate_consistent_sets` yields carries its
+    minimal cut; the walk :func:`evolve_cuts` evolves each distinct cut
+    prefix once and yields each set's block, reduced to the set's wires as
+    :func:`reduced_delta` reduces it, so every record equals
+    :func:`invariant_check`'s.
     """
     _check_theta(theta)
     check_pair(circ, pair)
     v0 = pair.delta_coeffs()  # refuses a circuit past the engine cap before enumerating
     # Read through the public generator, which perfbench's tracer times and
     # counts per set; the list refuses an over-budget walk before the PTM builds.
-    rows = list(enumerate_consistent_sets(circ, max_size, max_sets, rows=True))
-    n = circ.n
-    members = [row[1] for row in rows]
-    lhs = np.empty(len(rows))
-    for s, block in evolve_cuts(circ, v0, range(n), [row[3] for row in rows], [row[2] for row in rows]):
+    sets = list(enumerate_consistent_sets(circ, max_size, max_sets))
+    members, wires, cuts, dists, _, _ = zip(*sets) if sets else [()] * 6
+    lhs = np.empty(len(sets))
+    for s, block in evolve_cuts(circ, v0, range(circ.n), cuts, wires):
         lhs[s] = np.dot(block, block)  # summed as invariant_check sums it
     lhs /= np.ldexp(1.0, np.array([m.bit_count() for m in members], dtype=int))
-    dists = [dist_of(m, n) for m in members]
     rhs_of = {d: 2.0 * theta**d for d in set(dists)}
     rhs = np.array([rhs_of[d] for d in dists], dtype=float)
-    return InvariantReport(theta, n, members, np.array(dists, dtype=float), lhs, rhs)
+    return InvariantReport(theta, sets, np.array(dists, dtype=float), lhs, rhs)
 
 
 def decay_table(

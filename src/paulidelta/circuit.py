@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import compress, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,20 +170,26 @@ class QubitRef:
     time: int
 
 
-@dataclass
-class ConsistentSet:
-    """A validated consistent set: ``refs``, its (wire, time) pairs sorted;
-    ``members``, its mask with bit ``time*n + wire`` per ref; ``cut``, its
-    minimal cut as a gate mask of ``circ.cones``; ``dist``/``latest``, its
-    least and greatest time (infinity and 0 when it is empty); and
-    ``wires``, its wire mask with bit ``wire`` per ref."""
+class ConsistentSet(NamedTuple):
+    """A consistent set, as the clique walk builds it: ``members``, its mask
+    with bit ``time*n + wire`` per ref; ``wires``, its wire mask with bit
+    ``wire`` per ref; ``cut``, its minimal cut as a gate mask of
+    ``circ.cones``; ``dist``/``latest``, its least and greatest time
+    (infinity and 0 when it is empty); and ``n``, the circuit's width, which
+    places the bits of ``members``."""
 
-    refs: tuple[tuple[int, int], ...]
     members: int
+    wires: int
     cut: int
     dist: float
     latest: int
-    wires: int
+    n: int
+
+    @property
+    def refs(self) -> tuple[tuple[int, int], ...]:
+        """Its (wire, time) pairs, sorted."""
+        n = self.n
+        return tuple(sorted((b % n, b // n) for b in _bits(self.members)))
 
     @property
     def qubits(self) -> frozenset[QubitRef]:
@@ -194,10 +200,15 @@ class ConsistentSet:
         refs = frozenset(refs)
         if not is_consistent(refs, circ):
             raise ValueError(f"set is not consistent: {sorted(refs)}")
-        members = sum(1 << q.time * circ.n + q.wire for q in refs)
-        wires = reduce(operator.or_, (1 << q.wire for q in refs), 0)
-        pairs = tuple(sorted((q.wire, q.time) for q in refs))
-        return cls(pairs, members, circ.cones.cut(refs), *dist_latest(refs, circ), wires)
+        times = [q.time for q in refs]
+        return cls(
+            sum(1 << q.time * circ.n + q.wire for q in refs),
+            reduce(operator.or_, (1 << q.wire for q in refs), 0),
+            circ.cones.cut(refs),
+            float(min(times)) if times else math.inf,
+            max(times, default=0),
+            circ.n,
+        )
 
 
 def _check_refs(refs: Iterable[QubitRef], n: int, T: int) -> None:
@@ -256,14 +267,6 @@ class LightCones:
         """The minimal cut producing every ref: the OR of their cones."""
         return reduce(operator.or_, (self.cone[b] for b in self._index(refs)), 0)
 
-    def consistent(self, refs: Iterable[QubitRef]) -> bool:
-        """Whether no member's cone holds a member's consumer; see :func:`is_consistent`."""
-        cut = consumers = 0
-        for b in self._index(refs):
-            cut |= self.cone[b]
-            consumers |= self.consumer(b)
-        return not cut & consumers
-
     def gates_of(self, cut: int) -> list[tuple[int, int]]:
         """A gate mask's (level, index) gates, earliest first, read off its digits."""
         return list(compress(self.gates, map(int, format(cut, f"0{len(self.gates)}b"))))
@@ -278,38 +281,31 @@ def is_consistent(refs: Iterable[QubitRef], circ: Circuit) -> bool:
     outputs (subsets included).  It follows that a set is consistent iff
     each of its pairs is.
     """
-    return circ.cones.consistent(refs)
+    cones = circ.cones
+    cut = consumers = 0
+    for b in cones._index(refs):
+        cut |= cones.cone[b]
+        consumers |= cones.consumer(b)
+    return not cut & consumers
 
 
-def dist_latest(refs: Iterable[QubitRef], circ: Circuit) -> tuple[float, int]:
-    """(dist, latest): min and max time over the set; dist of the empty set
-    is infinity, its latest is 0."""
-    refs = frozenset(refs)
-    _check_refs(refs, circ.n, circ.T)
-    if not refs:
-        return math.inf, 0
-    times = [q.time for q in refs]
-    return float(min(times)), max(times)
-
-
-def _consistent_set_rows(
+def enumerate_consistent_sets(
     circ: Circuit, max_size: int, max_sets: int | None = None
-) -> list[tuple[int, int, int, int]]:
-    """Every consistent set of size <= max_size once, as a row ``(key,
-    members, wires, cut)``: its member mask (bit ``time*n + wire`` per ref),
-    wire mask and minimal cut, sorted by key.
+) -> Iterator[ConsistentSet]:
+    """Yield every consistent set of size <= max_size exactly once, in
+    increasing (latest, number of members at latest, ``refs``).
+    Raises RuntimeError, before yielding, when more than ``max_sets`` sets
+    would be yielded; it stops growing at the first set past the budget.
 
     The sets are the cliques of the graph joining two refs when neither
-    one's cone holds the gate consuming the other, grown in bit order:
+    one's cone holds the gate consuming the other, grown in bit order, so a
+    set's first member is at its least time and its last at its greatest:
     adding ref b sets bit b of the member mask and bit ``b % n`` of the wire
-    mask, and ORs b's cone into the cut.  The key orders the sets by
-    (latest, number of members at latest, refs).  Ref b's digit
-    ``(b % n)*(T+1) + b//n + 1`` increases with its ``(wire, time)``, and
-    with ``B = n*(T+1) + 1`` the key is ``(latest*(n+1) + count)*B**max_size``
-    plus the set's digits in ascending order as base-B digits from
-    ``B**(max_size-1)`` down, padded with zeros.
-    Raises RuntimeError when more than ``max_sets`` sets would be listed; it
-    stops growing at the first set past the budget.
+    mask, and ORs b's cone into the cut.  The sets are yielded by an int key.
+    Ref b's digit ``(b % n)*(T+1) + b//n + 1`` increases with its ``(wire,
+    time)``, and with ``B = n*(T+1) + 1`` the key is ``(latest*(n+1) +
+    count)*B**max_size`` plus the set's digits in ascending order as base-B
+    digits from ``B**(max_size-1)`` down, padded with zeros.
     """
     cones = circ.cones
     n, T, cone = circ.n, circ.T, cones.cone
@@ -339,15 +335,19 @@ def _consistent_set_rows(
     def up_to(w: int) -> int:
         return column * ((2 << w) - 1)  # every ref on wires 0..w
 
-    rows: list[tuple[int, int, int, int]] = []
+    # tuple.__new__ builds what ConsistentSet(...) builds, without a Python
+    # frame per set; the walk builds one per set.
+    new = tuple.__new__
+    found: dict[int, ConsistentSet] = {}  # by key, which no two sets share
     budget = math.inf if max_sets is None else max_sets
 
-    def keep(row: tuple[int, int, int, int]) -> None:
-        rows.append(row)
-        if len(rows) > budget:
+    def keep(key: int, cs: ConsistentSet) -> None:
+        found[key] = cs
+        if len(found) > budget:
             raise RuntimeError(f"enumeration budget exceeded ({max_sets} sets)")
 
-    def grow(members: int, wires: int, cut: int, tail: int, candidates: int, room: int) -> None:
+    def grow(vset: ConsistentSet, tail: int, candidates: int, room: int) -> None:
+        members, wires, cut, dist, _, _ = vset
         for b in _bits(candidates):
             w, t = b % n, b // n
             grown = members | 1 << b
@@ -356,54 +356,18 @@ def _consistent_set_rows(
             kept = tail - tail % shift
             tail_b = kept + (w * (T + 1) + t + 1) * shift // base + (tail - kept) // base
             head = (t * (n + 1) + (grown >> t * n).bit_count()) * top
-            row = (head + tail_b, grown, wires | 1 << w, cut | cone[b])
-            keep(row)
+            cs = new(ConsistentSet, (grown, wires | 1 << w, cut | cone[b], dist if members else float(t), t, n))
+            keep(head + tail_b, cs)
             if room > 1:  # a last member grows nothing
-                grow(grown, row[2], row[3], tail_b, candidates & later(b), room - 1)
+                grow(cs, tail_b, candidates & later(b), room - 1)
 
     if max_size >= 0:
-        keep((0, 0, 0, 0))  # the empty set, whose key is the least
-    if max_size > 0:
-        grow(0, 0, 0, 0, (1 << len(cone)) - 1, max_size)
-    rows.sort()  # the keys differ between sets, so the masks are never compared
-    return rows
-
-
-def refs_of(members: int, n: int) -> tuple[tuple[int, int], ...]:
-    """A member mask's (wire, time) pairs, sorted."""
-    refs = []
-    while members:  # _bits inlined: this runs once per enumerated set
-        low = members & -members
-        b = low.bit_length() - 1
-        refs.append((b % n, b // n))
-        members ^= low
-    refs.sort()
-    return tuple(refs)
-
-
-def dist_of(members: int, n: int) -> float:
-    """A member mask's least time; infinity for the empty set."""
-    return float(((members & -members).bit_length() - 1) // n) if members else math.inf
-
-
-def enumerate_consistent_sets(
-    circ: Circuit, max_size: int, max_sets: int | None = None, *, rows: bool = False
-) -> Iterator[ConsistentSet] | Iterator[tuple[int, int, int, int]]:
-    """Yield every consistent set of size <= max_size exactly once, in
-    increasing (latest, number of members at latest, ``refs``).  With
-    ``rows``, yield each set as its row of :func:`_consistent_set_rows`,
-    ``(key, members, wires, cut)``, instead of a :class:`ConsistentSet`.
-    Raises RuntimeError, before yielding, when more than ``max_sets`` sets
-    would be yielded.
-    """
-    found = _consistent_set_rows(circ, max_size, max_sets)
-    if rows:
-        yield from found
-        return
-    n = circ.n
-    for _, members, wires, cut in found:
-        latest = max(members.bit_length() - 1, 0) // n
-        yield ConsistentSet(refs_of(members, n), members, cut, dist_of(members, n), latest, wires)
+        empty = ConsistentSet(0, 0, 0, math.inf, 0, n)
+        keep(0, empty)  # the empty set, whose key is the least
+        if max_size > 0:
+            grow(empty, 0, (1 << len(cone)) - 1, max_size)
+    for key in sorted(found):
+        yield found[key]
 
 
 # --- DSL ----------------------------------------------------------------

@@ -45,7 +45,7 @@ import numpy as np
 
 from .channels import GateSpec, OneQubitGate, depolarizing_ptm, gate_arity, gate_ptm
 from .channels import kraus_of_rsw, lower_builtin
-from .circuit import Circuit, ConsistentSet, GatePlacement, NoiseModel, QubitRef
+from .circuit import Circuit, ConsistentSet, GatePlacement, NoiseModel, QubitRef, is_consistent
 from .paulis import (
     MAX_COEFF_QUBITS,
     MAX_DENSE_QUBITS,
@@ -464,7 +464,7 @@ def reduced_delta(circ: Circuit, v0: CoeffVector, vset: ConsistentSet) -> CoeffV
     set's wires.
     """
     refs = vset.qubits
-    if not circ.cones.consistent(refs):
+    if not is_consistent(refs, circ):
         raise ValueError("set is not consistent")
     evolved = evolve_pauli(circ, v0, min_cut(circ, refs))
     return restrict_coeffs(evolved, [q.wire for q in refs])

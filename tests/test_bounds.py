@@ -268,7 +268,7 @@ def test_audit_yields_its_sets_through_the_enumeration_and_counts_them_without_r
     assert report.records[-1] == list(report.records)[-1] and built == len(report)
 
 
-def test_reports_are_equal_when_their_theta_masks_and_columns_are():
+def test_reports_are_equal_when_their_theta_sets_and_columns_are():
     circ = random_circuit(3, 3, seed=2, gate_pool=POOL_MIX, k=2, noise=NoiseModel(0.05, 0.45))
     pair = BasisPair("000", "111")
     a, b = (audit_invariant(circ, pair, 0.9, 3) for _ in range(2))

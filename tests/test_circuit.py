@@ -13,7 +13,6 @@ from paulidelta import (
     QubitRef,
     circuit_from_json,
     circuit_to_json,
-    dist_latest,
     enumerate_consistent_sets,
     is_consistent,
     parse_circuit,
@@ -300,15 +299,18 @@ def test_min_cut_closure():
             assert (level - 1, producing_gate(c, level - 1, w)) in need
 
 
-def test_dist_latest_basics():
+def test_built_set_dist_and_latest_basics():
     c = parse_circuit(CNOT_2)
-    assert dist_latest(refs((0, 0), (1, 0)), c) == (0.0, 0)
-    assert dist_latest(frozenset(), c) == (math.inf, 0)
+    cs = ConsistentSet.build(c, refs((0, 0), (1, 0)))
+    assert (cs.dist, cs.latest) == (0.0, 0)
+    empty = ConsistentSet.build(c, frozenset())
+    assert (empty.dist, empty.latest) == (math.inf, 0)
 
 
-def test_dist_latest_min_max():
+def test_built_set_dist_and_latest_are_min_and_max_time():
     c = random_circuit(2, 3, seed=3, gate_pool=("ID", "H"), k=2)
-    assert dist_latest(refs((0, 1), (1, 3)), c) == (1.0, 3)
+    cs = ConsistentSet.build(c, refs((0, 1), (1, 3)))
+    assert (cs.dist, cs.latest) == (1.0, 3)
 
 
 def test_consistency_matches_inductive_oracle():
@@ -348,9 +350,7 @@ def test_dist_never_increases_when_adding_qubits():
         for cs in sets:
             for bigger in by_refs:
                 if cs.qubits < bigger:
-                    d_small, _ = dist_latest(cs.qubits, c)
-                    d_big, _ = dist_latest(bigger, c)
-                    assert d_big <= d_small
+                    assert ConsistentSet.build(c, bigger).dist <= cs.dist
 
 
 # --- enumeration ----------------------------------------------------------

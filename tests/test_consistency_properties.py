@@ -3,6 +3,7 @@ consistent iff each of its pairs is, so consistent sets are the cliques of a
 pairwise-compatibility graph, and minimal cuts equal the backward closure
 over producing gates."""
 
+import math
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from paulidelta import Circuit, GatePlacement, NoiseModel, QubitRef
 from paulidelta.channels import BuiltinGate
-from paulidelta.circuit import dist_latest, enumerate_consistent_sets, is_consistent
+from paulidelta.circuit import ConsistentSet, enumerate_consistent_sets, is_consistent
 from paulidelta.simulate import check_cut, min_cut
 
 from oracles import inductive_consistent_sets, minimal_cut_by_scan
@@ -55,29 +56,31 @@ def test_enumerated_masks_are_the_sets_bits_and_minimal_cuts(circ, max_size):
         assert cs.members == sum(1 << q.time * circ.n + q.wire for q in qubits)
         assert cs.cut == circ.cones.cut(qubits)
         assert circ.cones.gates_of(cs.cut) == sorted(minimal_cut_by_scan(circ, qubits))
-        assert (cs.dist, cs.latest) == dist_latest(qubits, circ)
+        times = [q.time for q in qubits]
+        assert (cs.dist, cs.latest) == (min(times, default=math.inf), max(times, default=0))
+        assert isinstance(cs.dist, float)
+        assert ConsistentSet.build(circ, qubits) == cs
         keys.append((cs.latest, sum(q.time == cs.latest for q in qubits), cs.refs))
     assert keys == sorted(keys)
 
 
 
 @given(circuits(), st.integers(0, 4))
-def test_rows_are_the_sets_masks_in_increasing_key_order(circ, max_size):
-    rows = list(enumerate_consistent_sets(circ, max_size, rows=True))
+def test_enumerated_sets_are_distinct_values_of_the_circuits_width(circ, max_size):
     sets = list(enumerate_consistent_sets(circ, max_size))
-    assert [row[1:] for row in rows] == [(cs.members, cs.wires, cs.cut) for cs in sets]
-    keys = [row[0] for row in rows]
-    assert keys == sorted(set(keys))
+    assert len(set(sets)) == len({cs.members for cs in sets}) == len(sets)
+    assert {cs.n for cs in sets} <= {circ.n}
 
 
 @given(circuits())
-def test_a_size_limit_past_n_lists_the_rows_of_limit_n(circ):
+def test_a_size_limit_past_n_lists_the_sets_of_limit_n(circ):
     # No consistent set holds two refs on one wire, so a limit past n changes
-    # nothing, not even the keys' width.  A walk that sized its keys by the
-    # limit would make them 10**4 digits wide here and fail; at 10**6 it
-    # would need gigabytes.
-    want = list(enumerate_consistent_sets(circ, circ.n, rows=True))
-    assert list(enumerate_consistent_sets(circ, 10**4, rows=True)) == want
+    # nothing, not even the width of the keys the walk sorts by.  A walk that
+    # sized its keys by the limit would make them 10**4 digits wide here and
+    # fail; at 10**6 it would need gigabytes.
+    want = list(enumerate_consistent_sets(circ, circ.n))
+    assert list(enumerate_consistent_sets(circ, 10**4)) == want
+
 
 def _order_key(refs):
     latest = max((t for _, t in refs), default=0)
