@@ -53,7 +53,6 @@ from .simulate import (
     output_distinguishability,
     partial_trace,
     random_hermitian,
-    random_product_density,
     random_pure_density,
     reduced_delta,
     restrict_coeffs,

@@ -33,7 +33,6 @@ from .simulate import (  # noqa: F401 (perfbench/selftest.py reads cli.InputPair
     InputPair,
     check_pair,
     check_sampler_inputs,
-    check_sampler_width,
     output_distinguishability,
     sample_output_difference,
 )
@@ -76,9 +75,8 @@ def _random_int(spec: dict[str, str], key: str) -> int:
     return int(text)
 
 
-def _load_circuit(args, check_width=None) -> Circuit:
-    """The circuit of ``--circuit`` or ``--random``; ``check_width``, if
-    given, sees a random circuit's n before any gate is drawn."""
+def _load_circuit(args) -> Circuit:
+    """The circuit of ``--circuit`` or ``--random``."""
     if bool(args.circuit) == bool(args.random):
         raise UsageError("provide exactly one of --circuit and --random")
     if args.circuit:
@@ -111,8 +109,6 @@ def _load_circuit(args, check_width=None) -> Circuit:
     noise = NoiseModel(
         0.05 if args.eps1 is None else args.eps1, 0.4 if args.epsk is None else args.epsk
     )
-    if check_width:
-        check_width(n)
     return random_circuit(n, t, seed=args.seed, gate_pool=pool, k=k, noise=noise)
 
 
@@ -301,7 +297,7 @@ def cmd_cnot_table(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    circ = _load_circuit(args, check_sampler_width if args.shots else None)
+    circ = _load_circuit(args)
     pair = _input_pair(args, circ)
     seed = args.seed if args.seed is not None else 0
     if args.shots:

@@ -13,14 +13,18 @@ The density engine evolves the dense 2^n x 2^n matrix, as a (2,)*2n
 tensor, by one superoperator per channel, sum w K (x) conj(K) built in the
 computational basis on the channel's row and column axes; it exists as an
 independent cross-check of the Pauli engine.  It and the trajectory
-sampler read one lowering of each noisy gate, :func:`_channels`, its
-channels in the order they act.  The sampler
-advances rho's and tau's trajectories as one row sequence and applies each
-draw in its cheapest form that rounds as a lone state vector would: a
-depolarizing Pauli as row flips and phases, with no matrix product; a
-one-term channel as one matrix over all rows; another mixture only on the
-rows it changes, each row with its own operator.  Both engines and the
-sampler apply every matrix through one kernel, :func:`_run_step`.
+sampler read one lowering of each noisy gate, :func:`_lowering`, its
+channels in the order they act.  The sampler runs only the output's
+support, the gates a backward sweep from the output wire keeps, where a
+gate that forgets its input (RESET, DEPOL with p=1, any gate at epsk=1)
+cuts the sweep; its states hold the support's live wires only, each
+joining as |0> before a forgetting gate and measured and dropped after its
+last level.  It advances rho's and tau's trajectories as one row sequence
+and applies each draw in its cheapest form that rounds as a lone state
+vector would: a depolarizing Pauli as row flips and phases, with no matrix
+product; a mixture only on the rows it changes, each row with its own
+operator.  Both engines and the sampler apply every matrix through one
+kernel, :func:`_run_step`.
 
 Both engines apply a *cut*: a gate mask of ``circ.cones``, an int whose
 top bit is the earliest gate (gate r is bit ``len(gates) - 1 - r``).  It is
@@ -35,11 +39,11 @@ from __future__ import annotations
 
 import operator
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import accumulate, islice
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -196,13 +200,6 @@ def random_pure_density(n: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     psi = psi / np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
-
-
-def random_product_density(n: int, rng: np.random.Generator) -> np.ndarray:
-    m = np.ones((1, 1), dtype=complex)
-    for _ in range(n):
-        m = np.kron(m, random_pure_density(1, rng))
-    return m
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -524,19 +521,79 @@ def output_distinguishability(circ: Circuit, pair: InputPair | BasisPair) -> flo
 
 SHOT_BLOCK = 256  # trajectories advanced together; bounds the states and uniforms held at once
 _UNIFORM_CHUNK = 1 << 16  # uniforms converted at once; bounds the words held beside a block's array
+# A transfer matrix whose entries outside its all-I column are this small
+# forgets its input: a canonical-form reset between Haar unitaries leaves
+# ~2e-16 there.
+FORGET_TOL = 1e-14
 
 
-def _trajectory_steps(circ: Circuit) -> list[tuple]:
-    """The draws of one trajectory, in stream order: per channel of
-    :func:`_channels`, its state axes (wire + 1, as axis 0 holds the rows),
-    CDF, operators and moves.  A canonical-form draw takes one more uniform
-    to pick between its K0 and its K1."""
-    return [
-        ([w + 1 for w in wires], cdf, ops, moves)
-        for level in circ.levels
-        for pl in level
-        for wires, _, ops, cdf, moves in _channels(pl, circ.noise)
-    ]
+@lru_cache(maxsize=1024)
+def _forgets(gate: GateSpec, k: int, p: float) -> bool:
+    """Whether the gate's output, under noise strength ``p``, does not
+    depend on its input: its :func:`_fused_matrix` is zero, to
+    ``FORGET_TOL``, outside its all-I column.  RESET, DEPOL with p=1 and
+    any gate at epsk=1 forget."""
+    return not (abs(_fused_matrix(gate, k, p)[:, 1:]) > FORGET_TOL).any()
+
+
+def _support(circ: Circuit) -> tuple[list[list[tuple[int, bool]]], list[frozenset[int]], int]:
+    """The output's support, the gates whose draws can change its
+    measurement, by one backward sweep over the levels holding the set L of
+    live wires, from the output wire at level T.  A placement that touches
+    L is kept; a kept gate that forgets its input (:func:`_forgets`) takes
+    its wires out of L, and any other adds them.  Returns, per level, the
+    indices of the kept placements, each with whether it forgets; the live
+    sets L_0, ..., L_T; and the width, the most wires live at once: L_0,
+    or L before a level with the wires its forgetting gates add."""
+    live = {circ.output_wire}
+    kept, lives, width = [], [frozenset(live)], 1
+    for level in reversed(circ.levels):
+        here = [
+            (i, _forgets(pl.gate, len(pl.wires), circ.noise.epsk if len(pl.wires) >= 2 else circ.noise.eps1))
+            for i, pl in enumerate(level)
+            if live.intersection(pl.wires)
+        ]
+        # a level's placements act on distinct wires, so their order does not matter
+        fresh = [w for i, forgets in here if forgets for w in level[i].wires]
+        live.difference_update(fresh)
+        live.update(w for i, forgets in here if not forgets for w in level[i].wires)
+        width = max(width, len(live) + len(fresh))
+        kept.append(here)
+        lives.append(frozenset(live))
+    return kept[::-1], lives[::-1], width
+
+
+def _trajectory_steps(circ: Circuit) -> tuple[tuple[int, ...], list[tuple]]:
+    """One trajectory of the output's :func:`_support`, run on its live
+    wires only: the wires live at the start and the steps in stream order.
+    The state's axes are the live wires in increasing order (axis 0 holds
+    the rows).  Each step is (kind, axes, CDF, operators, moves):
+
+    - ``"join"``: a wire joins as |0> right before a kept gate that forgets
+      its input, which is exact, as that gate's output does not depend on it;
+    - ``"draw"``: a channel of a kept placement, per :func:`_lowering`, in
+      level and placement-index order; a canonical-form draw takes one more
+      uniform to pick between its K0 and its K1;
+    - ``"drop"``: after each level, each wire that leaves L, in increasing
+      wire order, is measured in the computational basis, one uniform per
+      row, and its axis dropped, which is exact: no kept gate reads it
+      again before a forgetting gate."""
+    kept, lives, _ = _support(circ)
+    live = sorted(lives[0])
+    start, steps = tuple(live), []
+    for level, here, after in zip(circ.levels, kept, lives[1:]):
+        for i, forgets in here:
+            pl = level[i]
+            for w in pl.wires if forgets else ():
+                insort(live, w)
+                steps.append(("join", [live.index(w) + 1], None, None, None))
+            p = circ.noise.epsk if len(pl.wires) >= 2 else circ.noise.eps1
+            for sites, _, ops, cdf, moves in _lowering(pl.gate, p):  # the channels _channels gives
+                steps.append(("draw", [live.index(pl.wires[j]) + 1 for j in sites], cdf, ops, moves))
+        for w in [w for w in live if w not in after]:
+            steps.append(("drop", [live.index(w) + 1], None, None, None))
+            live.remove(w)
+    return start, steps
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -561,14 +618,6 @@ def _apply_paulis(psi: np.ndarray, choice: np.ndarray, axis: int) -> None:
         shape[axis] = 2
         sub *= _PAULI_PHASES[picked].reshape(shape)
         psi[moved] = sub
-
-
-def _row_ops(ops: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    """The operators for the rows that drew ``choice``: a one-term
-    channel's one matrix for all of them, else each row's own.  Applied by
-    :func:`_apply`, one matrix gives each column its own d-term product,
-    the one a lone state gets."""
-    return ops[0] if len(ops) == 1 else ops[choice]
 
 
 def _rescaled(k: np.ndarray, norm: np.ndarray) -> np.ndarray:
@@ -597,71 +646,88 @@ def _uniforms(gen: random.Random, count: int) -> np.ndarray:
     return out
 
 
-def _shot_probabilities(
-    circ: Circuit, steps: list[tuple], pair: BasisPair, shots: int, gen: random.Random
-) -> Iterator[float]:
+def _kraus_pick(k0: np.ndarray, k1_rows: Callable, uniform: np.ndarray) -> np.ndarray:
+    """The canonical-form draw on each row of the (rows, dim) array ``k0``,
+    K0 psi: keep it, renormalised, where the row's uniform is below |K0
+    psi|^2, else K1 psi, renormalised, which ``k1_rows(jumped)`` gives for
+    the rows that jump only."""
+    weight = _row_dots(k0.conj(), k0).real
+    jumped = (uniform >= weight).nonzero()[0]
+    kept = _rescaled(k0, np.sqrt(weight))
+    if len(jumped):
+        k1 = k1_rows(jumped)
+        kept[jumped] = _rescaled(k1, np.sqrt(_row_dots(k1.real, k1.real) + _row_dots(k1.imag, k1.imag)))
+    return kept
+
+
+def _kraus_draw(psi: np.ndarray, ops: np.ndarray, choice: np.ndarray, axes: list, uniform: np.ndarray) -> np.ndarray:
+    """The draw of the canonical-form stack ``ops``, K0s over K1s, each
+    row's term ``choice``, by :func:`_kraus_pick`."""
+
+    def k1_rows(jumped: np.ndarray) -> np.ndarray:
+        return _apply(psi[jumped], ops[1][choice[jumped]], axes).reshape(len(jumped), -1)
+
+    k0 = _apply(psi, ops[0][choice], axes).reshape(len(psi), -1)
+    return _kraus_pick(k0, k1_rows, uniform).reshape(psi.shape)
+
+
+def _shot_probabilities(plan: tuple, pair: BasisPair, shots: int, gen: random.Random) -> Iterator[float]:
     """Each trajectory's outcome-1 probability at the output, rho's shots
     then tau's, as one row sequence advanced in blocks of up to
-    ``SHOT_BLOCK`` rows; each row takes the next fixed-length run of
-    ``gen.random()`` values (:func:`_uniforms`, one array per block), so
-    blocking does not change any draw.  Each draw takes its cheapest form
-    that rounds as a lone state vector would: Pauli draws flip and phase
-    the rows that move (:func:`_apply_paulis`), a one-term channel is one
-    matrix over all rows, and another mixture touches only the rows it
-    changes, each with its own operator."""
-    draws = sum(ops.ndim - 2 for _, _, ops, _ in steps)  # one uniform per draw, two per Kraus draw
-    shape = (2,) * circ.n
-    for start in range(0, 2 * shots, SHOT_BLOCK):
-        rows = min(SHOT_BLOCK, 2 * shots - start)
+    ``SHOT_BLOCK`` rows through the ``plan`` of :func:`_trajectory_steps`;
+    each row starts from its input's bits on the plan's first live wires
+    and takes the next fixed-length run of ``gen.random()`` values
+    (:func:`_uniforms`, one array per block), so blocking does not change
+    any draw.  Each draw takes its cheapest form that rounds as a lone
+    state vector would: Pauli draws flip and phase the rows that move
+    (:func:`_apply_paulis`), and any other mixture touches only the rows
+    it changes, each with its own operator, even when it has one term: one
+    matrix over all rows rounds a row's one or two columns otherwise than
+    a lone state's product (:func:`_run_step`).  The state ends on the
+    output wire alone."""
+    start, steps = plan
+    # one uniform per draw, two per Kraus draw, one per drop
+    draws = sum(1 if kind == "drop" else ops.ndim - 2 for kind, _, _, ops, _ in steps if kind != "join")
+    inputs = [int("0" + "".join(bits[w] for w in start), 2) for bits in (pair.rho_bits, pair.tau_bits)]
+    for first in range(0, 2 * shots, SHOT_BLOCK):
+        rows = min(SHOT_BLOCK, 2 * shots - first)
         uniforms = iter(_uniforms(gen, rows * draws).reshape(rows, draws).T)
-        psi = np.zeros((rows, 2**circ.n), dtype=complex)
-        split = min(max(shots - start, 0), rows)  # rows before it are rho's
-        psi[:split, int(pair.rho_bits, 2)] = psi[split:, int(pair.tau_bits, 2)] = 1.0
-        psi = psi.reshape((rows, *shape))
-        for axes, cdf, ops, moves in steps:
-            choice = cdf.searchsorted(next(uniforms), side="right")
-            if ops is _PAULIS:
-                _apply_paulis(psi, choice, axes[0])
-            elif ops.ndim == 3:
-                moved = moves[choice].nonzero()[0]
-                if len(moved) == rows:
-                    psi = _apply(psi, _row_ops(ops, choice), axes)
-                elif len(moved):
-                    psi[moved] = _apply(psi[moved], _row_ops(ops, choice[moved]), axes)
+        psi = np.zeros((rows, 2 ** len(start)), dtype=complex)
+        split = min(max(shots - first, 0), rows)  # rows before it are rho's
+        psi[:split, inputs[0]] = psi[split:, inputs[1]] = 1.0
+        psi = psi.reshape((rows, *(2,) * len(start)))
+        for kind, axes, cdf, ops, moves in steps:
+            if kind == "join":
+                psi = np.stack((psi, np.zeros_like(psi)), axis=axes[0])
+            elif kind == "drop":  # measure the wire: K0 and K1 keep its 0 and its 1 half
+                halves = np.moveaxis(psi, axes[0], 1).reshape(rows, 2, -1)
+                kept = _kraus_pick(halves[:, 0], lambda jumped: halves[jumped, 1], next(uniforms))
+                psi = kept.reshape(psi.shape[: axes[0]] + psi.shape[axes[0] + 1 :])
             else:
-                # Keep K0 psi where the row's uniform is below |K0 psi|^2, else K1 psi, renormalised
-                k0 = _apply(psi, _row_ops(ops[0], choice), axes).reshape(rows, -1)
-                weight = _row_dots(k0.conj(), k0).real
-                jumped = (next(uniforms) >= weight).nonzero()[0]
-                kept = _rescaled(k0, np.sqrt(weight))
-                if len(jumped):
-                    k1 = _apply(psi[jumped], _row_ops(ops[1], choice[jumped]), axes)
-                    k1 = k1.reshape(len(jumped), -1)
-                    norm = np.sqrt(_row_dots(k1.real, k1.real) + _row_dots(k1.imag, k1.imag))
-                    kept[jumped] = _rescaled(k1, norm)
-                psi = kept.reshape((rows, *shape))
-        ones = np.take(psi, 1, axis=circ.output_wire + 1).reshape(rows, -1)
-        yield from np.sum(np.abs(ones) ** 2, axis=1).tolist()
-
-
-def check_sampler_width(n: int) -> None:
-    """Raise ValueError if ``n`` qubits pass the sampler cap,
-    ``MAX_COEFF_QUBITS``; a caller can check a circuit's width before it
-    draws or builds the circuit."""
-    if n > MAX_COEFF_QUBITS:
-        raise ValueError(f"n={n} exceeds the sampler cap {MAX_COEFF_QUBITS}")
+                choice = cdf.searchsorted(next(uniforms), side="right")
+                if ops is _PAULIS:
+                    _apply_paulis(psi, choice, axes[0])
+                elif ops.ndim == 4:
+                    psi = _kraus_draw(psi, ops, choice, axes, next(uniforms))
+                else:
+                    moved = moves[choice].nonzero()[0]
+                    if len(moved) == rows:
+                        psi = _apply(psi, ops[choice], axes)
+                    elif len(moved):
+                        psi[moved] = _apply(psi[moved], ops[choice[moved]], axes)
+        yield from (np.abs(psi[:, 1]) ** 2).tolist()
 
 
 def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int, seed: int) -> None:
     """Raise ValueError unless the trajectory sampler can run: ``pair`` a
     :class:`BasisPair` that fits ``circ``, ``shots`` an int >= 1, ``seed``
     an int >= 0 (``random.Random`` would fold -s onto s), and at most
-    ``MAX_COEFF_QUBITS`` qubits, as each shot holds a 2^n state vector.
-    Allocates nothing, so a caller can check before any other work."""
+    ``MAX_COEFF_QUBITS`` wires live at once in the output's support, as
+    each shot holds a state on them.  Allocates no state, so a caller can
+    check before any other work."""
     if not isinstance(pair, BasisPair):
         raise ValueError(f"the sampler takes a BasisPair, got {type(pair).__name__}")
     check_pair(circ, pair)
-    check_sampler_width(circ.n)
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an int, got {shots!r}")
     if shots < 1:
@@ -670,21 +736,27 @@ def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int,
         raise ValueError(f"seed must be an int, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    width = _support(circ)[2]
+    if width > MAX_COEFF_QUBITS:
+        raise ValueError(
+            f"the output's support holds {width} live wires at once, above the sampler cap {MAX_COEFF_QUBITS}"
+        )
 
 
 def sample_output_difference(circ: Circuit, pair: BasisPair, shots: int, seed: int) -> float:
     """Monte-Carlo estimate of the output-probability difference.
 
     Samples mixture branches, Kraus branches, and depolarizing events on
-    pure-state trajectories, rho's and tau's as one row sequence, and sums
-    each input's probabilities in shot order; the exact engines remain the
-    reference.  The uniforms are the stream of ``random.Random(seed)``, so
-    an int-like seed such as ``np.int64(4)`` gives seed 4's estimate.
-    Raises ValueError, before allocating any state, where
+    pure-state trajectories of the output's support, on its live wires
+    only, rho's and tau's as one row sequence, and sums each input's
+    probabilities in shot order; the exact engines remain the reference.
+    The uniforms are the stream of ``random.Random(seed)``, so an int-like
+    seed such as ``np.int64(4)`` gives seed 4's estimate.  Raises
+    ValueError, before allocating any state, where
     :func:`check_sampler_inputs` does.
     """
     check_sampler_inputs(circ, pair, shots, seed)
     gen = random.Random(operator.index(seed))
-    probabilities = _shot_probabilities(circ, _trajectory_steps(circ), pair, shots, gen)
+    probabilities = _shot_probabilities(_trajectory_steps(circ), pair, shots, gen)
     rho = sum(islice(probabilities, shots)) / shots
     return abs(rho - sum(probabilities) / shots)  # the rest are tau's shots

@@ -15,7 +15,8 @@ def _one_qubit(draw, rng: np.random.Generator, pl: GatePlacement) -> GatePlaceme
     if kind == "keep":
         return pl
     if kind == "DEPOL":
-        return GatePlacement(pl.wires, BuiltinGate("DEPOL", draw(st.floats(0.0, 1.0))))
+        # p=1 forgets its input, as RESET does
+        return GatePlacement(pl.wires, BuiltinGate("DEPOL", draw(st.just(1.0) | st.floats(0.0, 1.0))))
     terms = [
         (
             float(weight),

@@ -44,7 +44,6 @@ from paulidelta import (
     ptm_of_unitary,
     random_circuit,
     random_hermitian,
-    random_product_density,
     random_pure_density,
     restrict_coeffs,
     sum_of_squares,
@@ -54,7 +53,7 @@ from paulidelta import (
 from paulidelta.channels import BUILTIN_MATRICES, UnitaryMixture
 from paulidelta.circuit import Circuit
 
-from oracles import inductive_consistent_sets
+from oracles import inductive_consistent_sets, random_product_density
 
 FULL_POOL = ("CNOT", "H", "S", "T", "RESET", "ID", "RANDMIX2")
 ONEQ_POOL = ("H", "S", "T", "RESET", "ID")

@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from oracles import random_product_density
 
 from paulidelta import (
     BasisPair,
@@ -18,7 +19,6 @@ from paulidelta import (
     enumerate_consistent_sets,
     invariant_check,
     random_circuit,
-    random_product_density,
     random_pure_density,
     sweep,
     theta_for,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 
 import numpy as np
@@ -380,14 +381,15 @@ def test_k_past_the_float_range_is_refused_as_infeasible(command, capsys):
     assert captured.out == ""
 
 
-def test_sampler_stream_is_pinned(capsys):
-    # 1000 shots span several blocks; any change to the draws moves the estimate
+def test_sampler_stream_is_pinned(on_haswell):
+    # 1000 shots span several blocks; any change to the draws moves the
+    # estimate.  Under another kernel the random circuit's Haar unitaries,
+    # drawn through LAPACK, move its 13th digit.
     assert simulate.SHOT_BLOCK < 1000
     spec = "n=6,T=12,pool=CNOT|H|S|T|RESET|ID|RANDMIX2"
-    assert main(["simulate", "--random", spec, "--seed", "3", "--epsk", "0.45", "--shots", "1000"]) == 0
-    assert capsys.readouterr().out == (
-        "distinguishability 2.50697298281e-05\nsampled(1000 shots) 0.00208121827578\n"
-    )
+    out = on_haswell("-m", "paulidelta.cli", "simulate", "--random", spec, "--seed", "3", "--epsk", "0.45",
+                     "--shots", "1000")
+    assert out == "distinguishability 2.50697298281e-05\nsampled(1000 shots) 0.0346733044016\n"
 
 
 LIGHT_CONE = (
@@ -406,10 +408,11 @@ LIGHT_CONE = (
             ["check-invariant"], "n=13,T=1,pool=ID",
             "error: n=13 exceeds the coefficient-engine cap 12", id="check-invariant",
         ),
-        # The exact engine needs one wire here; the sampler's states span all 13.
+        # With --shots the sampler's cap is checked first: the output's
+        # support here holds all 13 wires at once.
         pytest.param(
-            ["simulate", "--shots", "1"], "n=13,T=1,pool=ID",
-            "error: n=13 exceeds the sampler cap 12", id="simulate",
+            ["simulate", "--shots", "1"], "n=13,T=12,pool=CNOT|ID",
+            "error: the output's support holds 13 live wires at once, above the sampler cap 12", id="simulate",
         ),
     ],
 )
@@ -427,22 +430,11 @@ def test_simulate_checks_the_sampler_before_the_exact_pass(monkeypatch, capsys):
         raise AssertionError("the exact pass ran before the sampler's checks")
 
     monkeypatch.setattr("paulidelta.cli.output_distinguishability", exact_pass)
-    argv = ["simulate", "--random", "n=16,T=3,pool=RANDU1|H", "--seed", "1", "--shots", "5"]
+    # The output's support here holds all 16 wires at once.
+    argv = ["simulate", "--random", "n=16,T=40,pool=CNOT|H", "--seed", "1", "--shots", "5"]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: n=16 exceeds the sampler cap 12\n"
-    assert captured.out == ""
-
-
-def test_simulate_checks_the_sampler_cap_before_drawing_the_circuit(monkeypatch, capsys):
-    def draw(*_, **__):
-        raise AssertionError("the circuit was drawn before the sampler's cap was checked")
-
-    monkeypatch.setattr("paulidelta.cli.random_circuit", draw)
-    argv = ["simulate", "--random", "n=16,T=3000,pool=RANDU1|H", "--seed", "1", "--shots", "5"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: n=16 exceeds the sampler cap 12\n"
+    assert captured.err == "error: the output's support holds 16 live wires at once, above the sampler cap 12\n"
     assert captured.out == ""
 
 
@@ -453,6 +445,20 @@ def test_simulate_past_the_cap_runs_on_the_output_light_cone(capsys):
     assert main(["simulate"] + source) == 0
     assert capsys.readouterr().out == "distinguishability 0.0187766000311\n"
     assert last_row.split(",")[:2] == ["4", "0.0187766000311"]
+
+
+def test_simulate_samples_a_20_qubit_circuit_on_its_support():
+    # The output's support here is 11 wires wide; the estimate lands within
+    # 5 sigma of the exact 0.0187766000311, sigma from the shots' own spread.
+    shots = 2000
+    circ = random_circuit(20, 4, seed=1, gate_pool=("CNOT", "H", "S", "T", "ID", "RANDMIX2"), k=2)
+    assert simulate._support(circ)[2] == 11
+    probs = simulate._shot_probabilities(
+        simulate._trajectory_steps(circ), BasisPair("0" * 20, "1" * 20), shots, random.Random(1)
+    )
+    rho, tau = np.array(list(probs)).reshape(2, shots)
+    sigma = np.sqrt((rho.var(ddof=1) + tau.var(ddof=1)) / shots)
+    assert abs(abs(rho.mean() - tau.mean()) - 0.0187766000311) <= 5 * sigma
 
 
 @pytest.mark.parametrize(

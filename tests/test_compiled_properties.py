@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import random_product_density
 from strategies import mix_one_qubit_gates
 
 from paulidelta import (
@@ -24,7 +25,6 @@ from paulidelta import (
     output_distinguishability,
     random_circuit,
     random_hermitian,
-    random_product_density,
     random_pure_density,
 )
 from paulidelta.circuit import Circuit

@@ -12,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import random_product_density
 
 from paulidelta import simulate
 from paulidelta.paulis import CoeffVector
@@ -26,7 +27,6 @@ from paulidelta import (
     min_cut,
     parse_circuit,
     random_circuit,
-    random_product_density,
     random_pure_density,
     restrict_coeffs,
 )

@@ -34,6 +34,7 @@ from paulidelta import (
     sum_of_squares,
 )
 from paulidelta import BuiltinGate, GatePlacement, UnitaryMixture, enumerate_consistent_sets, simulate
+from paulidelta.channels import BUILTIN_MATRICES
 from paulidelta.circuit import Circuit, ConsistentSet, haar_unitary
 from paulidelta.paulis import MAX_DENSE_QUBITS
 from paulidelta.simulate import _apply, _pauli_step, _run_step, check_cut
@@ -593,24 +594,30 @@ def test_sampler_applies_depolarizing_draws_with_no_product():
     apply.assert_not_called()
 
 
-def test_sampler_applies_a_one_operator_draw_as_one_matrix():
+def test_sampler_applies_a_one_operator_draw_to_each_row_on_the_live_wires():
+    # Only the output wire is live; each row gets its own copy of H, so its
+    # product is the one a lone state vector gets, whatever the row count.
     c = parse_circuit("qubits 3 levels 1 output 1\n" + NOISELESS + "level 1: ID(0); H(1); ID(2)\n")
     shots = 30
     with mock.patch.object(simulate, "_apply", wraps=simulate._apply) as apply:
         sample_output_difference(c, BasisPair("000", "111"), shots, 5)
     (call,) = apply.call_args_list
     t, ops, axes = call.args
-    assert ops.ndim == 2 and t.shape == (2 * shots, 2, 2, 2) and list(axes) == [2]
+    assert t.shape == (2 * shots, 2) and list(axes) == [1]
+    assert ops.shape == (2 * shots, 2, 2) and (ops == BUILTIN_MATRICES["H"]).all()
 
 
 def test_sampler_applies_k1_only_to_the_rows_that_jump():
-    # From H|b>, |K0 psi|^2 of RESET is 1/2, so about half the rows jump.
-    c = parse_circuit("qubits 1 levels 2 output 0\n" + NOISELESS + "level 1: H(0)\nlevel 2: RESET(0)\n")
+    # From H|b>, |K0 psi|^2 of this damping channel, K0 = diag(1, 0.6), is 0.68,
+    # so about a third of the rows jump.
+    c = parse_circuit(
+        "qubits 1 levels 2 output 0\n" + NOISELESS + "level 1: H(0)\nlevel 2: RSW(0; l1=0.6; l2=0.6; sign=1)\n"
+    )
     shots = 40
-    # Per row: H's term and its noise, RESET's term, its Kraus uniform and its noise.
+    # Per row: H's term and its noise, the channel's term, its Kraus uniform and its noise.
     gen = random.Random(9)
     uniforms = np.array([gen.random() for _ in range(2 * shots * 5)]).reshape(2 * shots, 5)[:, 3]
-    jumped = np.flatnonzero(uniforms >= 0.5)
+    jumped = np.flatnonzero(uniforms >= 0.68)
     assert 0 < len(jumped) < 2 * shots
     with mock.patch.object(simulate, "_apply", wraps=simulate._apply) as apply:
         sample_output_difference(c, BasisPair("0", "1"), shots, 9)
@@ -640,12 +647,14 @@ def test_sampler_holds_no_per_shot_list():
 
 
 def test_trajectory_sampler_refuses_widths_past_its_cap_before_allocating():
-    # One 13-qubit shot would hold a 2^13 state; 30 qubits would ask for 16 GiB.
-    c = random_circuit(13, 1, seed=0, gate_pool=("ID",), k=2)
+    # The output's support here spans all 13 wires at once; one shot would
+    # hold a 2^13 state.
+    c = random_circuit(13, 12, seed=0, gate_pool=("CNOT", "ID"), k=2)
     pair = BasisPair("0" * 13, "1" * 13)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="^n=13 exceeds the sampler cap 12$"):
+        message = "^the output's support holds 13 live wires at once, above the sampler cap 12$"
+        with pytest.raises(ValueError, match=message):
             sample_output_difference(c, pair, 1, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
