@@ -715,7 +715,10 @@ def _shot_probabilities(plan: tuple, pair: BasisPair, shots: int, gen: random.Ra
                         psi = _apply(psi, ops[choice], axes)
                     elif len(moved):
                         psi[moved] = _apply(psi[moved], ops[choice[moved]], axes)
-        yield from (np.abs(psi[:, 1]) ** 2).tolist()
+        # |a|^2 as re*re + im*im, each step exactly rounded: abs() rounds an
+        # array's amplitudes otherwise than a lone one's
+        ones = psi[:, 1]
+        yield from (ones.real * ones.real + ones.imag * ones.imag).tolist()
 
 
 def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int, seed: int) -> None:

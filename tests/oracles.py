@@ -232,7 +232,8 @@ def _trajectory_p1(circ: Circuit, support: tuple, bits: str, gen: random.Random)
             else:
                 psi = halves[1] / max(np.linalg.norm(halves[1]), 1e-300)
             live.remove(w)
-    return float(np.abs(psi[1]) ** 2)
+    one = psi[1]
+    return float(one.real * one.real + one.imag * one.imag)
 
 
 def sample_by_trajectory(circ: Circuit, rho_bits: str, tau_bits: str, shots: int, seed: int) -> float:
