@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import Circuit, ConsistentSet, NoiseModel, enumerate_consistent_sets
-from .paulis import sum_of_squares
+from .paulis import _Record, sum_of_squares
 from .simulate import BasisPair, InputPair, check_pair, distinguishability_by_depth, evolve_cuts, reduced_delta
 from .simulate import evolve_pauli  # noqa: F401 (perfbench/selftest.py reads bounds.evolve_pauli)
 
@@ -57,8 +57,7 @@ def cnot_threshold() -> float:
     return 1.0 - 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ThetaResult:
+class ThetaResult(NamedTuple):
     """Minimal theta satisfying the active constraints; feasible iff < 1."""
 
     theta: float
@@ -107,8 +106,7 @@ def sweep(
     ]
 
 
-@dataclass
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     """One audited consistent set: lhs = Tr(delta_V^2), rhs = 2*theta^dist."""
 
     qubits: tuple[tuple[int, int], ...]
@@ -146,18 +144,16 @@ class _Records(Sequence):
         return self._built == (other._built if isinstance(other, _Records) else other)
 
 
-@dataclass(eq=False)
-class InvariantReport:
+class InvariantReport(_Record):
     """The audit as columns, one row per set in enumeration order: each
     row's :class:`ConsistentSet`, and float64 columns of its dist, lhs =
     Tr(delta_V^2) and rhs = 2*theta^dist.  Two reports are equal when their
     theta, sets and columns are."""
 
-    theta: float
-    sets: list[ConsistentSet]
-    dist: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
+    _fields = ("theta", "sets", "dist", "lhs", "rhs")  # and a __dict__, which cached_property needs
+
+    def __init__(self, theta: float, sets: list[ConsistentSet], dist: np.ndarray, lhs: np.ndarray, rhs: np.ndarray):
+        self.theta, self.sets, self.dist, self.lhs, self.rhs = theta, sets, dist, lhs, rhs
 
     def __len__(self) -> int:
         return len(self.sets)

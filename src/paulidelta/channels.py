@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
@@ -28,6 +27,8 @@ from .paulis import (
     _SITE_MATS,
     PAULI_MATS,
     PauliString,
+    _Frozen,
+    _Record,
     check_unitary,
 )
 
@@ -65,23 +66,23 @@ def _invalid(problem: str) -> ValueError:
     return ValueError(f"invalid gate: {problem}")
 
 
-@dataclass(frozen=True)
-class BuiltinGate:
+class BuiltinGate(_Frozen):
     """A named gate from the builtin table; DEPOL carries its strength."""
 
-    name: str
-    p: float | None = None
+    __slots__ = _fields = ("name", "p")
 
-    def __post_init__(self):
-        if self.name not in BUILTIN_ARITY:
-            raise _invalid(f"unknown builtin gate {self.name!r}")
-        if self.name != "DEPOL":
-            if self.p is not None:
-                raise _invalid(f"builtin {self.name} takes no parameter")
-        elif self.p is None:
+    def __init__(self, name: str, p: float | None = None):
+        if name not in BUILTIN_ARITY:
+            raise _invalid(f"unknown builtin gate {name!r}")
+        if name != "DEPOL":
+            if p is not None:
+                raise _invalid(f"builtin {name} takes no parameter")
+        elif p is None:
             raise _invalid("DEPOL requires a strength p")
-        elif not 0.0 <= self.p <= 1.0:
-            raise _invalid(f"DEPOL strength {self.p} outside [0, 1]")
+        elif not 0.0 <= p <= 1.0:
+            raise _invalid(f"DEPOL strength {p} outside [0, 1]")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "p", p)
 
     def __repr__(self) -> str:
         return f"BuiltinGate({self.name}, p={self.p})" if self.name == "DEPOL" else f"BuiltinGate({self.name})"
@@ -105,73 +106,74 @@ def _check_weights(probs: list[float], kind: str) -> None:
         raise _invalid(f"probabilities sum to {sum(probs)}, expected 1")
 
 
-# eq=False: a gate holding arrays compares and hashes by identity, which lets
-# each gate object key its own compiled matrices; arrays hash by no value.
-@dataclass(frozen=True, eq=False)
-class UnitaryMixture:
+class UnitaryMixture(_Frozen):
     """A k-qubit channel of the form rho -> sum_i p_i U_i rho U_i^dagger."""
 
-    k: int
-    terms: tuple[tuple[float, np.ndarray], ...]
+    __slots__ = _fields = ("k", "terms")
+    # A gate holding arrays compares and hashes by identity, which lets each
+    # gate object key its own compiled matrices; arrays hash by no value.
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((float(p), _read_only(u)) for p, u in self.terms))
-        _check_weights([p for p, _ in self.terms], "mixture")
-        for i, (_, u) in enumerate(self.terms):
-            if u.shape != (2**self.k, 2**self.k):
-                raise _invalid(f"unitarity: term {i} has shape {u.shape}, arity {self.k}")
+    def __init__(self, k: int, terms: Sequence[tuple[float, np.ndarray]]):
+        terms = tuple((float(p), _read_only(u)) for p, u in terms)
+        _check_weights([p for p, _ in terms], "mixture")
+        for i, (_, u) in enumerate(terms):
+            if u.shape != (2**k, 2**k):
+                raise _invalid(f"unitarity: term {i} has shape {u.shape}, arity {k}")
             try:
                 check_unitary(u)
             except ValueError as e:
                 raise _invalid(f"unitarity: term {i}: {e}") from None
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True, eq=False)
-class RswChannel:
+class RswChannel(_Frozen):
     """One extreme-form one-qubit channel U1 o J o U2, with |lam1|, |lam2| <= 1.
 
     ``t_sign`` selects the branch of t = +-sqrt((1-lam1^2)(1-lam2^2)).
     ``pre_unitary`` (U2) acts first, ``post_unitary`` (U1) last.
     """
 
-    lam1: float
-    lam2: float
-    t_sign: int = 1
-    pre_unitary: np.ndarray = field(default_factory=lambda: _ID2)
-    post_unitary: np.ndarray = field(default_factory=lambda: _ID2)
+    __slots__ = _fields = ("lam1", "lam2", "t_sign", "pre_unitary", "post_unitary")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # as UnitaryMixture's
 
-    def __post_init__(self):
-        object.__setattr__(self, "pre_unitary", _read_only(self.pre_unitary))
-        object.__setattr__(self, "post_unitary", _read_only(self.post_unitary))
-        if not (abs(self.lam1) <= 1 and abs(self.lam2) <= 1):
-            raise _invalid(f"lambda range: (lam1, lam2)=({self.lam1}, {self.lam2})")
-        if self.t_sign not in (-1, 1):
-            raise _invalid(f"t_sign must be +-1, got {self.t_sign}")
-        for tag, u in (("pre", self.pre_unitary), ("post", self.post_unitary)):
+    def __init__(
+        self, lam1: float, lam2: float, t_sign: int = 1, pre_unitary: np.ndarray = _ID2, post_unitary: np.ndarray = _ID2
+    ):
+        pre_unitary, post_unitary = _read_only(pre_unitary), _read_only(post_unitary)
+        if not (abs(lam1) <= 1 and abs(lam2) <= 1):
+            raise _invalid(f"lambda range: (lam1, lam2)=({lam1}, {lam2})")
+        if t_sign not in (-1, 1):
+            raise _invalid(f"t_sign must be +-1, got {t_sign}")
+        for tag, u in (("pre", pre_unitary), ("post", post_unitary)):
             try:
                 k = check_unitary(u)
             except ValueError as e:
                 raise _invalid(f"unitarity: {tag}-unitary: {e}") from None
             if k != 1:
                 raise _invalid(f"unitarity: {tag}-unitary is not 2x2")
+        for name, value in zip(self._fields, (lam1, lam2, t_sign, pre_unitary, post_unitary)):
+            object.__setattr__(self, name, value)
 
     @property
     def t(self) -> float:
         return self.t_sign * math.sqrt((1 - self.lam1**2) * (1 - self.lam2**2))
 
 
-@dataclass(frozen=True, eq=False)
-class OneQubitGate:
+class OneQubitGate(_Frozen):
     """A one-qubit channel as a convex combination of canonical-form terms."""
 
-    terms: tuple[tuple[float, RswChannel], ...]
+    __slots__ = _fields = ("terms",)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # as UnitaryMixture's
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((float(p), ch) for p, ch in self.terms))
-        _check_weights([p for p, _ in self.terms], "channel")
-        for i, (_, ch) in enumerate(self.terms):
+    def __init__(self, terms: Sequence[tuple[float, RswChannel]]):
+        terms = tuple((float(p), ch) for p, ch in terms)
+        _check_weights([p for p, _ in terms], "channel")
+        for i, (_, ch) in enumerate(terms):
             if not isinstance(ch, RswChannel):
                 raise _invalid(f"term {i} is not an RswChannel: {ch!r}")
+        object.__setattr__(self, "terms", terms)
 
 
 GateSpec = Union[BuiltinGate, UnitaryMixture, OneQubitGate]
@@ -179,19 +181,16 @@ GateSpec = Union[BuiltinGate, UnitaryMixture, OneQubitGate]
 RESET_CHANNEL = RswChannel(lam1=0.0, lam2=0.0, t_sign=1)
 
 
-@dataclass
-class Ptm:
+class Ptm(_Record):
     """Pauli transfer matrix: real 4^k x 4^k action on coefficient vectors."""
 
-    k: int
-    m: np.ndarray
+    __slots__ = _fields = ("k", "m")
 
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=float)
-        if self.m.shape != (4**self.k, 4**self.k):
-            raise ValueError(
-                f"expected {(4 ** self.k, 4 ** self.k)} matrix, got {self.m.shape}"
-            )
+    def __init__(self, k: int, m: np.ndarray):
+        self.k = k
+        self.m = np.asarray(m, dtype=float)
+        if self.m.shape != (4**k, 4**k):
+            raise ValueError(f"expected {(4 ** k, 4 ** k)} matrix, got {self.m.shape}")
 
 
 # Permutation from (I, X, Y, Z) display order to canonical codes (I, Z, X, Y).

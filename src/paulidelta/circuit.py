@@ -18,7 +18,6 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import compress, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -34,6 +33,7 @@ from .channels import (
     UnitaryMixture,
     gate_arity,
 )
+from .paulis import _Frozen
 
 # Wire-time qubits n * (T + 1) a circuit may hold; its light cones keep an int for each.
 MAX_QUBIT_REFS = 1 << 24
@@ -77,54 +77,48 @@ def _check_size(n: int, T: int, gates: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(_Frozen):
     """Depolarizing strengths: eps1 after one-qubit gates, epsk before
     each input of a multi-qubit gate."""
 
-    eps1: float
-    epsk: float
+    __slots__ = _fields = ("eps1", "epsk")
 
-    def __post_init__(self):
-        if not 0.0 < self.eps1 <= 1.0:
-            raise ValueError(f"eps1 must be positive (and <= 1), got {self.eps1}")
-        if not 0.0 <= self.epsk <= 1.0:
-            raise ValueError(f"epsk must lie in [0, 1], got {self.epsk}")
+    def __init__(self, eps1: float, epsk: float):
+        if not 0.0 < eps1 <= 1.0:
+            raise ValueError(f"eps1 must be positive (and <= 1), got {eps1}")
+        if not 0.0 <= epsk <= 1.0:
+            raise ValueError(f"epsk must lie in [0, 1], got {epsk}")
+        object.__setattr__(self, "eps1", eps1)
+        object.__setattr__(self, "epsk", epsk)
 
 
-@dataclass(frozen=True)
-class GatePlacement:
+class GatePlacement(_Frozen):
     """A gate applied to an ordered tuple of distinct wires."""
 
-    wires: tuple[int, ...]
-    gate: GateSpec
+    __slots__ = _fields = ("wires", "gate")
 
-    def __post_init__(self):
-        object.__setattr__(self, "wires", tuple(operator.index(w) for w in self.wires))
+    def __init__(self, wires: Iterable[int], gate: GateSpec):
+        object.__setattr__(self, "wires", tuple(map(operator.index, wires)))
+        object.__setattr__(self, "gate", gate)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Frozen):
     """An immutable leveled circuit.  ``levels`` may be given as lists; they
-    are stored as tuples.  ``cones`` holds the circuit's light cones.
+    are stored as tuples.  ``cones``, its light cones, is not a field.
     Building one checks each level's arities, wires and partition; a gate
     checked itself when it was built, so nothing here checks it again."""
 
-    n: int
-    T: int
-    levels: tuple[tuple[GatePlacement, ...], ...]
-    noise: NoiseModel
-    output_wire: int
-    cones: LightCones = field(init=False, repr=False, compare=False)
+    _fields = ("n", "T", "levels", "noise", "output_wire")
+    __slots__ = (*_fields, "cones")
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(tuple(level) for level in self.levels))
-        if self.T != len(self.levels):
-            raise ValueError(f"T={self.T} but {len(self.levels)} levels given")
-        if not 0 <= self.output_wire < self.n:
-            raise ValueError(f"output wire {self.output_wire} out of range")
-        _check_size(self.n, self.T, sum(map(len, self.levels)))
-        for li, level in enumerate(self.levels, start=1):
+    def __init__(self, n: int, T: int, levels: Iterable[Iterable[GatePlacement]], noise: NoiseModel, output_wire: int):
+        levels = tuple(map(tuple, levels))
+        if T != len(levels):
+            raise ValueError(f"T={T} but {len(levels)} levels given")
+        if not 0 <= output_wire < n:
+            raise ValueError(f"output wire {output_wire} out of range")
+        _check_size(n, T, sum(map(len, levels)))
+        for li, level in enumerate(levels, start=1):
             seen: set[int] = set()
             for pi, pl in enumerate(level):
                 if not pl.wires:
@@ -135,17 +129,19 @@ class Circuit:
                 if arity != len(pl.wires):
                     raise LevelError(li, f"gate needs {arity} wires, got {len(pl.wires)}", pi)
                 for w in pl.wires:
-                    if not 0 <= w < self.n:
-                        raise LevelError(li, f"wire {w} out of range for n={self.n}", pi)
+                    if not 0 <= w < n:
+                        raise LevelError(li, f"wire {w} out of range for n={n}", pi)
                     if w in seen:
                         raise LevelError(li, f"not a partition: wire {w} used twice", pi)
                     seen.add(w)
-            if len(seen) != self.n:  # seen holds distinct wires in range
-                lowest = list(islice((w for w in range(self.n) if w not in seen), 5))
-                more = self.n - len(seen) - len(lowest)
+            if len(seen) != n:  # seen holds distinct wires in range
+                lowest = list(islice((w for w in range(n) if w not in seen), 5))
+                more = n - len(seen) - len(lowest)
                 raise LevelError(
                     li, f"not a partition: missing wires {lowest}" + (f" and {more} more" if more else "")
                 )
+        for name, value in zip(self._fields, (n, T, levels, noise, output_wire)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "cones", LightCones.of(self))
 
     @property
@@ -155,15 +151,14 @@ class Circuit:
             default=1,
         )
 
-    def prefix(self, t: int) -> "Circuit":
+    def prefix(self, t: int) -> Circuit:
         """The first ``t`` levels as a circuit with the same noise and output."""
         if not 0 <= t <= self.T:
             raise ValueError(f"prefix length {t} outside [0, {self.T}]")
         return Circuit(self.n, t, self.levels[:t], self.noise, self.output_wire)
 
 
-@dataclass(frozen=True, order=True)
-class QubitRef:
+class QubitRef(NamedTuple):
     """A wire at a specific time (0..T)."""
 
     wire: int
@@ -196,7 +191,7 @@ class ConsistentSet(NamedTuple):
         return frozenset(QubitRef(w, t) for w, t in self.refs)
 
     @classmethod
-    def build(cls, circ: Circuit, refs: Iterable[QubitRef]) -> "ConsistentSet":
+    def build(cls, circ: Circuit, refs: Iterable[QubitRef]) -> ConsistentSet:
         refs = frozenset(refs)
         if not is_consistent(refs, circ):
             raise ValueError(f"set is not consistent: {sorted(refs)}")
@@ -211,12 +206,6 @@ class ConsistentSet(NamedTuple):
         )
 
 
-def _check_refs(refs: Iterable[QubitRef], n: int, T: int) -> None:
-    for q in refs:
-        if not (0 <= q.wire < n and 0 <= q.time <= T):
-            raise ValueError(f"qubit ref {q} out of range for n={n}, T={T}")
-
-
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -225,8 +214,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class LightCones:
+class LightCones(NamedTuple):
     """Light cones as gate bitmasks.  ``gates`` lists the (level, placement
     index) keys in order, and gate r is bit ``len(gates) - 1 - r``, so the
     earliest gate is the most significant bit.  ``cone[time*n + wire]`` is
@@ -239,7 +227,7 @@ class LightCones:
     cone: tuple[int, ...]
 
     @classmethod
-    def of(cls, circ: Circuit) -> "LightCones":
+    def of(cls, circ: Circuit) -> LightCones:
         n, gates = circ.n, []
         cone = [0] * (n * (circ.T + 1))
         bit = 1 << sum(map(len, circ.levels))
@@ -255,7 +243,9 @@ class LightCones:
 
     def _index(self, refs: Iterable[QubitRef]) -> list[int]:
         refs = frozenset(refs)
-        _check_refs(refs, self.n, self.T)
+        for q in refs:
+            if not (0 <= q.wire < self.n and 0 <= q.time <= self.T):
+                raise ValueError(f"qubit ref {q} out of range for n={self.n}, T={self.T}")
         return [q.time * self.n + q.wire for q in refs]
 
     def consumer(self, b: int) -> int:
@@ -336,7 +326,7 @@ def enumerate_consistent_sets(
         return column * ((2 << w) - 1)  # every ref on wires 0..w
 
     # tuple.__new__ builds what ConsistentSet(...) builds, without a Python
-    # frame per set; the walk builds one per set.
+    # frame per set.
     new = tuple.__new__
     found: dict[int, ConsistentSet] = {}  # by key, which no two sets share
     budget = math.inf if max_sets is None else max_sets

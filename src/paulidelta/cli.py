@@ -9,6 +9,7 @@ byte-identical output files on repeated runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -300,12 +301,12 @@ def cmd_simulate(args) -> int:
     circ = _load_circuit(args)
     pair = _input_pair(args, circ)
     seed = args.seed if args.seed is not None else 0
-    if args.shots:
-        check_sampler_inputs(circ, pair, args.shots, seed)  # before the exact pass, which can take seconds
+    # the sampler checks its inputs before the exact pass, which can take seconds
+    plan = check_sampler_inputs(circ, pair, args.shots, seed) if args.shots else None
     measured = output_distinguishability(circ, pair)
     lines = [f"distinguishability {_fmt(measured)}"]
     if args.shots:
-        est = sample_output_difference(circ, pair, args.shots, seed)
+        est = sample_output_difference(circ, pair, args.shots, seed, _plan=plan)
         lines.append(f"sampled({args.shots} shots) {_fmt(est)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -405,6 +406,12 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
+
+# Once per process, at import: the collector's permanent generation takes
+# every object the import made, so a call's collections walk only the
+# call's own objects.  A freeze per call would keep an in-process caller's
+# cyclic garbage alive.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -14,7 +14,6 @@ masks per site, x bit high: index(S) = sum_j (2*x_j + z_j) * 4^j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Union
 
@@ -40,8 +39,51 @@ _SITE_MATS = np.stack([PAULI_MATS[c] for c in SITE_ORDER])
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 
-@dataclass(frozen=True)
-class PauliString:
+class _Record:
+    """A plain class that does what a dataclass would, with no code
+    generated at import.  A subclass names its fields in ``_fields`` and
+    sets them in its own ``__init__``, which validates them.  As with a
+    dataclass, ``__repr__`` shows the fields, and ``__eq__`` compares them
+    as a tuple with a record of the same class.  Mutable records are
+    unhashable.  A copy or a pickle rebuilds the record through its
+    constructor, so it is validated again."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class _Frozen(_Record):
+    """A frozen record: it hashes as its field tuple, and assigning or
+    deleting an attribute raises AttributeError, so its ``__init__`` sets
+    its fields through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PauliString(_Frozen):
     """A tensor product of one-qubit Paulis over ``n`` qubits, bit-packed.
 
     Bit j of ``x_bits``/``z_bits`` encodes site j.  Site 0 is the first
@@ -49,16 +91,17 @@ class PauliString:
     the label.
     """
 
-    n: int
-    x_bits: int
-    z_bits: int
+    __slots__ = _fields = ("n", "x_bits", "z_bits")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"negative qubit count {self.n}")
-        mask = (1 << self.n) - 1
-        if self.x_bits & ~mask or self.z_bits & ~mask:
+    def __init__(self, n: int, x_bits: int, z_bits: int):
+        if n < 0:
+            raise ValueError(f"negative qubit count {n}")
+        mask = (1 << n) - 1
+        if x_bits & ~mask or z_bits & ~mask:
             raise ValueError("mask has bits above position n-1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "x_bits", x_bits)
+        object.__setattr__(self, "z_bits", z_bits)
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
@@ -124,8 +167,7 @@ def all_pauli_strings(n: int) -> Iterator[PauliString]:
         yield PauliString.from_index(n, idx)
 
 
-@dataclass
-class CoeffVector:
+class CoeffVector(_Record):
     """The 4^n real Pauli coefficients Tr(delta * S) of a Hermitian delta.
 
     Treated as an immutable value: operations return fresh vectors.
@@ -133,16 +175,13 @@ class CoeffVector:
     does, whatever layout it was built from.
     """
 
-    n: int
-    values: np.ndarray
+    __slots__ = _fields = ("n", "values")
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float, order="C")
-        if self.values.shape != (4**self.n,):
-            raise ValueError(
-                f"expected {4 ** self.n} coefficients for n={self.n}, "
-                f"got shape {self.values.shape}"
-            )
+    def __init__(self, n: int, values: np.ndarray):
+        self.n = n
+        self.values = np.asarray(values, dtype=float, order="C")
+        if self.values.shape != (4**n,):
+            raise ValueError(f"expected {4 ** n} coefficients for n={n}, got shape {self.values.shape}")
 
     def __getitem__(self, s: Union[PauliString, str]) -> float:
         if isinstance(s, str):

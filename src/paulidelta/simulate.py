@@ -15,15 +15,10 @@ computational basis on the channel's row and column axes; it exists as an
 independent cross-check of the Pauli engine.  It and the trajectory
 sampler read one lowering of each noisy gate, :func:`_lowering`, its
 channels in the order they act.  The sampler runs only the output's
-support, the gates a backward sweep from the output wire keeps, where a
-gate that forgets its input (RESET, DEPOL with p=1, any gate at epsk=1)
-cuts the sweep; its states hold the support's live wires only, each
-joining as |0> before a forgetting gate and measured and dropped after its
-last level.  It advances rho's and tau's trajectories as one row sequence
-and applies each draw in its cheapest form that rounds as a lone state
-vector would: a depolarizing Pauli as row flips and phases, with no matrix
-product; a mixture only on the rows it changes, each row with its own
-operator.  Both engines and the sampler apply every matrix through one
+support (:func:`_support`) on its live wires, and advances rho's and
+tau's trajectories as one row sequence, each draw in its cheapest form
+that rounds as a lone state vector would (:func:`_shot_probabilities`).
+Both engines and the sampler apply every matrix through one
 kernel, :func:`_run_step`.
 
 Both engines apply a *cut*: a gate mask of ``circ.cones``, an int whose
@@ -40,7 +35,6 @@ from __future__ import annotations
 import operator
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import accumulate, islice
 from typing import Callable, Collection, Iterable, Iterator, Sequence
@@ -55,6 +49,8 @@ from .paulis import (
     MAX_DENSE_QUBITS,
     PAULI_MATS,
     CoeffVector,
+    _Frozen,
+    _Record,
     check_hermitian,
     coeffs_from_op,
 )
@@ -94,16 +90,13 @@ def check_cut(circ: Circuit, cut: int) -> list[tuple[int, int]]:
 # --- input pairs and state constructors ----------------------------------
 
 
-@dataclass
-class InputPair:
+class InputPair(_Record):
     """Two n-qubit density matrices whose difference is evolved."""
 
-    rho: np.ndarray
-    tau: np.ndarray
+    __slots__ = _fields = ("rho", "tau")
 
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        self.tau = np.asarray(self.tau, dtype=complex)
+    def __init__(self, rho: np.ndarray, tau: np.ndarray):
+        self.rho, self.tau = np.asarray(rho, dtype=complex), np.asarray(tau, dtype=complex)
         if self.rho.shape != self.tau.shape:
             raise ValueError("rho and tau have different shapes")
         for name, m in (("rho", self.rho), ("tau", self.tau)):
@@ -134,24 +127,20 @@ class InputPair:
 _BASIS_SITE = {"0": np.array([1.0, 1.0]), "1": np.array([1.0, -1.0])}
 
 
-@dataclass(frozen=True)
-class BasisPair:
+class BasisPair(_Frozen):
     """Two computational-basis states, as bit strings whose first character
     is wire 0; the same inputs as ``InputPair(basis_density(rho_bits),
     basis_density(tau_bits))``, with no 2^n x 2^n matrix behind them."""
 
-    rho_bits: str
-    tau_bits: str
+    __slots__ = _fields = ("rho_bits", "tau_bits")
 
-    def __post_init__(self):
-        for name in ("rho_bits", "tau_bits"):
-            bits = getattr(self, name)
+    def __init__(self, rho_bits: str, tau_bits: str):
+        for name, bits in (("rho_bits", rho_bits), ("tau_bits", tau_bits)):
             if not isinstance(bits, str) or not bits or set(bits) - {"0", "1"}:
                 raise ValueError(f"{name} must be a nonempty string of 0/1, got {bits!r}")
-        if len(self.rho_bits) != len(self.tau_bits):
-            raise ValueError(
-                f"rho_bits and tau_bits differ in length: {self.rho_bits!r}, {self.tau_bits!r}"
-            )
+            object.__setattr__(self, name, bits)
+        if len(rho_bits) != len(tau_bits):
+            raise ValueError(f"rho_bits and tau_bits differ in length: {rho_bits!r}, {tau_bits!r}")
 
     @property
     def n(self) -> int:
@@ -577,8 +566,15 @@ def _trajectory_steps(circ: Circuit) -> tuple[tuple[int, ...], list[tuple]]:
     - ``"drop"``: after each level, each wire that leaves L, in increasing
       wire order, is measured in the computational basis, one uniform per
       row, and its axis dropped, which is exact: no kept gate reads it
-      again before a forgetting gate."""
-    kept, lives, _ = _support(circ)
+      again before a forgetting gate.
+
+    Past ``MAX_COEFF_QUBITS`` wires live at once, on which each shot would
+    hold a state, it raises ValueError right after the sweep."""
+    kept, lives, width = _support(circ)
+    if width > MAX_COEFF_QUBITS:
+        raise ValueError(
+            f"the output's support holds {width} live wires at once, above the sampler cap {MAX_COEFF_QUBITS}"
+        )
     live = sorted(lives[0])
     start, steps = tuple(live), []
     for level, here, after in zip(circ.levels, kept, lives[1:]):
@@ -721,13 +717,12 @@ def _shot_probabilities(plan: tuple, pair: BasisPair, shots: int, gen: random.Ra
         yield from (ones.real * ones.real + ones.imag * ones.imag).tolist()
 
 
-def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int, seed: int) -> None:
+def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int, seed: int) -> tuple:
     """Raise ValueError unless the trajectory sampler can run: ``pair`` a
     :class:`BasisPair` that fits ``circ``, ``shots`` an int >= 1, ``seed``
-    an int >= 0 (``random.Random`` would fold -s onto s), and at most
-    ``MAX_COEFF_QUBITS`` wires live at once in the output's support, as
-    each shot holds a state on them.  Allocates no state, so a caller can
-    check before any other work."""
+    an int >= 0 (``random.Random`` would fold -s onto s), and the output's
+    support within the cap; return the plan of :func:`_trajectory_steps`.
+    Allocates no state, so a caller can check before any other work."""
     if not isinstance(pair, BasisPair):
         raise ValueError(f"the sampler takes a BasisPair, got {type(pair).__name__}")
     check_pair(circ, pair)
@@ -739,14 +734,10 @@ def check_sampler_inputs(circ: Circuit, pair: InputPair | BasisPair, shots: int,
         raise ValueError(f"seed must be an int, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    width = _support(circ)[2]
-    if width > MAX_COEFF_QUBITS:
-        raise ValueError(
-            f"the output's support holds {width} live wires at once, above the sampler cap {MAX_COEFF_QUBITS}"
-        )
+    return _trajectory_steps(circ)
 
 
-def sample_output_difference(circ: Circuit, pair: BasisPair, shots: int, seed: int) -> float:
+def sample_output_difference(circ: Circuit, pair: BasisPair, shots: int, seed: int, *, _plan=None) -> float:
     """Monte-Carlo estimate of the output-probability difference.
 
     Samples mixture branches, Kraus branches, and depolarizing events on
@@ -756,10 +747,11 @@ def sample_output_difference(circ: Circuit, pair: BasisPair, shots: int, seed: i
     The uniforms are the stream of ``random.Random(seed)``, so an int-like
     seed such as ``np.int64(4)`` gives seed 4's estimate.  Raises
     ValueError, before allocating any state, where
-    :func:`check_sampler_inputs` does.
+    :func:`check_sampler_inputs` does; ``_plan``, what that check returned
+    for these arguments, spares its sweep.
     """
-    check_sampler_inputs(circ, pair, shots, seed)
+    plan = check_sampler_inputs(circ, pair, shots, seed) if _plan is None else _plan
     gen = random.Random(operator.index(seed))
-    probabilities = _shot_probabilities(_trajectory_steps(circ), pair, shots, gen)
+    probabilities = _shot_probabilities(plan, pair, shots, gen)
     rho = sum(islice(probabilities, shots)) / shots
     return abs(rho - sum(probabilities) / shots)  # the rest are tau's shots

@@ -8,7 +8,7 @@ bound machinery relies on hold numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,7 +90,7 @@ def suite_engine_equivalence(seed: int, cases: int) -> SuiteResult:
             noise=NoiseModel(0.05 + 0.1 * rng.random(), 0.4 + 0.1 * rng.random()),
         )
         levels = [[_mix_one_qubit_gate(pl, rng) for pl in level] for level in circ.levels]
-        circ = replace(circ, levels=levels)
+        circ = Circuit(n, t, levels, circ.noise, circ.output_wire)
         delta = random_hermitian(n, rng)
         dense = coeffs_from_op(evolve_density(circ, delta, full_cut(circ)))
         pauli = evolve_pauli(circ, coeffs_from_op(delta), full_cut(circ))

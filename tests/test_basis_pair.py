@@ -2,7 +2,6 @@
 dense transform exactly, and every engine gives the same results for a
 ``BasisPair`` as for the equivalent dense ``InputPair``."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -106,7 +105,7 @@ def test_basis_pair_is_a_frozen_value():
     pair = BasisPair("01", "10")
     assert pair.n == 2
     assert pair == BasisPair("01", "10")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         pair.rho_bits = "11"
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -293,12 +292,12 @@ _NON_UNITARY = np.array([[1, 1], [0, 1]])
     ],
 )
 def test_no_invalid_gate_can_be_built(valid, changes, problem):
-    fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
+    fields = {name: getattr(valid, name) for name in valid._fields}
     with pytest.raises(ValueError, match=f"^invalid gate: {problem}"):
         type(valid)(**fields | changes)
     with pytest.raises(ValueError, match=f"^invalid gate: {problem}"):
-        dataclasses.replace(valid, **changes)
-    dataclasses.replace(valid)  # the valid gate itself rebuilds
+        type(valid)(*(changes.get(name, value) for name, value in fields.items()))
+    type(valid)(**fields)  # the valid gate itself rebuilds
 
 
 def test_ptm_of_unitary_refuses_a_non_unitary_matrix():

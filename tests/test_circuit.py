@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -457,19 +456,19 @@ def test_circuit_and_its_gates_refuse_edits():
         "level 2: RSW(0; l1=0.8, l2=0.5, sign=-1); ID(1)\n"
     )
     placement = c.levels[0][0]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         c.levels = ()
     with pytest.raises(TypeError):
         c.levels[0][0] = GatePlacement((0,), BuiltinGate("H"))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         placement.wires = (1,)
     mix = c.levels[0][1].gate
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         mix.terms = ()
     with pytest.raises(ValueError, match="read-only"):
         mix.terms[0][1][0, 0] = 2.0
     channel = c.levels[1][0].gate.terms[0][1]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         channel.lam1 = 0.1
     with pytest.raises(ValueError, match="read-only"):
         channel.pre_unitary[0, 0] = 2.0

@@ -330,10 +330,10 @@ def test_check_invariant_builds_records_only_for_the_worst_and_failing_sets(monk
     built = 0
 
     class Counted(bounds.InvariantRecord):
-        def __init__(self, *args):
+        def __new__(cls, *args):
             nonlocal built
             built += 1
-            super().__init__(*args)
+            return super().__new__(cls, *args)
 
     monkeypatch.setattr(bounds, "InvariantRecord", Counted)
     argv = ["check-invariant", "--random", "n=3,T=3,pool=CNOT|H|T|RESET|ID|RANDMIX2", "--seed", "1",
@@ -436,6 +436,16 @@ def test_simulate_checks_the_sampler_before_the_exact_pass(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: the output's support holds 16 live wires at once, above the sampler cap 12\n"
     assert captured.out == ""
+
+
+def test_simulate_sweeps_the_output_support_once(monkeypatch, capsys):
+    sweeps = []
+    support = simulate._support
+    monkeypatch.setattr(simulate, "_support", lambda circ: sweeps.append(circ) or support(circ))
+    argv = ["simulate", "--random", "n=4,T=10,pool=CNOT|H|S|T|RESET|ID|RANDMIX2", "--seed", "5", "--shots", "40"]
+    assert main(argv) == 0
+    assert len(sweeps) == 1
+    assert capsys.readouterr().out.splitlines()[1].startswith("sampled(40 shots) ")
 
 
 def test_simulate_past_the_cap_runs_on_the_output_light_cone(capsys):
@@ -617,7 +627,7 @@ def test_cli_never_builds_a_dense_input_pair(cnot_file, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the CLI built a dense input")
 
-    monkeypatch.setattr(paulidelta.simulate.InputPair, "__post_init__", refuse)
+    monkeypatch.setattr(paulidelta.simulate.InputPair, "__init__", refuse)
     for module in (paulidelta.paulis, paulidelta.simulate, paulidelta.bounds):
         monkeypatch.setattr(module, "coeffs_from_op", refuse, raising=False)
     out = str(tmp_path / "out")

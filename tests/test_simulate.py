@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 import tracemalloc
@@ -672,10 +671,10 @@ def test_output_distinguishability_follows_edited_levels():
     h = GatePlacement((0,), BuiltinGate("H"))
     with pytest.raises(TypeError):
         c.levels[1][0] = h
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         c.levels = [c.levels[0], [h, c.levels[1][1]]]
     assert output_distinguishability(c, pair) == pytest.approx(0.5225, abs=1e-12)
-    edited = dataclasses.replace(c, levels=[c.levels[0], [h, c.levels[1][1]]])
+    edited = Circuit(c.n, c.T, [c.levels[0], [h, c.levels[1][1]]], c.noise, c.output_wire)
     fresh = parse_circuit(text + "level 2: H(0); RESET(1)\n")
     assert output_distinguishability(edited, pair) == output_distinguishability(fresh, pair)
     assert output_distinguishability(edited, pair) == pytest.approx(0.0, abs=1e-12)
